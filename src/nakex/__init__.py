@@ -18,8 +18,6 @@ Subpackages:
 - :mod:`nakex.cli` -- the ``nakex`` command line front end.
 """
 
-from ._accel import NUMBA_ENABLED
-
 __version__ = "0.1.0"
 
-__all__ = ["NUMBA_ENABLED", "__version__"]
+__all__ = ["__version__"]

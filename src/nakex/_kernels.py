@@ -1,27 +1,23 @@
-"""Hot integer-array kernels for braid word arithmetic.
+"""Braid word and permutation kernels in plain Python.
 
-Everything here operates on plain int64 numpy arrays so it compiles under
-numba's nopython mode and still runs unchanged as pure numpy/Python when the
-``NAKEX_NO_NUMBA`` flag is set (see :mod:`nakex._accel`).
+These are the loops under every braid normal form, equality check and strand
+removal; :mod:`nakex.braid` wraps them in its public API.
 
 Conventions shared by all kernels:
 
-- A braid word is an int64 array of nonzero letters; letter ``i`` encodes the
-  Artin generator sigma_i, ``-i`` its inverse (1-based, ``1 <= i <= n-1``).
-- A permutation is an int64 array ``p`` of length n with 0-based images,
-  composed left-to-right: ``compose(p, q)[k] = q[p[k]]`` means "apply p, then
-  q".  Under this convention the permutation of a concatenated braid word is
-  the left-to-right composite of the letters' transpositions.
+- A braid word is a sequence of nonzero ints; letter ``i`` encodes the Artin
+  generator sigma_i, ``-i`` its inverse (1-based, ``1 <= i <= n-1``).  Kernels
+  return words as tuples.
+- A permutation is a list ``p`` of length n with 0-based images, composed
+  left-to-right: ``compose(p, q)[k] = q[p[k]]`` means "apply p, then q".
+  Under this convention the permutation of a concatenated braid word is the
+  left-to-right composite of the letters' transpositions.
 - A positive permutation braid is identified with its permutation; its letter
   length equals the inversion count.  For a pair of factors (x, y) the
   left-weighted condition is S(y) subset-of F(x), where S(y) = {i : y[i] >
   y[i+1]} (descents of y) and F(x) = {i : x^-1[i+1] < x^-1[i]} (descents of
   x^-1).
 """
-
-import numpy as np
-
-from ._accel import njit
 
 __all__ = [
     "free_reduce",
@@ -33,33 +29,23 @@ __all__ = [
 ]
 
 
-@njit(cache=True)
 def free_reduce(letters):
-    """Cancel adjacent inverse pairs; returns a new freely reduced array."""
-    out = np.empty(letters.shape[0], dtype=np.int64)
-    top = 0
-    for idx in range(letters.shape[0]):
-        e = letters[idx]
-        if top > 0 and out[top - 1] == -e:
-            top -= 1
+    """Cancel adjacent inverse pairs; returns the freely reduced word."""
+    out = []
+    for e in letters:
+        if out and out[-1] == -e:
+            out.pop()
         else:
-            out[top] = e
-            top += 1
-    return out[:top].copy()
+            out.append(e)
+    return tuple(out)
 
 
-@njit(cache=True)
 def perm_of_word(letters, n):
     """Image of a braid word under B_n -> S_n (0-based one-line notation)."""
-    perm = np.empty(n, dtype=np.int64)
-    pinv = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        perm[k] = k
-        pinv[k] = k
-    for idx in range(letters.shape[0]):
-        e = letters[idx]
-        j = e if e > 0 else -e
-        j -= 1
+    perm = list(range(n))
+    pinv = list(range(n))
+    for e in letters:
+        j = abs(e) - 1
         # Multiplying by the transposition (j, j+1) on the right swaps the
         # values j and j+1; track positions through pinv for O(1) updates.
         a = pinv[j]
@@ -71,150 +57,109 @@ def perm_of_word(letters, n):
     return perm
 
 
-@njit(cache=True)
-def _left_weight_pair(facs, ia, ib, n, xinv):
-    """Make the factor pair (facs[ia], facs[ib]) left-weighted in place.
+def _left_weight_pair(x, y):
+    """Make the factor pair (x, y) left-weighted in place.
 
     Repeatedly moves a transposition s_i with i in S(y) - F(x) from the head
     of y to the tail of x; each move lengthens x and shortens y, so the loop
     terminates.  Returns True when anything moved.
     """
-    for k in range(n):
-        xinv[facs[ia, k]] = k
+    n = len(x)
+    xinv = sorted(range(n), key=x.__getitem__)
     changed = False
     moved = True
     while moved:
         moved = False
         for i in range(n - 1):
-            if facs[ib, i] > facs[ib, i + 1] and xinv[i] < xinv[i + 1]:
+            if y[i] > y[i + 1] and xinv[i] < xinv[i + 1]:
                 pi = xinv[i]
                 pj = xinv[i + 1]
-                facs[ia, pi] = i + 1
-                facs[ia, pj] = i
+                x[pi] = i + 1
+                x[pj] = i
                 xinv[i] = pj
                 xinv[i + 1] = pi
-                t = facs[ib, i]
-                facs[ib, i] = facs[ib, i + 1]
-                facs[ib, i + 1] = t
+                y[i], y[i + 1] = y[i + 1], y[i]
                 moved = True
                 changed = True
     return changed
 
 
-@njit(cache=True)
-def _is_identity(facs, row, n):
-    for k in range(n):
-        if facs[row, k] != k:
-            return False
-    return True
-
-
-@njit(cache=True)
-def _is_w0(facs, row, n):
-    for k in range(n):
-        if facs[row, k] != n - 1 - k:
-            return False
-    return True
-
-
-@njit(cache=True)
 def word_to_nf(letters, n):
     """Left-greedy Garside normal form of a braid word in B_n.
 
-    Returns ``(inf, factors)`` where ``factors`` is an (l, n) array of
-    permutation-braid factors, none the identity or the half twist, adjacent
-    pairs left-weighted.  The represented braid is Delta^inf f_1 ... f_l.
+    Returns ``(inf, factors)`` where ``factors`` is a list of permutation-braid
+    factors, none the identity or the half twist, adjacent pairs
+    left-weighted.  The represented braid is Delta^inf f_1 ... f_l.
     """
     letters = free_reduce(letters)
-    m = letters.shape[0]
+    m = len(letters)
     if m == 0 or n < 2:
-        return 0, np.empty((0, n), dtype=np.int64)
+        return 0, []
 
-    facs = np.empty((m, n), dtype=np.int64)
-    dpow = np.empty(m, dtype=np.int64)
-    for idx in range(m):
-        e = letters[idx]
+    identity = list(range(n))
+    w0 = identity[::-1]
+    facs = []
+    for e in letters:
         if e > 0:
             j = e - 1
-            for k in range(n):
-                facs[idx, k] = k
-            facs[idx, j] = j + 1
-            facs[idx, j + 1] = j
-            dpow[idx] = 0
+            f = identity.copy()
+            f[j] = j + 1
+            f[j + 1] = j
         else:
             # sigma_j^-1 = Delta^-1 * lift(w0 . s_j): start from w0 and swap
             # the entries holding values j and j+1.
             j = -e - 1
-            for k in range(n):
-                facs[idx, k] = n - 1 - k
-            facs[idx, n - 1 - j] = j + 1
-            facs[idx, n - 2 - j] = j
-            dpow[idx] = -1
+            f = w0.copy()
+            f[n - 1 - j] = j + 1
+            f[n - 2 - j] = j
+        facs.append(f)
 
     # Push all Delta powers to the front: f . Delta^k = Delta^k . tau^k(f)
-    # with tau(f) = w0 f w0, which has order 2 on permutations.
-    delta = np.int64(0)
+    # with tau(f) = w0 f w0, which has order 2 on permutations.  Each
+    # inverse letter contributes one Delta^-1.
+    delta = 0
     for idx in range(m - 1, -1, -1):
         if delta % 2 != 0:
-            row = np.empty(n, dtype=np.int64)
-            for k in range(n):
-                row[k] = n - 1 - facs[idx, n - 1 - k]
-            for k in range(n):
-                facs[idx, k] = row[k]
-        delta += dpow[idx]
+            facs[idx] = [n - 1 - v for v in reversed(facs[idx])]
+        if letters[idx] < 0:
+            delta -= 1
 
     # Left-weight adjacent pairs to a fixed point.  Fixing pair (i, i+1)
     # grows f_i and shrinks f_{i+1}, which can only disturb the neighbours
     # (i-1, i) and (i+1, i+2); a single-step backtrack therefore suffices and
     # the total work is bounded by letters-times-factors.  At the fixed point
     # identities have bubbled to the tail and half twists to the head.
-    xinv = np.empty(n, dtype=np.int64)
     i = 0
     while i < m - 1:
-        if _left_weight_pair(facs, i, i + 1, n, xinv):
+        if _left_weight_pair(facs[i], facs[i + 1]):
             i = i - 1 if i > 0 else 0
         else:
             i += 1
 
     lead = 0
-    while lead < m and _is_w0(facs, lead, n):
+    while lead < m and facs[lead] == w0:
         lead += 1
     tail = m
-    while tail > lead and _is_identity(facs, tail - 1, n):
+    while tail > lead and facs[tail - 1] == identity:
         tail -= 1
 
-    return delta + lead, facs[lead:tail].copy()
+    return delta + lead, facs[lead:tail]
 
 
-@njit(cache=True)
 def nf_factor_word(perm):
     """Shortlex letter word of a permutation-braid factor (1-based letters)."""
-    n = perm.shape[0]
-    y = perm.copy()
-    count = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            if y[a] > y[b]:
-                count += 1
-    out = np.empty(count, dtype=np.int64)
-    pos = 0
+    y = list(perm)
+    out = []
     while True:
-        i = -1
-        for k in range(n - 1):
-            if y[k] > y[k + 1]:
-                i = k
+        for i in range(len(y) - 1):
+            if y[i] > y[i + 1]:
                 break
-        if i < 0:
-            break
-        out[pos] = i + 1
-        pos += 1
-        t = y[i]
-        y[i] = y[i + 1]
-        y[i + 1] = t
-    return out
+        else:
+            return tuple(out)
+        out.append(i + 1)
+        y[i], y[i + 1] = y[i + 1], y[i]
 
 
-@njit(cache=True)
 def _find_handle(letters):
     """Position pair (p, j) of the first handle, or (-1, -1).
 
@@ -223,23 +168,17 @@ def _find_handle(letters):
     the nearest letter of index i or i-1 finds the handle with the leftmost
     closing letter.
     """
-    m = letters.shape[0]
-    for j in range(m):
-        ej = letters[j]
-        i = ej if ej > 0 else -ej
-        p = -1
+    for j, ej in enumerate(letters):
+        i = abs(ej)
         for q in range(j - 1, -1, -1):
-            eq = letters[q]
-            iq = eq if eq > 0 else -eq
+            iq = abs(letters[q])
             if iq == i or iq == i - 1:
-                p = q
+                if letters[q] == -ej:
+                    return q, j
                 break
-        if p >= 0 and letters[p] == -ej:
-            return p, j
     return -1, -1
 
 
-@njit(cache=True)
 def handle_reduce_word(letters):
     """Dehornoy handle reduction; empty output iff the word is trivial."""
     w = free_reduce(letters)
@@ -248,39 +187,21 @@ def handle_reduce_word(letters):
         if p < 0:
             return w
         e = w[p]
-        i = e if e > 0 else -e
+        i = abs(e)
         sign = 1 if e > 0 else -1
         # Interior sigma_(i+1)^d letters become sigma_(i+1)^-e sigma_i^d
         # sigma_(i+1)^e; everything else passes through unchanged.
-        extra = 0
-        for q in range(p + 1, j):
-            iq = w[q] if w[q] > 0 else -w[q]
-            if iq == i + 1:
-                extra += 1
-        out = np.empty(w.shape[0] - 2 + 2 * extra, dtype=np.int64)
-        pos = 0
-        for q in range(p):
-            out[pos] = w[q]
-            pos += 1
-        for q in range(p + 1, j):
-            eq = w[q]
-            iq = eq if eq > 0 else -eq
-            if iq == i + 1:
+        out = list(w[:p])
+        for eq in w[p + 1:j]:
+            if abs(eq) == i + 1:
                 d = 1 if eq > 0 else -1
-                out[pos] = -sign * (i + 1)
-                out[pos + 1] = d * i
-                out[pos + 2] = sign * (i + 1)
-                pos += 3
+                out += (-sign * (i + 1), d * i, sign * (i + 1))
             else:
-                out[pos] = eq
-                pos += 1
-        for q in range(j + 1, w.shape[0]):
-            out[pos] = w[q]
-            pos += 1
-        w = free_reduce(out[:pos])
+                out.append(eq)
+        out += w[j + 1:]
+        w = free_reduce(out)
 
 
-@njit(cache=True)
 def remove_strands_word(letters, n, d):
     """Erase the last d strands of a pure braid word in B_n.
 
@@ -290,24 +211,16 @@ def remove_strands_word(letters, n, d):
     Returns a word in B_{n-d}.
     """
     keep = n - d
-    cur = np.empty(n, dtype=np.int64)  # cur[pos] = strand (by start position)
-    for k in range(n):
-        cur[k] = k
-    out = np.empty(letters.shape[0], dtype=np.int64)
-    pos = 0
-    for idx in range(letters.shape[0]):
-        e = letters[idx]
-        j = (e if e > 0 else -e) - 1  # 0-based crossing position
+    cur = list(range(n))  # cur[pos] = strand (by start position)
+    out = []
+    for e in letters:
+        j = abs(e) - 1  # 0-based crossing position
         u = cur[j]
         v = cur[j + 1]
         if u < keep and v < keep:
-            removed_left = 0
-            for k in range(j):
-                if cur[k] >= keep:
-                    removed_left += 1
-            newj = j - removed_left
-            out[pos] = (newj + 1) if e > 0 else -(newj + 1)
-            pos += 1
+            removed_left = sum(1 for k in range(j) if cur[k] >= keep)
+            newj = j - removed_left + 1
+            out.append(newj if e > 0 else -newj)
         cur[j] = v
         cur[j + 1] = u
-    return free_reduce(out[:pos])
+    return free_reduce(out)

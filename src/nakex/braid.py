@@ -23,8 +23,6 @@ import random
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
 
 __all__ = [
@@ -146,19 +144,10 @@ class GarsideNormalForm:
         return len(self.factors)
 
 
-def _as_array(w: BraidWord) -> np.ndarray:
-    return np.array(w.letters, dtype=np.int64)
-
-
-def _from_array(arr: np.ndarray, strands: int) -> BraidWord:
-    return BraidWord(strands, tuple(int(e) for e in arr))
-
-
 def concat(w1: BraidWord, w2: BraidWord) -> BraidWord:
     """Product of two braid words, freely reduced; strand counts may differ."""
     n = max(w1.strands, w2.strands)
-    merged = np.array(w1.letters + w2.letters, dtype=np.int64)
-    return _from_array(_kernels.free_reduce(merged), n)
+    return BraidWord(n, _kernels.free_reduce(w1.letters + w2.letters))
 
 
 def concat_all(*words: BraidWord) -> BraidWord:
@@ -193,8 +182,8 @@ def with_strands(w: BraidWord, n: int) -> BraidWord:
 
 def permutation_of(w: BraidWord) -> Permutation:
     """Image of the word under the projection B_n -> S_n."""
-    perm = _kernels.perm_of_word(_as_array(w), w.strands)
-    return Permutation(tuple(int(v) + 1 for v in perm))
+    perm = _kernels.perm_of_word(w.letters, w.strands)
+    return Permutation(tuple(v + 1 for v in perm))
 
 
 def is_pure(w: BraidWord) -> bool:
@@ -206,11 +195,9 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     """Left-greedy Garside normal form of the word in its declared B_n."""
     if w.strands == 1:
         return GarsideNormalForm(1, 0, ())
-    inf, facs = _kernels.word_to_nf(_as_array(w), w.strands)
-    factors = tuple(
-        Permutation(tuple(int(v) + 1 for v in facs[i])) for i in range(facs.shape[0])
-    )
-    return GarsideNormalForm(w.strands, int(inf), factors)
+    inf, facs = _kernels.word_to_nf(w.letters, w.strands)
+    factors = tuple(Permutation(tuple(v + 1 for v in f)) for f in facs)
+    return GarsideNormalForm(w.strands, inf, factors)
 
 
 def braids_equal(w1: BraidWord, w2: BraidWord) -> bool:
@@ -221,7 +208,7 @@ def braids_equal(w1: BraidWord, w2: BraidWord) -> bool:
 
 def handle_reduce(w: BraidWord) -> BraidWord:
     """Handle-free word equal to ``w`` in B_n; empty iff ``w`` is trivial."""
-    return _from_array(_kernels.handle_reduce_word(_as_array(w)), w.strands)
+    return BraidWord(w.strands, _kernels.handle_reduce_word(w.letters))
 
 
 def handle_trivial(w: BraidWord) -> bool:
@@ -261,8 +248,8 @@ def remove_strands(w: BraidWord, d: int) -> BraidWord:
         raise ValueError(f"need 0 < d < {w.strands}, got {d}")
     if not is_pure(w):
         raise ValueError("remove_strands requires a pure braid")
-    reduced = _kernels.remove_strands_word(_as_array(w), w.strands, d)
-    return _from_array(reduced, w.strands - d)
+    reduced = _kernels.remove_strands_word(w.letters, w.strands, d)
+    return BraidWord(w.strands - d, reduced)
 
 
 def pure_braid_endo(w: BraidWord, d: int) -> BraidWord:
@@ -278,11 +265,11 @@ def random_braid(n: int, length: int, rng: random.Random) -> BraidWord:
         raise ValueError("random_braid requires n >= 2")
     if length < 0:
         raise ValueError("length must be nonnegative")
-    letters = np.empty(length, dtype=np.int64)
-    for i in range(length):
+    letters = []
+    for _ in range(length):
         e = rng.randrange(1, n)
-        letters[i] = e if rng.random() < 0.5 else -e
-    return _from_array(_kernels.free_reduce(letters), n)
+        letters.append(e if rng.random() < 0.5 else -e)
+    return BraidWord(n, _kernels.free_reduce(letters))
 
 
 def random_pure_braid(n: int, rng: random.Random, conj_len: int = 4, blocks: int = 2) -> BraidWord:
@@ -297,12 +284,7 @@ def random_pure_braid(n: int, rng: random.Random, conj_len: int = 4, blocks: int
 
 
 def freely_reduced(w: BraidWord) -> BraidWord:
-    return _from_array(_kernels.free_reduce(_as_array(w)), w.strands)
-
-
-def _delta_letters(n: int) -> tuple[int, ...]:
-    word = _kernels.nf_factor_word(np.arange(n - 1, -1, -1, dtype=np.int64))
-    return tuple(int(e) for e in word)
+    return BraidWord(w.strands, _kernels.free_reduce(w.letters))
 
 
 def canonical_word(w: BraidWord) -> BraidWord:
@@ -316,19 +298,18 @@ def canonical_word(w: BraidWord) -> BraidWord:
     n = nf.strands
     letters: list[int] = []
     if nf.infimum != 0 and n >= 2:
-        block = _delta_letters(n)
+        block = _kernels.nf_factor_word(range(n - 1, -1, -1))
         if nf.infimum < 0:
             block = tuple(-e for e in reversed(block))
         letters.extend(block * abs(nf.infimum))
     for factor in nf.factors:
-        images = np.array([v - 1 for v in factor.images], dtype=np.int64)
-        letters.extend(int(e) for e in _kernels.nf_factor_word(images))
+        letters.extend(_kernels.nf_factor_word([v - 1 for v in factor.images]))
     return BraidWord(n, tuple(letters))
 
 
 def word_letter_count(w: BraidWord) -> int:
     """Length of the freely reduced word."""
-    return int(_kernels.free_reduce(_as_array(w)).shape[0])
+    return len(_kernels.free_reduce(w.letters))
 
 
 # -- canonical byte serialization -------------------------------------------
@@ -344,12 +325,16 @@ def encode_braid(w: BraidWord) -> bytes:
 
 
 def decode_braid(data: bytes, offset: int = 0) -> tuple[BraidWord, int]:
-    """Decode one braid word; returns (word, next offset)."""
-    strands, count = struct.unpack_from(">HI", data, offset)
-    offset += 6
-    letters = struct.unpack_from(f">{count}h", data, offset)
-    offset += 2 * count
-    return BraidWord(strands, tuple(letters)), offset
+    """Decode one braid word; returns (word, next offset).
+
+    Raises ValueError on a truncated buffer or an invalid word.
+    """
+    try:
+        strands, count = struct.unpack_from(">HI", data, offset)
+        letters = struct.unpack_from(f">{count}h", data, offset + 6)
+    except struct.error as exc:
+        raise ValueError(f"truncated braid encoding: {exc}") from None
+    return BraidWord(strands, letters), offset + 6 + 2 * count
 
 
 def encode_normal_form(nf: GarsideNormalForm) -> bytes:

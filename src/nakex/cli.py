@@ -3,12 +3,12 @@
 Subcommands: ``run`` (in-process protocol run from a spec file), ``serve`` /
 ``connect`` (two-party session over TCP), ``attack`` (experiment from an
 instance file, CSV report), ``verify-laws`` (law verdicts for a named
-operation), ``bench`` (kernel and protocol timings, optionally comparing the
-numba and pure-numpy paths), and ``keygen`` (emit a random spec and its
-secrets under a key policy).
+operation), ``bench`` (kernel and protocol timings), and ``keygen`` (emit a
+random spec and its secrets under a key policy).
 
 Exit codes: 0 success, 1 verified failure (a law counterexample where none
-was expected, a key mismatch), 2 usage errors.
+was expected, a key mismatch), 2 usage errors (including a spec file that does
+not load).
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import argparse
 import json
 import os
 import random
-import subprocess
+import struct
 import sys
 import time
 
-from . import _accel, attacks, braid, ldops, magma, protocols, session
+from . import attacks, braid, ldops, magma, protocols, session
 from .braid import BraidWord
 from .platforms import (
     BraidPlatform,
@@ -39,9 +39,14 @@ def _parse_listen(value: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _load_spec(path: str, seed: int | None) -> protocols.ProtocolSpec:
-    with open(path) as handle:
-        spec = protocols.spec_from_json(handle.read())
+def _load_spec(path: str, seed: int | None) -> protocols.ProtocolSpec | None:
+    """The spec in ``path``, or None after a one-line error on stderr."""
+    try:
+        with open(path) as handle:
+            spec = protocols.spec_from_json(handle.read())
+    except (OSError, ValueError, LookupError, TypeError, struct.error) as exc:
+        print(f"cannot load spec {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None
     if seed is not None:
         from dataclasses import replace
 
@@ -54,6 +59,8 @@ def _load_spec(path: str, seed: int | None) -> protocols.ProtocolSpec:
 
 def _cmd_run(args) -> int:
     spec = _load_spec(args.spec, args.seed)
+    if spec is None:
+        return 2
     try:
         transcript = protocols.run(spec)
     except protocols.KeyMismatch as exc:
@@ -71,6 +78,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_session(args, role: str) -> int:
     spec = _load_spec(args.spec, args.seed)
+    if spec is None:
+        return 2
     host, port = _parse_listen(args.address or DEFAULT_LISTEN)
     cfg = session.SessionConfig(
         role=role, spec=spec, host=host, port=port, timeout=args.timeout
@@ -366,8 +375,6 @@ def _bench_payload(repeat: int) -> dict:
     for seed in range(max(2, repeat // 2)):
         protocols.run(protocols.random_spec("shifted_commutator", seed))
     results["shifted_runs_s"] = time.perf_counter() - start
-
-    results["numba"] = bool(_accel.NUMBA_ENABLED)
     return results
 
 
@@ -377,30 +384,8 @@ def _cmd_bench(args) -> int:
         print(json.dumps(payload))
         return 0
 
-    mode = "numba" if payload["numba"] else "pure-python/numpy fallback"
-    print(f"active path: {mode}")
-    for key in ("normal_form_s", "handle_reduce_s", "shifted_runs_s"):
-        print(f"  {key:<18} {payload[key]:8.3f} s")
-
-    if args.compare:
-        env = dict(os.environ)
-        flipped = "0" if _accel.NUMBA_ENABLED else "1"
-        env["NAKEX_NO_NUMBA"] = "1" if _accel.NUMBA_ENABLED else "0"
-        proc = subprocess.run(
-            [sys.executable, "-m", "nakex.cli", "bench", "--json", "--repeat", str(args.repeat)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode != 0:
-            print(proc.stderr, file=sys.stderr)
-            return 1
-        other = json.loads(proc.stdout.strip().splitlines()[-1])
-        other_mode = "numba" if other["numba"] else "pure-python/numpy fallback"
-        print(f"comparison path: {other_mode}")
-        for key in ("normal_form_s", "handle_reduce_s", "shifted_runs_s"):
-            ratio = other[key] / payload[key] if payload[key] > 0 else float("inf")
-            print(f"  {key:<18} {other[key]:8.3f} s   ({ratio:5.1f}x this run)")
+    for key, seconds in payload.items():
+        print(f"{key:<18} {seconds:8.3f} s")
     return 0
 
 
@@ -456,8 +441,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time kernels and protocol runs")
     p_bench.add_argument("--repeat", type=int, default=4)
     p_bench.add_argument("--json", action="store_true")
-    p_bench.add_argument("--compare", action="store_true",
-                         help="also time the other numba/fallback path in a subprocess")
 
     return parser
 

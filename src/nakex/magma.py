@@ -221,13 +221,33 @@ def encode_tree(t: TreeWord) -> bytes:
 
 
 def decode_tree(data: bytes, offset: int = 0) -> tuple[TreeWord, int]:
-    kind = data[offset]
-    if kind == 0x00:
-        (index,) = struct.unpack_from(">H", data, offset + 1)
-        return Leaf(index), offset + 3
-    if kind == 0x01:
-        op = data[offset + 1]
-        left, offset = decode_tree(data, offset + 2)
-        right, offset = decode_tree(data, offset)
-        return Node(op, left, right), offset
-    raise ValueError(f"bad tree node tag {kind:#x}")
+    """Decode one preorder-encoded tree; returns (tree, next offset).
+
+    Iterative, so any depth decodes.  Raises ValueError on a truncated buffer
+    or an unknown node tag.
+    """
+    pending: list[list] = []  # open nodes on the current path: [op, left or None]
+    try:
+        while True:
+            kind = data[offset]
+            if kind == 0x01:
+                pending.append([data[offset + 1], None])
+                offset += 2
+                continue
+            if kind != 0x00:
+                raise ValueError(f"bad tree node tag {kind:#x}")
+            (index,) = struct.unpack_from(">H", data, offset + 1)
+            offset += 3
+            tree: TreeWord = Leaf(index)
+            # A finished subtree is the left child of the innermost open node,
+            # or completes it as the right child.
+            while pending:
+                if pending[-1][1] is None:
+                    pending[-1][1] = tree
+                    break
+                op, left = pending.pop()
+                tree = Node(op, left, tree)
+            else:
+                return tree, offset
+    except (IndexError, struct.error):
+        raise ValueError(f"truncated tree encoding at offset {offset}") from None

@@ -276,6 +276,36 @@ def test_braid_codec_roundtrip():
     assert first.letters == (1, -2) and second.letters == (1,) and end == len(blob)
 
 
+def test_decode_braid_rejects_every_truncation():
+    data = B.encode_braid(BraidWord(5, (1, -2, 4, 3, -1)))
+    for cut in range(len(data)):
+        with pytest.raises(ValueError):
+            B.decode_braid(data[:cut])
+    with pytest.raises(ValueError):
+        B.decode_braid(b"\x00\x03\x00\x00\x00\x05\x00\x01")
+
+
+def test_import_loads_no_numpy_or_numba():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nakex
+
+    code = (
+        "import sys\n"
+        "from nakex import braid as B\n"
+        "B.normal_form(B.BraidWord(4, (1, 2, -1, 3, -2)))\n"
+        "print(sorted({'numpy', 'numba'} & set(sys.modules)))\n"
+    )
+    src = str(Path(nakex.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 def test_encode_braid_layout():
     data = B.encode_braid(BraidWord(3, (1, -2)))
     assert data == b"\x00\x03" + b"\x00\x00\x00\x02" + b"\x00\x01" + b"\xff\xfe"

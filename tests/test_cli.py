@@ -117,6 +117,17 @@ def test_keygen_all_tags_runnable(tmp_path):
         P.run(P.spec_from_json(out.read_text()))
 
 
+@pytest.mark.parametrize("command", ["run", "serve", "connect"])
+def test_unloadable_spec_exits_2(tmp_path, capsys, command):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"tag": "classic_dh"}))
+    missing = tmp_path / "missing.json"
+    for path in (spec_path, missing):
+        assert main([command, "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_attack_unknown_experiment(tmp_path):
     instance = tmp_path / "instance.json"
     instance.write_text(json.dumps({"experiment": "nonsense"}))
@@ -132,7 +143,7 @@ def test_bench_json():
         code = main(["bench", "--repeat", "1", "--json"])
     assert code == 0
     payload = json.loads(buffer.getvalue().strip().splitlines()[-1])
-    assert {"normal_form_s", "handle_reduce_s", "shifted_runs_s", "numba"} <= set(payload)
+    assert {"normal_form_s", "handle_reduce_s", "shifted_runs_s"} <= set(payload)
 
 
 def test_serve_connect_loopback(tmp_path, unused_tcp_port_factory=None):

@@ -184,5 +184,14 @@ def test_tree_codec_roundtrip():
 def test_tree_codec_layout():
     tree = Node(2, Leaf(1), Leaf(259))
     assert M.encode_tree(tree) == b"\x01\x02" + b"\x00\x00\x01" + b"\x00\x01\x03"
-    with pytest.raises(ValueError):
-        M.decode_tree(b"\x07")
+    deep = b"\x01\x00" * 5000 + b"\x00\x00\x00"
+    for blob in (b"\x07", b"\x01", M.encode_tree(tree)[:-1], deep):
+        with pytest.raises(ValueError):
+            M.decode_tree(blob)
+    # the same left comb, completed with its right leaves, decodes in full
+    comb, offset = M.decode_tree(deep + b"\x00\x00\x00" * 5000)
+    assert offset == len(deep) + 3 * 5000
+    depth = 0
+    while isinstance(comb, Node):
+        comb, depth = comb.left, depth + 1
+    assert depth == 5000
