@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import random
-import struct
 import sys
 import time
 
@@ -44,7 +43,7 @@ def _load_spec(path: str, seed: int | None) -> protocols.ProtocolSpec | None:
     try:
         with open(path) as handle:
             spec = protocols.spec_from_json(handle.read())
-    except (OSError, ValueError, LookupError, TypeError, struct.error) as exc:
+    except (OSError, ValueError, LookupError, TypeError) as exc:
         print(f"cannot load spec {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return None
     if seed is not None:

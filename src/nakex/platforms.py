@@ -173,8 +173,11 @@ class SymmetricPlatform:
         return b"".join(struct.pack(">H", v) for v in perm.images)
 
     def decode(self, data: bytes, offset: int) -> tuple[Element, int]:
+        end = offset + 2 * self.degree
+        if len(data) < end:
+            raise ValueError("truncated permutation")
         images = struct.unpack_from(f">{self.degree}H", data, offset)
-        return Permutation(tuple(images)), offset + 2 * self.degree
+        return Permutation(tuple(images)), end
 
 
 @dataclass(frozen=True)
@@ -225,6 +228,8 @@ class MultModPlatform:
         return struct.pack(">Q", self.check(x))
 
     def decode(self, data: bytes, offset: int) -> tuple[Element, int]:
+        if len(data) < offset + 8:
+            raise ValueError("truncated residue")
         (value,) = struct.unpack_from(">Q", data, offset)
         return self.check(int(value)), offset + 8
 
@@ -407,6 +412,9 @@ def encode_element(platform: Platform, x: Element) -> bytes:
 
 
 def decode_element(platform: Platform, data: bytes, offset: int = 0) -> tuple[Element, int]:
+    """The element at ``offset`` and the offset past it; ValueError if malformed."""
+    if offset >= len(data):
+        raise ValueError("missing element")
     if data[offset] != platform.tag:
         raise ValueError(f"platform tag mismatch: {data[offset]:#x} vs {platform.tag:#x}")
     return platform.decode(data, offset + 1)

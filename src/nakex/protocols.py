@@ -9,6 +9,14 @@ instantiation calls for it) and finishes with its gamma map.  Condition (3) of
 the scheme makes both gamma outputs the same element K, from which a byte key
 is extracted via canonical serialization and SHA-256.
 
+The engine is three per-party steps, each written once with the role (Alice
+or Bob) as a parameter, so every instantiation's draw, beta and gamma appear
+once: draw the secret (step 1), publish beta on the peer's generators (step
+2), and finish with the reconstruction and gamma (steps 3 and 4).  The role
+alone picks the generator list, the side of the product and the tree
+operations a party uses.  :func:`run` draws, publishes and finishes for both
+roles and compares the keys.
+
 Instantiation tags:
 
 ==================  ========================================================
@@ -25,7 +33,11 @@ shifted_commutator  shifted conjugacy on braids; K = [a,b]_sh (or the
                     reverse-operation variant with K = [a, b^-1]_sh)
 ==================  ========================================================
 
-A :class:`Transcript` is a deterministic function of (spec, seed) and
+Every :class:`ProtocolSpec` is validated when it is built, whether by a
+``make_*`` constructor, from JSON or by ``dataclasses.replace``: a spec whose
+keys could disagree (non-commuting subgroups, a shifted-conjugacy parameter
+that fails its conditions, ...) raises a typed ``ValueError``.  A
+:class:`Transcript` is a deterministic function of (spec, seed) and
 round-trips through JSON byte-identically.
 """
 
@@ -36,7 +48,8 @@ import json
 import random
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import NamedTuple, Optional
 
 from . import braid, ldops, magma
 from .braid import BraidWord
@@ -50,6 +63,7 @@ from .platforms import (
     InnerEndo,
     MultModPlatform,
     Platform,
+    PlatformMismatch,
     PointMapEndo,
     PowerShiftEndo,
     SymmetricPlatform,
@@ -157,7 +171,7 @@ class ProtocolSpec:
 
     ``alice_gens`` are the s_i (the generators Alice's secret is built from,
     whose images Bob publishes), ``bob_gens`` the t_j.  Which optional fields
-    apply depends on ``tag``; the ``make_*`` constructors validate them.
+    apply depends on ``tag``; construction validates them (see ``_validate``).
     """
 
     tag: str
@@ -180,8 +194,7 @@ class ProtocolSpec:
     secret_exponents: bool = False
 
     def __post_init__(self):
-        if self.tag not in PROTOCOL_TAGS:
-            raise ValueError(f"unknown protocol tag {self.tag!r}")
+        _validate(self)
 
 
 @dataclass(frozen=True)
@@ -272,46 +285,119 @@ def key_extract(platform: Platform, x: Element) -> bytes:
     return hashlib.sha256(payload).digest()
 
 
-# -- secret generation -------------------------------------------------------
+# -- spec validation ---------------------------------------------------------
+
+# The generator lists each instantiation draws secrets from.
+_DRAWN_GENS = {
+    "classic_dh": (),
+    "group_dh": ("a1_gens", "a2_gens", "b1_gens", "b2_gens"),
+    "ko_lee": ("a1_gens", "b1_gens"),
+    "str_kep": ("a1_gens", "b1_gens"),
+}
+_BASED_TAGS = ("classic_dh", "group_dh", "ko_lee", "str_kep")
 
 
-def _comb_over(indices: list[int], op: int = 0) -> TreeWord:
-    tree: TreeWord = Leaf(indices[-1])
-    for i in reversed(indices[:-1]):
-        tree = Node(op, Leaf(i), tree)
-    return tree
+def _check_commuting(platform: Platform, left: tuple, right: tuple, what: str) -> None:
+    for u in left:
+        for v in right:
+            if not platform.eq(platform.mul(u, v), platform.mul(v, u)):
+                raise CommutationViolation(f"{what}: generators do not commute")
 
 
-def _tree_ops(spec: ProtocolSpec, platform: Platform) -> tuple[OpDescriptor, ...]:
-    """The node-op family trees are built over, per instantiation."""
+def _validate(spec: ProtocolSpec) -> None:
+    """Check the conditions K_A = K_B rests on; a typed ValueError if one fails."""
+    tag, platform = spec.tag, spec.platform
+    if tag not in PROTOCOL_TAGS:
+        raise ValueError(f"unknown protocol tag {tag!r}")
+    for name in _DRAWN_GENS.get(tag, ("alice_gens", "bob_gens")):
+        if not getattr(spec, name):
+            raise ValueError(f"{tag} needs a nonempty {name}")
+    if tag in _BASED_TAGS:
+        if spec.base is None:
+            raise ValueError(f"{tag} needs a base element")
+        platform.check(spec.base)
+    if tag == "classic_dh":
+        if not isinstance(platform, MultModPlatform):
+            raise PlatformMismatch("classic_dh needs a mult_mod platform")
+    elif tag == "group_dh":
+        _check_commuting(platform, spec.a1_gens, spec.b1_gens, "[A1, B1]")
+        _check_commuting(platform, spec.a2_gens, spec.b2_gens, "[A2, B2]")
+    elif tag in ("ko_lee", "str_kep"):
+        _check_commuting(platform, spec.a1_gens, spec.b1_gens, "[A, B]")
+    elif tag == "symdp":
+        if spec.k not in (None, 1) and spec.l not in (None, 1):
+            raise ValueError("symdp needs k = 1 or l = 1")
+    elif tag == "f_commutator":
+        if spec.endo is None or spec.endo.platform != platform:
+            raise ValueError("f_commutator needs an endomorphism of its platform")
+        if isinstance(spec.endo, PowerShiftEndo):
+            for g in spec.alice_gens + spec.bob_gens:
+                if not braid.is_pure(platform.check(g)):
+                    raise ValueError("pure-braid f-commutator needs pure generators")
+    elif tag == "shifted_commutator":
+        if spec.variant not in ("bi_ld", "rev"):
+            raise ValueError("variant must be 'bi_ld' or 'rev'")
+        if not isinstance(platform, BraidPlatform):
+            raise PlatformMismatch("shifted_commutator needs a braid platform")
+        if spec.shift_a is None or not ldops.check_shifted_conditions(spec.shift_p, spec.shift_a):
+            raise ldops.ConditionViolation(
+                "braid parameter fails the shifted-conjugacy conditions"
+            )
+
+
+# -- roles -------------------------------------------------------------------
+
+ALICE, BOB = 0, 1
+_ROLE_NAMES = ("Alice", "Bob")
+
+
+class _Role(NamedTuple):
+    """One party's fixed part of a run.
+
+    ``ops`` are the node operations of the party's own trees, as the binary
+    functions tree evaluation takes; ``beta`` is the LD operation the party
+    applies to the peer's generators (f- and shifted commutator only).
+    """
+
+    index: int
+    ops: tuple = ()
+    beta: Optional[OpDescriptor] = None
+
+
+def _roles(spec: ProtocolSpec, platform: Platform) -> tuple[_Role, _Role]:
+    """Alice's and Bob's roles; each op is built once and shared.
+
+    Shifted-commutator trees are built over (*, bar*) by both parties, each
+    applying its own side of the bi-LD pair as beta; in the ``rev`` variant
+    Alice builds over * and Bob over *rev, and each applies the other's.
+    """
     tag = spec.tag
-    if tag in ("simdcp", "simdcp_alt", "symdp"):
-        return (ldops.bullet_op(platform),)
+    if tag in ("simdcp", "symdp"):
+        ops = (partial(apply_op, ldops.bullet_op(platform)),)
+        return _Role(ALICE, ops), _Role(BOB, ops)
     if tag == "f_commutator":
-        return (ldops.f_conj_op(spec.endo),)
+        op = ldops.f_conj_op(spec.endo)
+        ops = (partial(apply_op, op),)
+        return _Role(ALICE, ops, op), _Role(BOB, ops, op)
     if tag == "shifted_commutator":
-        star = ldops.shifted_op(spec.shift_p, spec.shift_a, platform)
+        p, a = spec.shift_p, spec.shift_a
+        star = ldops.shifted_op(p, a, platform)
         if spec.variant == "rev":
-            rev = ldops.shifted_rev_op(spec.shift_p, spec.shift_a, platform)
-            return (star, rev)
-        bar = ldops.shifted_bar_op(
-            spec.shift_p, braid.invert(spec.shift_a), platform
-        )
-        return (star, bar)
-    raise AssertionError(tag)
+            rev = ldops.shifted_rev_op(p, a, platform)
+            return (
+                _Role(ALICE, (partial(apply_op, star),), rev),
+                _Role(BOB, (partial(apply_op, rev),), star),
+            )
+        bar = ldops.shifted_bar_op(p, braid.invert(a), platform)
+        ops = (partial(apply_op, star), partial(apply_op, bar))
+        return _Role(ALICE, ops, bar), _Role(BOB, ops, star)
+    return _PLAIN_ROLES
 
 
-def _random_policy_tree(m: int, q: int, policy: KeyPolicy, rng: random.Random) -> TreeWord:
-    k = rng.randint(1, policy.max_leaves)
-    tree = magma.random_tree(k, m, q, policy.comb_bias, rng)
-    # guaranteed by max_leaves <= max_depth + 1
-    assert magma.tree_depth(tree) <= policy.max_depth
-    return tree
+_PLAIN_ROLES = (_Role(ALICE), _Role(BOB))
 
 
-def _check_weak(platform: Platform, value: Element, what: str) -> None:
-    if platform.eq(value, platform.identity()):
-        warnings.warn(f"degenerate {what}: identity element", WeakKeyWarning)
+# -- the three per-party steps -----------------------------------------------
 
 
 def _word_secret(
@@ -321,20 +407,32 @@ def _word_secret(
     ext = list(gens) + [platform.inv(g) for g in gens]
     length = rng.randint(1, policy.max_leaves)
     indices = [rng.randrange(len(ext)) for _ in range(length)]
-    tree = _comb_over(indices)
+    tree: TreeWord = Leaf(indices[-1])
+    for i in reversed(indices[:-1]):
+        tree = Node(0, Leaf(i), tree)
     value = ext[indices[0]]
     for i in indices[1:]:
         value = platform.mul(value, ext[i])
     return tree, value
 
 
-def _eval_guarded(tree, gens, ops, policy: KeyPolicy) -> Element:
-    value = magma.eval_tree(tree, gens, [lambda x, y, _o=o: apply_op(_o, x, y) for o in ops])
+def _tree_secret(
+    platform: Platform, gens: tuple[Element, ...], role: _Role, policy: KeyPolicy,
+    rng: random.Random,
+) -> tuple[TreeWord, Element]:
+    """Random policy tree over gens and the role's ops, and its value."""
+    gens = [platform.check(g) for g in gens]
+    tree = magma.random_tree(
+        rng.randint(1, policy.max_leaves), len(gens), len(role.ops), policy.comb_bias, rng
+    )
+    # guaranteed by max_leaves <= max_depth + 1
+    assert magma.tree_depth(tree) <= policy.max_depth
+    value = magma.eval_tree(tree, gens, role.ops)
     if isinstance(value, BraidWord) and len(value.letters) > policy.max_word_letters:
         raise PolicyViolation(
             f"evaluated secret has {len(value.letters)} letters, cap is {policy.max_word_letters}"
         )
-    return value
+    return tree, value
 
 
 def _random_free_element(platform: Platform, policy: KeyPolicy, rng: random.Random) -> Element:
@@ -343,249 +441,163 @@ def _random_free_element(platform: Platform, policy: KeyPolicy, rng: random.Rand
     return platform.random_element(rng)
 
 
-def generate_secrets(spec: ProtocolSpec) -> tuple[SecretKey, SecretKey]:
-    """Deterministically derive both parties' secrets from the spec seed.
+def _alternating(platform: Platform, indices, terms) -> Element:
+    """terms[i0] terms[i1]^-1 terms[i2] ...: the value of an alternating word."""
+    value = terms[indices[0]]
+    for pos, i in enumerate(indices[1:], start=1):
+        term = terms[i] if pos % 2 == 0 else platform.inv(terms[i])
+        value = platform.mul(value, term)
+    return value
 
-    Alice's draw always precedes Bob's, so a networked session and an
-    in-process run agree.
-    """
-    rng = random.Random(spec.seed)
-    platform = work_platform(spec)
-    tag = spec.tag
-    policy = spec.policy
 
+def _draw(spec: ProtocolSpec, platform: Platform, role: _Role, rng: random.Random) -> SecretKey:
+    """Step 1: one party's secret, built from its own generators."""
+    tag, policy, i = spec.tag, spec.policy, role.index
+    own = (spec.alice_gens, spec.bob_gens)[i]
+    subgroup = (spec.a1_gens, spec.b1_gens)[i]
     if tag == "classic_dh":
-        hi = min(policy.exponent_max, spec.platform.modulus - 2)
+        hi = min(policy.exponent_max, platform.modulus - 2)
         lo = min(policy.exponent_min, hi)
-        ka = spec.k if spec.k is not None else rng.randint(lo, hi)
-        lb = spec.l if spec.l is not None else rng.randint(lo, hi)
-        return SecretKey(exponents=(ka,)), SecretKey(exponents=(lb,))
-
-    if tag in ("group_dh", "ko_lee"):
-        if tag == "ko_lee":
-            _, a = _word_secret(platform, spec.a1_gens, policy, rng)
-            _, b = _word_secret(platform, spec.b1_gens, policy, rng)
-            ska = SecretKey(elements=(platform.inv(a), a))
-            skb = SecretKey(elements=(platform.inv(b), b))
-        else:
-            _, a1 = _word_secret(platform, spec.a1_gens, policy, rng)
-            _, a2 = _word_secret(platform, spec.a2_gens, policy, rng)
-            _, b1 = _word_secret(platform, spec.b1_gens, policy, rng)
-            _, b2 = _word_secret(platform, spec.b2_gens, policy, rng)
-            ska = SecretKey(elements=(a1, a2))
-            skb = SecretKey(elements=(b1, b2))
-        _check_weak(platform, ska.elements[1], "secret (Alice)")
-        _check_weak(platform, skb.elements[1], "secret (Bob)")
-        return ska, skb
-
+        fixed = (spec.k, spec.l)[i]
+        return SecretKey(exponents=(rng.randint(lo, hi) if fixed is None else fixed,))
     if tag == "str_kep":
-        hi, lo = policy.exponent_max, policy.exponent_min
-        ka = rng.randint(lo, hi)
-        _, a = _word_secret(platform, spec.a1_gens, policy, rng)
-        lb = rng.randint(lo, hi)
-        _, b = _word_secret(platform, spec.b1_gens, policy, rng)
-        return SecretKey(elements=(a,), exponents=(ka,)), SecretKey(
-            elements=(b,), exponents=(lb,)
-        )
-
-    if tag == "aag_commutator":
-        tree_a, a = _word_secret(platform, spec.alice_gens, policy, rng)
-        tree_b, b = _word_secret(platform, spec.bob_gens, policy, rng)
-        _check_weak(platform, a, "secret (Alice)")
-        _check_weak(platform, b, "secret (Bob)")
-        return SecretKey(trees=(tree_a,), elements=(a,)), SecretKey(
-            trees=(tree_b,), elements=(b,)
-        )
-
-    if tag in ("simdcp", "symdp", "f_commutator", "shifted_commutator"):
-        ops = _tree_ops(spec, platform)
-        gens_a = [platform.check(g) for g in spec.alice_gens]
-        gens_b = [platform.check(g) for g in spec.bob_gens]
-        if tag == "shifted_commutator" and spec.variant == "rev":
-            ops_a, ops_b = (ops[0],), (ops[1],)
-        else:
-            ops_a = ops_b = ops
-        tree_a = _random_policy_tree(len(gens_a), len(ops_a), policy, rng)
-        a = _eval_guarded(tree_a, gens_a, ops_a, policy)
-        tree_b = _random_policy_tree(len(gens_b), len(ops_b), policy, rng)
-        b = _eval_guarded(tree_b, gens_b, ops_b, policy)
-
+        e = rng.randint(policy.exponent_min, policy.exponent_max)
+        _, x = _word_secret(platform, subgroup, policy, rng)
+        return SecretKey(elements=(x,), exponents=(e,))
+    if tag == "simdcp_alt":
+        pairs = rng.randint(0, (policy.max_leaves - 1) // 2)
+        indices = tuple(rng.randrange(len(own)) for _ in range(2 * pairs + 1))
+        x = _alternating(platform, indices, own)
+        free = _random_free_element(platform, policy, rng)
+        return SecretKey(elements=(x, free), indices=indices)
+    if tag in ("simdcp", "symdp"):
+        tree, x = _tree_secret(platform, own, role, policy, rng)
         if tag == "simdcp":
-            a_l = _random_free_element(platform, policy, rng)
-            b_r = _random_free_element(platform, policy, rng)
-            return SecretKey(trees=(tree_a,), elements=(a, a_l)), SecretKey(
-                trees=(tree_b,), elements=(b, b_r)
-            )
-        if tag == "symdp":
-            ka = spec.k if spec.k is not None else 1
-            lb = spec.l if spec.l is not None else 1
-            if spec.secret_exponents:
-                # one of the two stays 1 so that both betas keep the
-                # one-sided-power form
-                if rng.random() < 0.5:
-                    ka, lb = rng.randint(policy.exponent_min, policy.exponent_max), 1
-                else:
-                    ka, lb = 1, rng.randint(policy.exponent_min, policy.exponent_max)
-            return SecretKey(trees=(tree_a,), elements=(a,), exponents=(ka,)), SecretKey(
-                trees=(tree_b,), elements=(b,), exponents=(lb,)
-            )
-        _check_weak(platform, a, "secret (Alice)")
-        _check_weak(platform, b, "secret (Bob)")
-        return SecretKey(trees=(tree_a,), elements=(a,)), SecretKey(
-            trees=(tree_b,), elements=(b,)
+            free = _random_free_element(platform, policy, rng)
+            return SecretKey(trees=(tree,), elements=(x, free))
+        fixed = (spec.k, spec.l)[i]
+        e = 1 if fixed is None else fixed
+        if spec.secret_exponents:
+            # one of the two stays 1 so that both betas keep the one-sided-power
+            # form; a public coin on the seed says which, so each party draws
+            # its own exponent alone
+            coin = random.Random(("symdp", spec.seed).__repr__()).random()
+            powered = ALICE if coin < 0.5 else BOB
+            e = rng.randint(policy.exponent_min, policy.exponent_max) if i == powered else 1
+        return SecretKey(trees=(tree,), elements=(x,), exponents=(e,))
+    # the remaining secrets are checked for degeneracy
+    if tag == "group_dh":
+        _, left = _word_secret(platform, subgroup, policy, rng)
+        _, right = _word_secret(platform, (spec.a2_gens, spec.b2_gens)[i], policy, rng)
+        sk = SecretKey(elements=(left, right))
+    elif tag == "ko_lee":
+        _, x = _word_secret(platform, subgroup, policy, rng)
+        sk = SecretKey(elements=(platform.inv(x), x))
+    elif tag == "aag_commutator":
+        tree, x = _word_secret(platform, own, policy, rng)
+        sk = SecretKey(trees=(tree,), elements=(x,))
+    else:  # f_commutator, shifted_commutator
+        tree, x = _tree_secret(platform, own, role, policy, rng)
+        sk = SecretKey(trees=(tree,), elements=(x,))
+    if platform.eq(sk.elements[-1], platform.identity()):
+        warnings.warn(
+            f"degenerate secret ({_ROLE_NAMES[i]}): identity element", WeakKeyWarning
         )
+    return sk
+
+
+def _sides(spec: ProtocolSpec, platform: Platform, role: _Role, sk: SecretKey):
+    """(left, right) of the party's beta when it is y -> left y right."""
+    tag, x = spec.tag, sk.elements[0]
+    if tag in ("group_dh", "ko_lee"):
+        return sk.elements
+    if tag in ("str_kep", "aag_commutator"):
+        return platform.inv(x), x
+    if tag == "symdp":  # x^k y x for Alice, x y x^l for Bob
+        power = g_pow(platform, x, sk.exponents[0])
+        return (power, x) if role.index == ALICE else (x, power)
+    # simdcp: a_l y a_r for Alice, b_l y b_r for Bob
+    return (sk.elements[1], x) if role.index == ALICE else (x, sk.elements[1])
+
+
+def _publish(spec: ProtocolSpec, platform: Platform, role: _Role, sk: SecretKey) -> tuple:
+    """Step 2: beta(own secret, y) for every y the peer's key needs."""
+    tag, mul = spec.tag, platform.mul
+    peer_gens = (spec.bob_gens, spec.alice_gens)[role.index]
+    if tag == "classic_dh":
+        return (g_pow(platform, spec.base, sk.exponents[0]),)
+    if tag in ("f_commutator", "shifted_commutator"):
+        x = platform.inv(sk.elements[0]) if spec.variant == "rev" else sk.elements[0]
+        return tuple(apply_op(role.beta, x, t) for t in peer_gens)
+    left, right = _sides(spec, platform, role, sk)
+    if tag in ("group_dh", "ko_lee", "str_kep"):
+        base = platform.check(spec.base)
+        if tag == "str_kep":
+            base = g_pow(platform, base, sk.exponents[0])
+        return (mul(mul(left, base), right),)
+    return tuple(mul(mul(left, t), right) for t in peer_gens)
+
+
+def _finish(
+    spec: ProtocolSpec, platform: Platform, role: _Role, sk: SecretKey, peer: tuple
+) -> tuple[Element, Element]:
+    """Steps 3 and 4: beta(peer secret, own secret) from the peer's messages,
+    then gamma; returns (step-3 value, key)."""
+    tag, mul, inv = spec.tag, platform.mul, platform.inv
+    alice = role.index == ALICE
+    if tag == "classic_dh":
+        step3 = g_pow(platform, peer[0], sk.exponents[0])
+        return step3, step3
+    if tag in ("group_dh", "ko_lee", "str_kep"):
+        # pi is constant: step 3 is trivial up to str_kep's power
+        step3 = g_pow(platform, peer[0], sk.exponents[0]) if sk.exponents else peer[0]
+        left, right = _sides(spec, platform, role, sk)
+        return step3, mul(mul(left, step3), right)
 
     if tag == "simdcp_alt":
-        def alt_secret(gens):
-            pairs = rng.randint(0, (policy.max_leaves - 1) // 2)
-            return tuple(rng.randrange(len(gens)) for _ in range(2 * pairs + 1))
-
-        def alt_value(indices, gens):
-            value = gens[indices[0]]
-            for pos, i in enumerate(indices[1:], start=1):
-                term = gens[i] if pos % 2 == 0 else platform.inv(gens[i])
-                value = platform.mul(value, term)
-            return value
-
-        idx_a = alt_secret(spec.alice_gens)
-        a_r = alt_value(idx_a, spec.alice_gens)
-        a_l = _random_free_element(platform, policy, rng)
-        idx_b = alt_secret(spec.bob_gens)
-        b_l = alt_value(idx_b, spec.bob_gens)
-        b_r = _random_free_element(platform, policy, rng)
-        return SecretKey(elements=(a_r, a_l), indices=idx_a), SecretKey(
-            elements=(b_l, b_r), indices=idx_b
-        )
-
-    raise AssertionError(tag)
+        step3 = _alternating(platform, sk.indices, peer)
+    elif tag == "aag_commutator":
+        step3 = magma.push_through(sk.trees[0], list(peer) + [inv(w) for w in peer], [mul])
+    else:
+        step3 = magma.push_through(sk.trees[0], peer, role.ops)
+    if tag in ("simdcp", "simdcp_alt", "symdp"):
+        left, right = _sides(spec, platform, role, sk)
+        return step3, mul(left, step3) if alice else mul(step3, right)
+    x = sk.elements[0]
+    if spec.variant == "rev":  # a^-1 (b^-1 * a) and (a^-1 *rev b) b^-1
+        return step3, mul(inv(x), step3) if alice else mul(step3, inv(x))
+    # commutators: a^-1 (b * a) and (a * b)^-1 b
+    return step3, mul(inv(x), step3) if alice else mul(inv(step3), x)
 
 
 # -- the protocol engine -----------------------------------------------------
 
 
-def _push(tree: TreeWord, images, ops) -> Element:
-    return magma.push_through(
-        tree, images, [lambda x, y, _o=o: apply_op(_o, x, y) for o in ops]
-    )
+def generate_secrets(spec: ProtocolSpec) -> tuple[SecretKey, SecretKey]:
+    """Deterministically derive both parties' secrets from the spec seed.
 
-
-def _alt_reconstruct(platform: Platform, indices, messages) -> Element:
-    value = messages[indices[0]]
-    for pos, i in enumerate(indices[1:], start=1):
-        term = messages[i] if pos % 2 == 0 else platform.inv(messages[i])
-        value = platform.mul(value, term)
-    return value
+    Alice's whole draw precedes Bob's, so a networked session and an
+    in-process run agree.
+    """
+    platform = work_platform(spec)
+    alice, bob = _roles(spec, platform)
+    rng = random.Random(spec.seed)
+    ska = _draw(spec, platform, alice, rng)
+    return ska, _draw(spec, platform, bob, rng)
 
 
 def run(spec: ProtocolSpec) -> Transcript:
     """Execute steps 1-4 and assert K_A = K_B under platform equality."""
     platform = work_platform(spec)
+    alice, bob = _roles(spec, platform)
     ska, skb = generate_secrets(spec)
-    tag = spec.tag
-    mul, inv = platform.mul, platform.inv
-
-    if tag == "classic_dh":
-        g = spec.base
-        ka, lb = ska.exponents[0], skb.exponents[0]
-        msg_a = (g_pow(platform, g, ka),)
-        msg_b = (g_pow(platform, g, lb),)
-        step3_a = g_pow(platform, msg_b[0], ka)
-        step3_b = g_pow(platform, msg_a[0], lb)
-        key_a, key_b = step3_a, step3_b
-
-    elif tag in ("group_dh", "ko_lee"):
-        a1, a2 = ska.elements
-        b1, b2 = skb.elements
-        x = platform.check(spec.base)
-        msg_a = (mul(mul(a1, x), a2),)
-        msg_b = (mul(mul(b1, x), b2),)
-        step3_a, step3_b = msg_b[0], msg_a[0]  # pi is constant: step 3 is trivial
-        key_a = mul(mul(a1, step3_a), a2)
-        key_b = mul(mul(b1, step3_b), b2)
-
-    elif tag == "str_kep":
-        (a,), (ka,) = ska.elements, ska.exponents
-        (b,), (lb,) = skb.elements, skb.exponents
-        x = platform.check(spec.base)
-        msg_a = (mul(mul(inv(a), g_pow(platform, x, ka)), a),)
-        msg_b = (mul(mul(inv(b), g_pow(platform, x, lb)), b),)
-        step3_a = g_pow(platform, msg_b[0], ka)
-        step3_b = g_pow(platform, msg_a[0], lb)
-        key_a = mul(mul(inv(a), step3_a), a)
-        key_b = mul(mul(inv(b), step3_b), b)
-
-    elif tag == "aag_commutator":
-        a, b = ska.elements[0], skb.elements[0]
-        msg_a = tuple(mul(mul(inv(a), t), a) for t in spec.bob_gens)
-        msg_b = tuple(mul(mul(inv(b), s), b) for s in spec.alice_gens)
-        ext_b = list(msg_b) + [inv(w) for w in msg_b]
-        ext_a = list(msg_a) + [inv(w) for w in msg_a]
-        step3_a = magma.push_through(ska.trees[0], ext_b, [mul])   # b^-1 a b
-        step3_b = magma.push_through(skb.trees[0], ext_a, [mul])   # a^-1 b a
-        key_a = mul(inv(a), step3_a)
-        key_b = mul(inv(step3_b), b)
-
-    elif tag in ("simdcp", "simdcp_alt"):
-        a_r, a_l = ska.elements[0], ska.elements[1]
-        b_l, b_r = skb.elements[0], skb.elements[1]
-        msg_a = tuple(mul(mul(a_l, t), a_r) for t in spec.bob_gens)
-        msg_b = tuple(mul(mul(b_l, s), b_r) for s in spec.alice_gens)
-        if tag == "simdcp":
-            ops = _tree_ops(spec, platform)
-            step3_a = _push(ska.trees[0], msg_b, ops)       # b_l a_r b_r
-            step3_b = _push(skb.trees[0], msg_a, ops)       # a_l b_l a_r
-        else:
-            step3_a = _alt_reconstruct(platform, ska.indices, msg_b)
-            step3_b = _alt_reconstruct(platform, skb.indices, msg_a)
-        key_a = mul(a_l, step3_a)
-        key_b = mul(step3_b, b_r)
-
-    elif tag == "symdp":
-        a, ka = ska.elements[0], ska.exponents[0]
-        b, lb = skb.elements[0], skb.exponents[0]
-        msg_a = tuple(mul(mul(g_pow(platform, a, ka), t), a) for t in spec.bob_gens)
-        msg_b = tuple(mul(mul(b, s), g_pow(platform, b, lb)) for s in spec.alice_gens)
-        ops = _tree_ops(spec, platform)
-        step3_a = _push(ska.trees[0], msg_b, ops)           # b a b^l
-        step3_b = _push(skb.trees[0], msg_a, ops)           # a^k b a
-        key_a = mul(g_pow(platform, a, ka), step3_a)
-        key_b = mul(step3_b, g_pow(platform, b, lb))
-
-    elif tag == "f_commutator":
-        a, b = ska.elements[0], skb.elements[0]
-        op = _tree_ops(spec, platform)[0]
-        msg_a = tuple(apply_op(op, a, t) for t in spec.bob_gens)
-        msg_b = tuple(apply_op(op, b, s) for s in spec.alice_gens)
-        step3_a = _push(ska.trees[0], msg_b, (op,))         # b * a
-        step3_b = _push(skb.trees[0], msg_a, (op,))         # a * b
-        key_a = mul(inv(a), step3_a)
-        key_b = mul(inv(step3_b), b)
-
-    elif tag == "shifted_commutator":
-        a, b = ska.elements[0], skb.elements[0]
-        star, other = _tree_ops(spec, platform)
-        if spec.variant == "rev":
-            rev = other
-            msg_a = tuple(apply_op(rev, inv(a), t) for t in spec.bob_gens)
-            msg_b = tuple(apply_op(star, inv(b), s) for s in spec.alice_gens)
-            step3_a = _push(ska.trees[0], msg_b, (star,))   # b^-1 * a
-            step3_b = _push(skb.trees[0], msg_a, (rev,))    # a^-1 *rev b
-            key_a = mul(inv(a), step3_a)
-            key_b = mul(step3_b, inv(b))
-        else:
-            bar = other
-            msg_a = tuple(apply_op(bar, a, t) for t in spec.bob_gens)
-            msg_b = tuple(apply_op(star, b, s) for s in spec.alice_gens)
-            step3_a = _push(ska.trees[0], msg_b, (star, bar))  # b * a
-            step3_b = _push(skb.trees[0], msg_a, (star, bar))  # a bar* b
-            key_a = mul(inv(a), step3_a)
-            key_b = mul(inv(step3_b), b)
-
-    else:  # pragma: no cover
-        raise AssertionError(tag)
+    msg_a = _publish(spec, platform, alice, ska)
+    msg_b = _publish(spec, platform, bob, skb)
+    step3_a, key_a = _finish(spec, platform, alice, ska, msg_b)
+    step3_b, key_b = _finish(spec, platform, bob, skb, msg_a)
 
     if not platform.eq(key_a, key_b):
-        raise KeyMismatch(f"derived keys differ for tag {tag!r}, seed {spec.seed}")
+        raise KeyMismatch(f"derived keys differ for tag {spec.tag!r}, seed {spec.seed}")
     extracted = key_extract(platform, key_a)
     if key_extract(platform, key_b) != extracted:
         raise KeyMismatch("extracted keys differ despite equal elements")
@@ -602,24 +614,15 @@ def run(spec: ProtocolSpec) -> Transcript:
     )
 
 
-# -- validating constructors -------------------------------------------------
-
-
-def _check_commuting(platform: Platform, left: tuple, right: tuple, what: str) -> None:
-    for u in left:
-        for v in right:
-            if not platform.eq(platform.mul(u, v), platform.mul(v, u)):
-                raise CommutationViolation(f"{what}: generators do not commute")
+# -- constructors ------------------------------------------------------------
 
 
 def make_classic_dh(
     p: int, g: int, k: int | None = None, l: int | None = None,
     policy: KeyPolicy | None = None, seed: int = 0,
 ) -> ProtocolSpec:
-    platform = MultModPlatform(p)
-    platform.check(g)
     return ProtocolSpec(
-        tag="classic_dh", platform=platform, base=g, k=k, l=l,
+        tag="classic_dh", platform=MultModPlatform(p), base=g, k=k, l=l,
         policy=policy or FINITE_POLICY, seed=seed,
     )
 
@@ -631,13 +634,10 @@ def make_group_dh(
     policy: KeyPolicy | None = None,
     seed: int = 0,
 ) -> ProtocolSpec:
-    a1, a2 = tuple(a1_gens), tuple(a2_gens)
-    b1, b2 = tuple(b1_gens), tuple(b2_gens)
-    _check_commuting(platform, a1, b1, "[A1, B1]")
-    _check_commuting(platform, a2, b2, "[A2, B2]")
     return ProtocolSpec(
-        tag="group_dh", platform=platform, base=platform.check(x),
-        a1_gens=a1, a2_gens=a2, b1_gens=b1, b2_gens=b2,
+        tag="group_dh", platform=platform, base=x,
+        a1_gens=tuple(a1_gens), a2_gens=tuple(a2_gens),
+        b1_gens=tuple(b1_gens), b2_gens=tuple(b2_gens),
         policy=policy or _default_policy(platform), seed=seed,
     )
 
@@ -646,11 +646,9 @@ def make_ko_lee(
     platform: Platform, a_gens, b_gens, x: Element,
     policy: KeyPolicy | None = None, seed: int = 0,
 ) -> ProtocolSpec:
-    a, b = tuple(a_gens), tuple(b_gens)
-    _check_commuting(platform, a, b, "[A, B]")
     return ProtocolSpec(
-        tag="ko_lee", platform=platform, base=platform.check(x),
-        a1_gens=a, b1_gens=b,
+        tag="ko_lee", platform=platform, base=x,
+        a1_gens=tuple(a_gens), b1_gens=tuple(b_gens),
         policy=policy or _default_policy(platform), seed=seed,
     )
 
@@ -659,11 +657,9 @@ def make_str_kep(
     platform: Platform, a_gens, b_gens, x: Element,
     policy: KeyPolicy | None = None, seed: int = 0,
 ) -> ProtocolSpec:
-    a, b = tuple(a_gens), tuple(b_gens)
-    _check_commuting(platform, a, b, "[A, B]")
     return ProtocolSpec(
-        tag="str_kep", platform=platform, base=platform.check(x),
-        a1_gens=a, b1_gens=b,
+        tag="str_kep", platform=platform, base=x,
+        a1_gens=tuple(a_gens), b1_gens=tuple(b_gens),
         policy=policy or _default_policy(platform), seed=seed,
     )
 
@@ -672,11 +668,9 @@ def make_aag_commutator(
     platform: Platform, s_gens, t_gens,
     policy: KeyPolicy | None = None, seed: int = 0,
 ) -> ProtocolSpec:
-    s, t = tuple(s_gens), tuple(t_gens)
-    if not s or not t:
-        raise ValueError("generator lists must be nonempty")
     return ProtocolSpec(
-        tag="aag_commutator", platform=platform, alice_gens=s, bob_gens=t,
+        tag="aag_commutator", platform=platform,
+        alice_gens=tuple(s_gens), bob_gens=tuple(t_gens),
         policy=policy or _default_policy(platform), seed=seed,
     )
 
@@ -685,12 +679,9 @@ def make_simdcp(
     platform: Platform, s_gens, t_gens,
     policy: KeyPolicy | None = None, seed: int = 0, alternating: bool = False,
 ) -> ProtocolSpec:
-    s, t = tuple(s_gens), tuple(t_gens)
-    if not s or not t:
-        raise ValueError("generator lists must be nonempty")
     return ProtocolSpec(
         tag="simdcp_alt" if alternating else "simdcp",
-        platform=platform, alice_gens=s, bob_gens=t,
+        platform=platform, alice_gens=tuple(s_gens), bob_gens=tuple(t_gens),
         policy=policy or _default_policy(platform), seed=seed,
     )
 
@@ -704,11 +695,8 @@ def make_symdp(
     secret_exponents: bool = False,
     policy: KeyPolicy | None = None, seed: int = 0,
 ) -> ProtocolSpec:
-    if k != 1 and l != 1:
-        raise ValueError("symdp needs k = 1 or l = 1")
-    s, t = tuple(s_gens), tuple(t_gens)
     return ProtocolSpec(
-        tag="symdp", platform=platform, alice_gens=s, bob_gens=t,
+        tag="symdp", platform=platform, alice_gens=tuple(s_gens), bob_gens=tuple(t_gens),
         k=k, l=l, secret_exponents=secret_exponents,
         policy=policy or _default_policy(platform), seed=seed,
     )
@@ -718,15 +706,10 @@ def make_f_commutator(
     f: Endomorphism, s_gens, t_gens,
     policy: KeyPolicy | None = None, seed: int = 0,
 ) -> ProtocolSpec:
-    platform = f.platform
-    s, t = tuple(s_gens), tuple(t_gens)
-    if isinstance(f, PowerShiftEndo):
-        for g in s + t:
-            if not braid.is_pure(platform.check(g)):
-                raise ValueError("pure-braid f-commutator needs pure generators")
     return ProtocolSpec(
-        tag="f_commutator", platform=platform, alice_gens=s, bob_gens=t, endo=f,
-        policy=policy or _default_policy(platform), seed=seed,
+        tag="f_commutator", platform=f.platform,
+        alice_gens=tuple(s_gens), bob_gens=tuple(t_gens), endo=f,
+        policy=policy or _default_policy(f.platform), seed=seed,
     )
 
 
@@ -744,23 +727,14 @@ def make_shifted_commutator(
     The braid parameter must satisfy the shifted-conjugacy conditions; the
     default a = tau(p,p) specializes to Dehornoy's sigma_1 for p = 1.
     """
-    if variant not in ("bi_ld", "rev"):
-        raise ValueError("variant must be 'bi_ld' or 'rev'")
-    if a is None:
-        a = braid.tau(p, p)
-    if not ldops.check_shifted_conditions(p, a):
-        raise ldops.ConditionViolation(
-            "braid parameter fails the shifted-conjugacy conditions"
-        )
     s, t = tuple(s_gens), tuple(t_gens)
-    if not s or not t:
-        raise ValueError("generator lists must be nonempty")
     strands = base_strands or max(
         [2, 2 * p] + [w.strands for w in s + t if isinstance(w, BraidWord)]
     )
     return ProtocolSpec(
         tag="shifted_commutator", platform=BraidPlatform(strands),
-        alice_gens=s, bob_gens=t, shift_p=p, shift_a=a, variant=variant,
+        alice_gens=s, bob_gens=t, shift_p=p,
+        shift_a=braid.tau(p, p) if a is None else a, variant=variant,
         policy=policy or KeyPolicy(), seed=seed,
     )
 

@@ -13,10 +13,12 @@ payload.  A session is three strictly alternating exchanges, initiator first:
    derived key.
 
 Both parties derive their secrets from the shared spec seed (initiator plays
-Alice), so a loopback session reproduces the in-process transcript exactly;
-the received public list is additionally cross-checked against the locally
-recomputed one, making any wire corruption a ConfirmMismatch/SpecMismatch
-rather than a silent divergence.
+Alice), so a loopback session reproduces the in-process transcript exactly.
+The received public key list is compared byte for byte with the encoding of
+the locally recomputed one; element encodings are canonical, so any other
+list, whether corrupted, truncated or a valid but different one, makes the
+receiver send an Error frame and raise ConfirmMismatch rather than diverge
+silently.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from .platforms import decode_element, encode_element
+from .platforms import encode_element
 from .protocols import (
     ProtocolSpec,
     Transcript,
@@ -193,18 +195,9 @@ def _exchange(sock: socket.socket, cfg: SessionConfig) -> Transcript:
 
     peer_payload = swap(FRAME_PUBLIC_KEYS, own_payload)
 
+    # encodings are canonical, so equal elements have equal bytes
     expected_peer = transcript.bob_messages if initiator else transcript.alice_messages
-    decoded = []
-    offset = 0
-    try:
-        while offset < len(peer_payload):
-            element, offset = decode_element(platform, peer_payload, offset)
-            decoded.append(element)
-    except (ValueError, struct.error) as exc:
-        raise MalformedFrame(f"bad public key list: {exc}") from None
-    if len(decoded) != len(expected_peer) or any(
-        not platform.eq(a, b) for a, b in zip(decoded, expected_peer)
-    ):
+    if peer_payload != b"".join(encode_element(platform, x) for x in expected_peer):
         _send(sock, FRAME_ERROR, b"public key list mismatch")
         raise ConfirmMismatch("peer public keys disagree with the spec/seed")
 

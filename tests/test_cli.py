@@ -4,7 +4,9 @@ import threading
 import pytest
 
 from nakex import protocols as P
+from nakex.braid import BraidWord
 from nakex.cli import main
+from nakex.platforms import encode_element
 
 
 def test_run_dh_vector(tmp_path, capsys):
@@ -126,6 +128,18 @@ def test_unloadable_spec_exits_2(tmp_path, capsys, command):
         assert main([command, "--spec", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_run_invalid_spec_exits_2(tmp_path, capsys):
+    # a ko_lee spec whose subgroups do not commute fails at load, not at run
+    spec = P.random_spec("ko_lee", 0)
+    obj = json.loads(P.spec_to_json(spec))
+    obj["b1_gens"] = [encode_element(spec.platform, BraidWord(7, (2,))).hex()]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(obj))
+    assert main(["run", "--spec", str(spec_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "CommutationViolation" in err
 
 
 def test_attack_unknown_experiment(tmp_path):

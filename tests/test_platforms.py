@@ -213,6 +213,17 @@ def test_decode_rejects_invalid_payload():
         decode_element(sym, bytes([0x7A]) + b"\x00" * 6)  # wrong platform tag
 
 
+@pytest.mark.parametrize("platform", PLATFORMS, ids=["braid", "sym", "modp"])
+def test_decode_rejects_every_truncation(platform):
+    # a cut-off or empty payload is a ValueError, not struct.error/IndexError
+    data = encode_element(platform, _sample(platform, random.Random(16)))
+    for cut in range(len(data)):
+        with pytest.raises(ValueError):
+            decode_element(platform, data[:cut])
+    with pytest.raises(ValueError):
+        decode_element(platform, data, len(data))
+
+
 def test_braid_element_encoding_canonicalizes():
     platform = BraidPlatform(3)
     w1 = BraidWord(3, (1, 2, 1))

@@ -1,3 +1,4 @@
+import json
 import random
 import warnings
 from dataclasses import replace
@@ -13,6 +14,7 @@ from nakex.platforms import (
     IdentityEndo,
     MultModPlatform,
     SymmetricPlatform,
+    encode_element,
     g_commutator,
 )
 
@@ -318,6 +320,42 @@ def test_commutation_violation_detected():
         )
     with pytest.raises(P.CommutationViolation):
         P.make_ko_lee(platform, (BraidWord(4, (1,)),), (BraidWord(4, (2,)),), BraidWord(4, (3,)))
+
+
+# -- validation on load ----------------------------------------------------------------
+
+
+def _tampered_json(spec, **fields) -> str:
+    obj = json.loads(P.spec_to_json(spec))
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+def test_loaded_ko_lee_spec_with_non_commuting_gens_is_rejected():
+    spec = P.random_spec("ko_lee", 0)
+    # sigma_2 and sigma_3 do not commute with Alice's sigma_1 and sigma_2
+    b1 = [encode_element(spec.platform, BraidWord(7, (i,))).hex() for i in (2, 3)]
+    with pytest.raises(P.CommutationViolation):
+        P.spec_from_json(_tampered_json(spec, b1_gens=b1))
+    transcript = json.loads(P.transcript_to_json(run_quiet(spec)))
+    transcript["spec"]["b1_gens"] = b1
+    with pytest.raises(P.CommutationViolation):
+        P.transcript_from_json(json.dumps(transcript))
+
+
+def test_loaded_shifted_spec_with_bad_parameter_is_rejected():
+    spec = P.random_spec("shifted_commutator", 0)
+    shift_a = B.encode_braid(BraidWord(3, (1, 2))).hex()
+    with pytest.raises(L.ConditionViolation):
+        P.spec_from_json(_tampered_json(spec, shift_a=shift_a))
+
+
+def test_symdp_spec_needs_a_unit_exponent():
+    spec = P.random_spec("symdp", 0)
+    with pytest.raises(ValueError):
+        replace(spec, k=2, l=2)
+    with pytest.raises(ValueError):
+        P.spec_from_json(_tampered_json(spec, k=2, l=2))
 
 
 # -- engine-level properties ------------------------------------------------------------

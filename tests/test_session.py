@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from nakex import protocols as P
 from nakex import session as S
+from nakex.braid import Permutation
+from nakex.platforms import encode_element
 
 
 # -- frame codec ----------------------------------------------------------------
@@ -144,6 +146,42 @@ def test_unknown_frame_type_aborts_session():
         sock.sendall(struct.pack(">IB", 4, 0x55) + b"oops")
     thread.join(timeout=10)
     assert isinstance(errors.get("responder"), S.MalformedFrame)
+
+
+@pytest.mark.parametrize("forgery", ["other_element", "cut_off"])
+def test_wrong_public_key_list_is_refused(forgery):
+    # a peer with the right Hello that sends a public key list other than the
+    # spec's gets an Error frame, and the honest side raises ConfirmMismatch
+    server, port = _bound_server()
+    spec = P.random_spec("aag_commutator", 11)
+    platform = P.work_platform(spec)
+    messages = list(P.run(spec).alice_messages)
+    if forgery == "other_element":
+        swap = Permutation((2, 1) + tuple(range(3, platform.degree + 1)))
+        messages[0] = platform.mul(messages[0], swap)
+    payload = b"".join(encode_element(platform, x) for x in messages)
+    if forgery == "cut_off":
+        payload = payload[:-1]
+    errors = {}
+
+    def responder():
+        cfg = S.SessionConfig("responder", spec, port=port, timeout=5)
+        try:
+            S.serve_once(cfg, server)
+        except S.SessionError as exc:
+            errors["responder"] = exc
+
+    thread = threading.Thread(target=responder)
+    thread.start()
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(S.encode_frame(S.FRAME_HELLO, bytes.fromhex(P.spec_digest(spec))))
+        assert S.read_frame(sock)[0] == S.FRAME_HELLO
+        sock.sendall(S.encode_frame(S.FRAME_PUBLIC_KEYS, payload))
+        assert S.read_frame(sock)[0] == S.FRAME_PUBLIC_KEYS
+        reply, _ = S.read_frame(sock)
+    thread.join(timeout=10)
+    assert reply == S.FRAME_ERROR
+    assert isinstance(errors.get("responder"), S.ConfirmMismatch)
 
 
 def test_session_config_validation():
