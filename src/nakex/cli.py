@@ -8,7 +8,7 @@ random spec and its secrets under a key policy).
 
 Exit codes: 0 success, 1 verified failure (a law counterexample where none
 was expected, a key mismatch), 2 usage errors (including a spec file that does
-not load).
+not load, or whose secrets break its key policy).
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ def _cmd_run(args) -> int:
     except protocols.KeyMismatch as exc:
         print(f"key mismatch: {exc}", file=sys.stderr)
         return 1
+    except protocols.PolicyViolation as exc:
+        print(f"policy violation: {exc}", file=sys.stderr)
+        return 2
     text = protocols.transcript_to_json(transcript)
     if args.out:
         with open(args.out, "w") as handle:
@@ -88,6 +91,9 @@ def _cmd_session(args, role: str) -> int:
     except (session.SessionError, OSError) as exc:
         print(f"session failed: {exc}", file=sys.stderr)
         return 1
+    except protocols.PolicyViolation as exc:
+        print(f"policy violation: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(protocols.transcript_to_json(transcript))

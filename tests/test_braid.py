@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nakex import braid as B
-from nakex.braid import BraidWord, Permutation
+from nakex.braid import BraidWord, GarsideNormalForm, Permutation
+
+
+GOLDEN_NF_DIGEST = "6075a1c1d730990fde9c22e72139554be14e5b44cb75a3ced8bb629d2dbb71fe"
 
 
 def words(max_strands=6, max_len=20):
@@ -107,9 +111,13 @@ def test_normal_form_identity_and_delta():
 
 def test_normal_form_invariants():
     rng = random.Random(2)
+    words = []
     for _ in range(150):
         n = rng.randrange(2, 8)
-        w = B.random_braid(n, rng.randrange(0, 30), rng)
+        words.append(B.random_braid(n, rng.randrange(0, 30), rng))
+    words += [B.random_braid(8, length, rng) for length in (120, 400) for _ in range(2)]
+    for w in words:
+        n = w.strands
         nf = B.normal_form(w)
         w0 = tuple(range(n, 0, -1))
         identity = tuple(range(1, n + 1))
@@ -124,6 +132,15 @@ def test_normal_form_invariants():
             assert descents <= finishing
         for factor in nf.factors:
             assert factor.images != identity and factor.images != w0
+
+
+def _with_relator(w, rng):
+    """The same braid as ``w``, spelled with a braid relator inserted."""
+    i = rng.randrange(1, w.strands - 1)
+    relator = BraidWord(w.strands, (i, i + 1, i, -(i + 1), -i, -(i + 1)))
+    cut = rng.randrange(0, len(w) + 1)
+    head, tail = BraidWord(w.strands, w.letters[:cut]), BraidWord(w.strands, w.letters[cut:])
+    return B.concat_all(head, relator, tail)
 
 
 def test_normal_form_agrees_with_handle_oracle():
@@ -142,6 +159,14 @@ def test_normal_form_agrees_with_handle_oracle():
         assert nf_equal == handle_equal
         agreements += 1
     assert agreements == 520
+    # long words on B_8: an equal spelling and an unrelated word each
+    for length in (120, 400):
+        for trial in range(4):
+            w1 = B.random_braid(8, length, rng)
+            w2 = _with_relator(w1, rng) if trial % 2 else B.random_braid(8, length, rng)
+            nf_equal = B.normal_form(w1) == B.normal_form(w2)
+            assert nf_equal == bool(trial % 2)
+            assert nf_equal == B.handle_trivial(B.concat(w1, B.invert(w2)))
 
 
 def test_normal_form_idempotent_on_canonical_word():
@@ -151,6 +176,71 @@ def test_normal_form_idempotent_on_canonical_word():
         w = B.random_braid(n, rng.randrange(0, 25), rng)
         nf = B.normal_form(w)
         assert B.normal_form(B.canonical_word(w)) == nf
+
+
+def _half_twist(n):
+    """Delta = delta_2 delta_3 ... delta_n, where delta_j = sigma_(j-1) ... sigma_1."""
+    return B.concat_all(*(B.with_strands(B.delta_word(j), n) for j in range(2, n + 1)))
+
+
+def _delta_interleaved(n, blocks, rng):
+    """delta_word(n) powers of both signs interleaved with runs of inverse letters."""
+    delta = B.delta_word(n)
+    out = BraidWord(n)
+    for _ in range(blocks):
+        power = B.concat_all(*[delta] * rng.randrange(0, 2 * n))
+        out = B.concat(out, power if rng.random() < 0.6 else B.invert(power))
+        run = tuple(-rng.randrange(1, n) for _ in range(rng.randrange(0, 5)))
+        out = B.concat(out, BraidWord(n, run))
+    return out
+
+
+def _golden_words():
+    rng = random.Random(20261018)
+    words = [B.random_braid(n, length, rng)
+             for n in range(3, 12)
+             for length in (0, 1, 2, 5, 10, 25, 50, 100, 200, 400)
+             for _ in range(2)]
+    words += [B.random_braid(8, 1200, rng) for _ in range(3)]
+    words += [_delta_interleaved(n, 12, rng) for n in (3, 5, 8) for _ in range(3)]
+    return words
+
+
+def test_normal_form_golden_digest():
+    # The left normal form is unique, so any correct kernel gives this digest;
+    # it was recorded from the earlier one-factor-per-letter kernel.
+    digest = hashlib.sha256()
+    for w in _golden_words():
+        digest.update(B.encode_normal_form(B.normal_form.__wrapped__(w)))
+        digest.update(B.encode_braid(B.canonical_word(w)))
+    assert digest.hexdigest() == GOLDEN_NF_DIGEST
+
+
+def test_delta_powers_move_only_the_infimum():
+    # Delta^k w = Delta^(k + inf) f_1 ... f_l, and w Delta^k = Delta^k tau^k(w),
+    # with tau(f)(i) = n + 1 - f(n + 1 - i) on factors; the words interleave
+    # delta powers with inverse letters, so tau parity and the absorption of
+    # leading half twists both matter.
+    rng = random.Random(10)
+    for n in (3, 4, 6, 8):
+        half_twist = _half_twist(n)
+        assert B.normal_form(half_twist) == GarsideNormalForm(n, 1, ())
+        full_twist = B.concat_all(*[B.delta_word(n)] * n)
+        assert B.normal_form(full_twist) == GarsideNormalForm(n, 2, ())
+        for _ in range(6):
+            w = _delta_interleaved(n, rng.randrange(1, 8), rng)
+            base = B.normal_form(w)
+            twisted = tuple(
+                Permutation(tuple(n + 1 - v for v in reversed(f.images))) for f in base.factors
+            )
+            for k in (-3, -1, 1, 2, 5):
+                power = B.concat_all(*[half_twist] * abs(k))
+                power = power if k > 0 else B.invert(power)
+                left = B.normal_form(B.concat(power, w))
+                assert left == GarsideNormalForm(n, base.infimum + k, base.factors)
+                right = B.normal_form(B.concat(w, power))
+                assert right.infimum == base.infimum + k
+                assert right.factors == (twisted if k % 2 else base.factors)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -160,40 +161,66 @@ def test_bench_json():
     assert {"normal_form_s", "handle_reduce_s", "shifted_runs_s"} <= set(payload)
 
 
-def test_serve_connect_loopback(tmp_path, unused_tcp_port_factory=None):
-    # drive the CLI session commands end to end over a local socket
+def _serve_and_connect(spec_path, tmp_path):
+    """Exit codes of `serve` and `connect` run against each other on loopback."""
     import socket
-
-    spec = P.random_spec("shifted_commutator", 11)
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(P.spec_to_json(spec))
+    import time
 
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
-
+    address = f"127.0.0.1:{port}"
     results = {}
 
     def serve():
         results["serve"] = main([
-            "serve", "--spec", str(spec_path), "--address", f"127.0.0.1:{port}",
+            "serve", "--spec", str(spec_path), "--address", address,
             "--out", str(tmp_path / "responder.json"), "--timeout", "20",
         ])
 
     thread = threading.Thread(target=serve)
     thread.start()
-    import time
-
     deadline = time.time() + 10
     code = 1
     while time.time() < deadline:
         code = main([
-            "connect", "--spec", str(spec_path), "--address", f"127.0.0.1:{port}",
+            "connect", "--spec", str(spec_path), "--address", address,
             "--out", str(tmp_path / "initiator.json"), "--timeout", "20",
         ])
-        if code == 0:
+        if code != 1:  # 1 is also "connection refused": the server is not up yet
             break
         time.sleep(0.2)
     thread.join(timeout=30)
-    assert code == 0 and results.get("serve") == 0
+    assert not thread.is_alive()
+    return results.get("serve"), code
+
+
+def test_serve_connect_loopback(tmp_path):
+    # drive the CLI session commands end to end over a local socket
+    spec = P.random_spec("shifted_commutator", 11)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(P.spec_to_json(spec))
+    assert _serve_and_connect(spec_path, tmp_path) == (0, 0)
     assert (tmp_path / "responder.json").read_text() == (tmp_path / "initiator.json").read_text()
+
+
+def _policy_violating_spec(tmp_path):
+    # a valid spec whose evaluated secrets exceed its own letter cap
+    spec = P.random_spec("shifted_commutator", 3)
+    spec = replace(spec, policy=replace(spec.policy, max_word_letters=1))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(P.spec_to_json(spec))
+    return spec_path
+
+
+def test_run_policy_violation_exits_2(tmp_path, capsys):
+    assert main(["run", "--spec", str(_policy_violating_spec(tmp_path))]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cap is 1" in err
+
+
+def test_session_policy_violation_exits_2(tmp_path, capsys):
+    assert _serve_and_connect(_policy_violating_spec(tmp_path), tmp_path) == (2, 2)
+    err = capsys.readouterr().err
+    # connect may print "connection refused" lines while the server starts
+    assert err.count("policy violation: ") == 2 and "Traceback" not in err
