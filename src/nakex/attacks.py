@@ -13,12 +13,18 @@ problem, the Ko-Lee problem, membership search in subgroups and submagmas,
 simultaneous decomposition for the a_l y a_r scheme, the symmetric (k,l)
 version, and the f-/shifted-conjugacy search problems of the commutator
 schemes.
+
+The ``nakex attack`` experiments live here too, as the table ``EXPERIMENTS``:
+``build_experiment(config)`` draws every trial's instance from the config's
+seed before any solver runs, and ``run_experiment(trials)`` runs the solvers
+through ``run_recorded``; ``write_report`` writes the records as CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -32,6 +38,8 @@ from .platforms import (
     Element,
     Endomorphism,
     Platform,
+    SymmetricPlatform,
+    centralizer,
     g_commutator,
     g_conj,
     g_pow,
@@ -74,6 +82,9 @@ __all__ = [
     "length_attack_skeleton",
     "ExperimentRecord",
     "write_report",
+    "EXPERIMENTS",
+    "build_experiment",
+    "run_experiment",
 ]
 
 
@@ -223,10 +234,6 @@ class LDMSPInstance:
 # -- closures and enumeration ------------------------------------------------
 
 
-def _canon(platform: Platform, x: Element):
-    return platform.canon(x)
-
-
 def subgroup_closure(
     platform: Platform, gens: Sequence[Element], budget: int | None = None
 ) -> list[Element]:
@@ -234,7 +241,7 @@ def subgroup_closure(
     if not platform.finite:
         raise ValueError("subgroup closure enumeration needs a finite platform")
     out = [platform.identity()]
-    seen = {_canon(platform, out[0])}
+    seen = {platform.canon(out[0])}
     queue = [out[0]]
     visits = 0
     while queue:
@@ -244,7 +251,7 @@ def subgroup_closure(
             if budget is not None and visits > budget:
                 raise BudgetExceeded(f"subgroup closure exceeded {budget} visits")
             nxt = platform.mul(current, g)
-            key = _canon(platform, nxt)
+            key = platform.canon(nxt)
             if key not in seen:
                 seen.add(key)
                 out.append(nxt)
@@ -257,7 +264,7 @@ def _msp_words(
 ) -> dict:
     """BFS closure remembering a shortest generator word for each element."""
     identity = platform.identity()
-    words = {_canon(platform, identity): (identity, ())}
+    words = {platform.canon(identity): (identity, ())}
     queue = [(identity, ())]
     visits = 0
     while queue:
@@ -267,7 +274,7 @@ def _msp_words(
             if budget is not None and visits > budget:
                 raise BudgetExceeded(f"membership search exceeded {budget} visits")
             nxt = platform.mul(current, g)
-            key = _canon(platform, nxt)
+            key = platform.canon(nxt)
             if key not in words:
                 entry = (nxt, word + (i,))
                 words[key] = entry
@@ -417,7 +424,7 @@ def bf_solve(inst, platform: Platform, budget: int | None = None):
 
     if isinstance(inst, MSPInstance):
         words = _msp_words(platform, inst.gens, budget)
-        hit = words.get(_canon(platform, inst.target))
+        hit = words.get(platform.canon(inst.target))
         return None if hit is None else hit[1]
 
     if isinstance(inst, KLPInstance):
@@ -752,9 +759,7 @@ def length_attack_skeleton(
             break
         best, candidate = improved
     if best == 0:
-        platform = BraidPlatform(strands)
-        inst_check = inst if isinstance(inst, FCSPInstance) else inst
-        if verify_witness(platform, inst_check, candidate):
+        if verify_witness(BraidPlatform(strands), inst, candidate):
             return candidate
     return None
 
@@ -772,10 +777,9 @@ class ExperimentRecord:
     wall_time: float
 
 
-def run_recorded(instance_tag: str, platform_desc: str, parameters: str, fn) -> tuple:
-    """Time a solver call and wrap it into an ExperimentRecord."""
+def run_recorded(instance_tag: str, platform_desc: str, parameters: str, fn) -> ExperimentRecord:
+    """Time a solver call ``fn() -> (result, verified)`` into an ExperimentRecord."""
     start = time.perf_counter()
-    result = None
     outcome = "not_found"
     verified = False
     try:
@@ -784,9 +788,7 @@ def run_recorded(instance_tag: str, platform_desc: str, parameters: str, fn) -> 
     except BudgetExceeded:
         outcome = "budget_exceeded"
     elapsed = time.perf_counter() - start
-    return result, ExperimentRecord(
-        instance_tag, platform_desc, parameters, outcome, verified, elapsed
-    )
+    return ExperimentRecord(instance_tag, platform_desc, parameters, outcome, verified, elapsed)
 
 
 def write_report(records: Sequence[ExperimentRecord], path: str) -> None:
@@ -799,3 +801,176 @@ def write_report(records: Sequence[ExperimentRecord], path: str) -> None:
             writer.writerow(
                 [r.instance, r.platform, r.parameters, r.outcome, r.witness_verified, f"{r.wall_time:.6f}"]
             )
+
+
+# -- experiments --------------------------------------------------------------
+#
+# An experiment function takes the config dict and a seeded generator and
+# returns its trials, each the (instance tag, platform, parameters, solve)
+# arguments of run_recorded.  Every instance is drawn while the trials are
+# built and no solver draws from the generator, so the draw order does not
+# depend on when the solvers run.
+
+Trial = tuple[str, str, str, Callable[[], tuple]]
+
+
+def _commuting_subgroups(platform: SymmetricPlatform, rng):
+    """A one-generator subgroup A, the non-trivial centralizer of A as B, and both closures."""
+    a_gens = (platform.random_element(rng),)
+    b_gens = tuple(
+        c for c in centralizer(platform, subgroup_closure(platform, a_gens))
+        if not platform.eq(c, platform.identity())
+    ) or (platform.identity(),)
+    return a_gens, b_gens, subgroup_closure(platform, a_gens), subgroup_closure(platform, b_gens)
+
+
+def _cdp_to_klp(config: dict, rng) -> list[Trial]:
+    platform = SymmetricPlatform(config.get("degree", 4))
+    a_gens, b_gens, a_closure, b_closure = _commuting_subgroups(platform, rng)
+
+    def trial(t):
+        x, y = rng.choice(a_closure), rng.choice(b_closure)
+        s = platform.random_element(rng)
+        inst = KLPInstance(s, g_conj(platform, x, s), g_conj(platform, y, s), a_gens, b_gens)
+        truth = g_conj(platform, y, g_conj(platform, x, s))
+
+        def solve():
+            key = reduce_cdp_to_klp(lambda i: bf_solve(i, platform), inst, platform)
+            return key, platform.eq(key, truth)
+
+        return "klp", f"S{platform.degree}", f"trial={t}", solve
+
+    return [trial(t) for t in range(config.get("trials", 10))]
+
+
+def _sscsp_to_aagp(config: dict, rng) -> list[Trial]:
+    platform = SymmetricPlatform(config.get("degree", 4))
+    a_gens, b_gens, a_closure, b_closure = _commuting_subgroups(platform, rng)
+
+    def trial(t):
+        x, y = rng.choice(a_closure), rng.choice(b_closure)
+        inst = AAGPInstance(
+            a_gens, tuple(g_conj(platform, y, g) for g in a_gens),
+            b_gens, tuple(g_conj(platform, x, g) for g in b_gens),
+            planted=(x, y),
+        )
+        truth = g_commutator(platform, x, y)
+
+        def solve():
+            result = reduce_sscsp_to_aagp(lambda i: bf_solve(i, platform), inst, platform)
+            return result.key, platform.eq(result.key, truth)
+
+        return "aagp", f"S{platform.degree}", f"trial={t}", solve
+
+    return [trial(t) for t in range(config.get("trials", 10))]
+
+
+def _inn_centralizer(config: dict, rng) -> list[Trial]:
+    platform = SymmetricPlatform(config.get("degree", 4))
+
+    def trial(t):
+        p = platform.random_element(rng)
+        s_gens = [platform.random_element(rng) for _ in range(2)]
+        t_gens = [platform.random_element(rng) for _ in range(2)]
+        a, b = platform.random_element(rng), platform.random_element(rng)
+        c1 = rng.choice(centralizer(platform, [platform.mul(s, p) for s in s_gens]))
+        c2 = rng.choice(centralizer(platform, [platform.mul(u, p) for u in t_gens]))
+
+        def solve():
+            report = inn_centralizer_experiment(platform, s_gens, t_gens, a, b, p, c1, c2)
+            conditions = report.cond_c1_c2 and report.cond_c1_ap and report.cond_c2_bp
+            # the sufficiency claim: conditions holding forces K' = K
+            return report, (not conditions) or report.equal
+
+        return "inn_centralizer", f"S{platform.degree}", f"trial={t}", solve
+
+    return [trial(t) for t in range(config.get("trials", 10))]
+
+
+def _bf_csp(config: dict, rng) -> list[Trial]:
+    platform = SymmetricPlatform(config.get("degree", 4))
+    budget = config.get("budget")
+
+    def trial(t):
+        s = platform.random_element(rng)
+        x = platform.random_element(rng)
+        inst = CSPInstance(s, g_conj(platform, x, s))
+
+        def solve():
+            w = bf_solve(inst, platform, budget=budget)
+            return w, w is not None and verify_witness(platform, inst, w)
+
+        return "csp", f"S{platform.degree}", f"trial={t}", solve
+
+    return [trial(t) for t in range(config.get("trials", 10))]
+
+
+def _length_attack(config: dict, rng) -> list[Trial]:
+    p = config.get("p", 1)
+    strands = config.get("strands", 5)
+    secret_length = config.get("secret_length", 1)
+    m = config.get("m", 2)
+    budget = config.get("budget", 8)
+    op = ldops.shifted_op(p)
+
+    def trial(t):
+        b = braid.random_braid(strands, secret_length, rng)
+        ss = [braid.random_braid(strands, 5, rng) for _ in range(m)]
+        inst = ShCSPInstance(p, op.a, tuple((s, apply_op(op, b, s)) for s in ss))
+
+        def solve():
+            # best-effort search: not finding a witness is a legitimate
+            # outcome, an unverified claim is not
+            w = length_attack_skeleton(inst, budget=budget)
+            return w, w is None or verify_witness(None, inst, w)
+
+        return "sh_csp", f"B{strands}", f"trial={t},p={p}", solve
+
+    return [trial(t) for t in range(config.get("trials", 10))]
+
+
+def _laver_membership(config: dict, rng) -> list[Trial]:
+    level = config.get("level", 3)
+    max_leaves = config.get("max_leaves", 6)
+    op = ldops.laver_op(level)
+    elements = range(1, ldops.laver_table(level).size + 1)
+    closures = {g: submagma_closure(op, [g]) for g in elements}
+
+    def trial(g, target):
+        def solve():
+            tree = bf_membership_magma(target, [g], [op], max_leaves)
+            return tree, (tree is not None) == (target in closures[g])
+
+        return "ld_msp", f"A_{level}", f"gen={g},target={target}", solve
+
+    return [trial(g, target) for g in elements for target in elements]
+
+
+# The config keys each experiment reads, and their defaults, are listed in
+# the README's CLI section.
+EXPERIMENTS = {
+    "cdp_to_klp": _cdp_to_klp,
+    "sscsp_to_aagp": _sscsp_to_aagp,
+    "inn_centralizer": _inn_centralizer,
+    "bf_csp": _bf_csp,
+    "length_attack": _length_attack,
+    "laver_membership": _laver_membership,
+}
+
+
+def build_experiment(config: dict) -> list[Trial]:
+    """The trials of the experiment ``config`` names, every instance drawn.
+
+    The generator is ``random.Random(config.get("seed", 0))``.  An unknown
+    name raises ValueError; a malformed config raises what its values provoke
+    (LookupError, TypeError or ValueError), before any solver has run.
+    """
+    name = config["experiment"]
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}")
+    return EXPERIMENTS[name](config, random.Random(config.get("seed", 0)))
+
+
+def run_experiment(trials: Sequence[Trial]) -> list[ExperimentRecord]:
+    """Run each trial's solver through run_recorded, in order."""
+    return [run_recorded(*trial) for trial in trials]

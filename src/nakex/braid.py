@@ -48,7 +48,6 @@ __all__ = [
     "random_braid",
     "random_pure_braid",
     "canonical_word",
-    "word_letter_count",
     "encode_braid",
     "decode_braid",
     "encode_normal_form",
@@ -305,11 +304,6 @@ def canonical_word(w: BraidWord) -> BraidWord:
     for factor in nf.factors:
         letters.extend(_kernels.nf_factor_word([v - 1 for v in factor.images]))
     return BraidWord(n, tuple(letters))
-
-
-def word_letter_count(w: BraidWord) -> int:
-    """Length of the freely reduced word."""
-    return len(_kernels.free_reduce(w.letters))
 
 
 # -- canonical byte serialization -------------------------------------------

@@ -6,14 +6,22 @@ instance file, CSV report), ``verify-laws`` (law verdicts for a named
 operation), ``bench`` (kernel and protocol timings), and ``keygen`` (emit a
 random spec and its secrets under a key policy).
 
-Exit codes: 0 success, 1 verified failure (a law counterexample where none
-was expected, a key mismatch), 2 usage errors (including a spec file that does
-not load, or whose secrets break its key policy).
+This module parses arguments, loads files and maps outcomes to exit codes.
+Each subcommand's handler is bound with ``set_defaults``; the attack
+experiments are the table ``attacks.EXPERIMENTS`` and the ``verify-laws``
+operations the table ``_LAWS`` below, whose keys are the ``--op`` choices.
+
+Exit codes: 0 success, 1 verified failure (a law counterexample, a key
+mismatch, an attack record whose witness did not verify), 2 usage errors (a
+spec or experiment file that does not load or build, a report path that
+cannot be written, law parameters the operation rejects, or a spec whose
+secrets break its key policy).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -22,13 +30,7 @@ import time
 
 from . import attacks, braid, ldops, magma, protocols, session
 from .braid import BraidWord
-from .platforms import (
-    BraidPlatform,
-    IdentityEndo,
-    InnerEndo,
-    MultModPlatform,
-    SymmetricPlatform,
-)
+from .platforms import IdentityEndo, InnerEndo, MultModPlatform, SymmetricPlatform
 
 DEFAULT_LISTEN = os.environ.get("NAKEX_LISTEN", "127.0.0.1:9131")
 
@@ -38,13 +40,19 @@ def _parse_listen(value: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def _usage_error(what: str, exc: Exception) -> int:
+    """Print one line for a usage error on stderr; its exit code."""
+    print(f"{what}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 2
+
+
 def _load_spec(path: str, seed: int | None) -> protocols.ProtocolSpec | None:
     """The spec in ``path``, or None after a one-line error on stderr."""
     try:
         with open(path) as handle:
             spec = protocols.spec_from_json(handle.read())
     except (OSError, ValueError, LookupError, TypeError) as exc:
-        print(f"cannot load spec {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _usage_error(f"cannot load spec {path}", exc)
         return None
     if seed is not None:
         from dataclasses import replace
@@ -139,213 +147,87 @@ def _law_platform(name: str):
     raise argparse.ArgumentTypeError(f"unknown platform {name!r} (use s4, s5, mod23, ...)")
 
 
+def _inner_endo(args, rng) -> InnerEndo:
+    return InnerEndo(args.platform, args.platform.random_element(rng))
+
+
+def _twisted_verdict(args, rng) -> ldops.LawVerdict:
+    f = _inner_endo(args, rng)
+    return ldops.verify_near_ld(ldops.twisted_conj_op(f), f, args.samples, rng)
+
+
+def _bi_ld_verdict(args, rng) -> ldops.LawVerdict:
+    star = ldops.shifted_op(args.p, args.a)
+    bar = ldops.shifted_bar_op(args.p, None if args.a is None else braid.invert(args.a))
+    return ldops.verify_multi_ld([star, bar], args.samples, rng, braid_len=4)
+
+
+# --op name -> (label, verdict); the label is formatted with the parsed
+# arguments, the verdict computed from them and a generator seeded by --seed.
+_LAWS = {
+    "conj": ("conj LD", lambda a, rng: ldops.verify_ld(ldops.conj_op(a.platform), a.samples, rng)),
+    "sym_conj": (
+        "sym_conj LD",
+        lambda a, rng: ldops.verify_ld(ldops.sym_conj_op(a.platform), a.samples, rng),
+    ),
+    "f_conj": (
+        "f_conj(inner) LD",
+        lambda a, rng: ldops.verify_ld(ldops.f_conj_op(_inner_endo(a, rng)), a.samples, rng),
+    ),
+    "f_sym_conj": (
+        "f_sym_conj(id) LD",
+        lambda a, rng: ldops.verify_ld(
+            ldops.f_sym_conj_op(IdentityEndo(a.platform)), a.samples, rng
+        ),
+    ),
+    "twisted": ("twisted near-LD", _twisted_verdict),
+    "shifted": (
+        "shifted(p={p}) LD",
+        lambda a, rng: ldops.verify_ld(ldops.shifted_op(a.p, a.a), a.samples, rng, braid_len=4),
+    ),
+    "shifted_rev": (
+        "shifted_rev(p={p}) LD",
+        lambda a, rng: ldops.verify_ld(
+            ldops.shifted_rev_op(a.p, a.a), a.samples, rng, braid_len=4
+        ),
+    ),
+    "bi_ld": ("bi-LD {{*, bar*}} (p={p})", _bi_ld_verdict),
+    "laver": (
+        "laver A_{level} LD",
+        lambda a, rng: ldops.verify_ld_exhaustive(ldops.laver_op(a.level)),
+    ),
+}
+
+
 def _cmd_verify_laws(args) -> int:
-    rng = random.Random(args.seed)
-    name = args.op
-    failures = 0
-
-    def report(label: str, verdict: ldops.LawVerdict, expect_pass: bool = True):
-        nonlocal failures
-        status = "pass" if verdict.passed else "FAIL"
-        print(f"{label}: {status} ({verdict.checked} checks)")
-        if verdict.passed != expect_pass:
-            failures += 1
-            if verdict.counterexample is not None:
-                print(f"  counterexample: {verdict.counterexample}")
-
-    if name == "conj":
-        report("conj LD", ldops.verify_ld(ldops.conj_op(args.platform), args.samples, rng))
-    elif name == "sym_conj":
-        report("sym_conj LD", ldops.verify_ld(ldops.sym_conj_op(args.platform), args.samples, rng))
-    elif name == "f_conj":
-        f = InnerEndo(args.platform, args.platform.random_element(rng))
-        report("f_conj(inner) LD", ldops.verify_ld(ldops.f_conj_op(f), args.samples, rng))
-    elif name == "f_sym_conj":
-        f = IdentityEndo(args.platform)
-        report("f_sym_conj(id) LD", ldops.verify_ld(ldops.f_sym_conj_op(f), args.samples, rng))
-    elif name == "twisted":
-        f = InnerEndo(args.platform, args.platform.random_element(rng))
-        op = ldops.twisted_conj_op(f)
-        report("twisted near-LD", ldops.verify_near_ld(op, f, args.samples, rng))
-    elif name == "shifted":
-        op = ldops.shifted_op(args.p, args.a)
-        report(f"shifted(p={args.p}) LD", ldops.verify_ld(op, args.samples, rng, braid_len=4))
-    elif name == "shifted_rev":
-        op = ldops.shifted_rev_op(args.p, args.a)
-        report(f"shifted_rev(p={args.p}) LD", ldops.verify_ld(op, args.samples, rng, braid_len=4))
-    elif name == "bi_ld":
-        star = ldops.shifted_op(args.p, args.a)
-        bar = ldops.shifted_bar_op(args.p, None if args.a is None else braid.invert(args.a))
-        report(
-            f"bi-LD {{*, bar*}} (p={args.p})",
-            ldops.verify_multi_ld([star, bar], args.samples, rng, braid_len=4),
-        )
-    elif name == "laver":
-        report(f"laver A_{args.level} LD", ldops.verify_ld_exhaustive(ldops.laver_op(args.level)))
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(name)
-    return 1 if failures else 0
+    label, verdict_of = _LAWS[args.op]
+    try:
+        verdict = verdict_of(args, random.Random(args.seed))
+    except ValueError as exc:
+        return _usage_error(f"invalid parameters for --op {args.op}", exc)
+    status = "pass" if verdict.passed else "FAIL"
+    print(f"{label.format_map(vars(args))}: {status} ({verdict.checked} checks)")
+    if verdict.passed:
+        return 0
+    if verdict.counterexample is not None:
+        print(f"  counterexample: {verdict.counterexample}")
+    return 1
 
 
 # -- attack -------------------------------------------------------------------
 
 
-def centralizer_of_closure(platform, gens):
-    """Centralizer of the subgroup generated by gens (finite platforms)."""
-    from .platforms import centralizer
-
-    return centralizer(platform, attacks.subgroup_closure(platform, gens))
-
-
 def _cmd_attack(args) -> int:
-    with open(args.instance) as handle:
-        config = json.load(handle)
-    experiment = config["experiment"]
-    seed = config.get("seed", 0)
-    trials = config.get("trials", 10)
-    rng = random.Random(seed)
-    records: list[attacks.ExperimentRecord] = []
-
-    if experiment == "cdp_to_klp":
-        from .platforms import g_conj
-
-        platform = SymmetricPlatform(config.get("degree", 4))
-        a_gens = (platform.random_element(rng),)
-        b_gens = tuple(
-            c for c in centralizer_of_closure(platform, a_gens)
-            if not platform.eq(c, platform.identity())
-        ) or (platform.identity(),)
-        for t in range(trials):
-            x = rng.choice(attacks.subgroup_closure(platform, a_gens))
-            y = rng.choice(attacks.subgroup_closure(platform, b_gens))
-            s = platform.random_element(rng)
-            inst = attacks.KLPInstance(s, g_conj(platform, x, s), g_conj(platform, y, s), a_gens, b_gens)
-            truth = g_conj(platform, y, g_conj(platform, x, s))
-
-            def solve():
-                key = attacks.reduce_cdp_to_klp(
-                    lambda i: attacks.bf_solve(i, platform), inst, platform
-                )
-                return key, platform.eq(key, truth)
-
-            _, record = attacks.run_recorded("klp", f"S{platform.degree}", f"trial={t}", solve)
-            records.append(record)
-
-    elif experiment == "sscsp_to_aagp":
-        from .platforms import g_commutator, g_conj
-
-        platform = SymmetricPlatform(config.get("degree", 4))
-        a_gens = (platform.random_element(rng),)
-        b_gens = tuple(
-            c for c in centralizer_of_closure(platform, a_gens)
-            if not platform.eq(c, platform.identity())
-        ) or (platform.identity(),)
-        a_closure = attacks.subgroup_closure(platform, a_gens)
-        b_closure = attacks.subgroup_closure(platform, b_gens)
-        for t in range(trials):
-            x, y = rng.choice(a_closure), rng.choice(b_closure)
-            inst = attacks.AAGPInstance(
-                a_gens, tuple(g_conj(platform, y, g) for g in a_gens),
-                b_gens, tuple(g_conj(platform, x, g) for g in b_gens),
-                planted=(x, y),
-            )
-            truth = g_commutator(platform, x, y)
-
-            def solve():
-                result = attacks.reduce_sscsp_to_aagp(
-                    lambda i: attacks.bf_solve(i, platform), inst, platform
-                )
-                return result.key, platform.eq(result.key, truth)
-
-            _, record = attacks.run_recorded("aagp", f"S{platform.degree}", f"trial={t}", solve)
-            records.append(record)
-
-    elif experiment == "inn_centralizer":
-        from .platforms import centralizer
-
-        platform = SymmetricPlatform(config.get("degree", 4))
-        for t in range(trials):
-            p = platform.random_element(rng)
-            s_gens = [platform.random_element(rng) for _ in range(2)]
-            t_gens = [platform.random_element(rng) for _ in range(2)]
-            a, b = platform.random_element(rng), platform.random_element(rng)
-            c1 = rng.choice(centralizer(platform, [platform.mul(s, p) for s in s_gens]))
-            c2 = rng.choice(centralizer(platform, [platform.mul(u, p) for u in t_gens]))
-
-            def solve():
-                report = attacks.inn_centralizer_experiment(
-                    platform, s_gens, t_gens, a, b, p, c1, c2
-                )
-                conditions = report.cond_c1_c2 and report.cond_c1_ap and report.cond_c2_bp
-                # the sufficiency claim: conditions holding forces K' = K
-                return report, (not conditions) or report.equal
-
-            _, record = attacks.run_recorded(
-                "inn_centralizer", f"S{platform.degree}", f"trial={t}", solve
-            )
-            records.append(record)
-
-    elif experiment == "bf_csp":
-        platform = SymmetricPlatform(config.get("degree", 4))
-        for t in range(trials):
-            from .platforms import g_conj
-
-            s = platform.random_element(rng)
-            x = platform.random_element(rng)
-            inst = attacks.CSPInstance(s, g_conj(platform, x, s))
-
-            def solve():
-                w = attacks.bf_solve(inst, platform, budget=config.get("budget"))
-                return w, w is not None and attacks.verify_witness(platform, inst, w)
-
-            _, record = attacks.run_recorded("csp", f"S{platform.degree}", f"trial={t}", solve)
-            records.append(record)
-
-    elif experiment == "length_attack":
-        p = config.get("p", 1)
-        strands = config.get("strands", 5)
-        op = ldops.shifted_op(p)
-        for t in range(trials):
-            b = braid.random_braid(strands, config.get("secret_length", 1), rng)
-            ss = [braid.random_braid(strands, 5, rng) for _ in range(config.get("m", 2))]
-            inst = attacks.ShCSPInstance(
-                p, op.a, tuple((s, ldops.apply_op(op, b, s)) for s in ss)
-            )
-
-            def solve():
-                # best-effort search: not finding a witness is a legitimate
-                # outcome, an unverified claim is not
-                w = attacks.length_attack_skeleton(inst, budget=config.get("budget", 8))
-                platform = BraidPlatform(strands)
-                return w, w is None or attacks.verify_witness(platform, inst, w)
-
-            _, record = attacks.run_recorded(
-                "sh_csp", f"B{strands}", f"trial={t},p={p}", solve
-            )
-            records.append(record)
-
-    elif experiment == "laver_membership":
-        level = config.get("level", 3)
-        op = ldops.laver_op(level)
-        table = ldops.laver_table(level)
-        for g in range(1, table.size + 1):
-            closure = attacks.submagma_closure(op, [g])
-            for target in range(1, table.size + 1):
-                def solve(_g=g, _t=target):
-                    tree = attacks.bf_membership_magma(_t, [_g], [op], config.get("max_leaves", 6))
-                    expected = _t in closure
-                    return tree, (tree is not None) == expected
-
-                _, record = attacks.run_recorded(
-                    "ld_msp", f"A_{level}", f"gen={g},target={target}", solve
-                )
-                records.append(record)
-
-    else:
-        print(f"unknown experiment {experiment!r}", file=sys.stderr)
-        return 2
-
-    attacks.write_report(records, args.out)
+    try:
+        with open(args.instance) as handle:
+            trials = attacks.build_experiment(json.load(handle))
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        return _usage_error(f"cannot load experiment {args.instance}", exc)
+    records = attacks.run_experiment(trials)
+    try:
+        attacks.write_report(records, args.out)
+    except OSError as exc:
+        return _usage_error(f"cannot write report {args.out}", exc)
     bad = [
         r for r in records
         if not r.witness_verified and r.outcome != "budget_exceeded"
@@ -408,9 +290,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--spec", required=True)
     p_run.add_argument("--out", help="write the transcript JSON here")
     p_run.add_argument("--seed", type=int, help="override the spec seed")
+    p_run.set_defaults(func=_cmd_run)
 
-    for name in ("serve", "connect"):
+    for name, role in (("serve", "responder"), ("connect", "initiator")):
         p = sub.add_parser(name, help=f"{name} a two-party session")
+        p.set_defaults(func=functools.partial(_cmd_session, role=role))
         p.add_argument("--spec", required=True)
         p.add_argument("--address", help="host:port (default from NAKEX_LISTEN)")
         p.add_argument("--timeout", type=float, default=30.0)
@@ -422,30 +306,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_keygen.add_argument("--seed", type=int, default=0)
     p_keygen.add_argument("--out", required=True)
     p_keygen.add_argument("--secrets-out")
+    p_keygen.set_defaults(func=_cmd_keygen)
 
     p_laws = sub.add_parser("verify-laws", help="run law verifiers for an operation")
-    p_laws.add_argument(
-        "--op",
-        required=True,
-        choices=[
-            "conj", "sym_conj", "f_conj", "f_sym_conj", "twisted",
-            "shifted", "shifted_rev", "bi_ld", "laver",
-        ],
-    )
+    p_laws.add_argument("--op", required=True, choices=list(_LAWS))
     p_laws.add_argument("--p", type=int, default=1)
     p_laws.add_argument("--a", type=_parse_braid, default=None, help="braid letters, e.g. '1,2,-1'")
     p_laws.add_argument("--samples", type=int, default=200)
     p_laws.add_argument("--seed", type=int, default=0)
     p_laws.add_argument("--platform", type=_law_platform, default=SymmetricPlatform(4))
     p_laws.add_argument("--level", type=int, default=2, help="Laver table level")
+    p_laws.set_defaults(func=_cmd_verify_laws)
 
     p_attack = sub.add_parser("attack", help="run an attack experiment, write CSV")
     p_attack.add_argument("--instance", required=True, help="experiment JSON file")
     p_attack.add_argument("--out", required=True, help="CSV report path")
+    p_attack.set_defaults(func=_cmd_attack)
 
     p_bench = sub.add_parser("bench", help="time kernels and protocol runs")
     p_bench.add_argument("--repeat", type=int, default=4)
     p_bench.add_argument("--json", action="store_true")
+    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 
@@ -457,23 +338,8 @@ def _parse_braid(text: str) -> BraidWord:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "serve":
-        return _cmd_session(args, "responder")
-    if args.command == "connect":
-        return _cmd_session(args, "initiator")
-    if args.command == "keygen":
-        return _cmd_keygen(args)
-    if args.command == "verify-laws":
-        return _cmd_verify_laws(args)
-    if args.command == "attack":
-        return _cmd_attack(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    raise AssertionError(args.command)
+    args = _build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

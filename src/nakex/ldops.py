@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import random
-import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,7 +28,6 @@ from .platforms import (
     Element,
     Endomorphism,
     Platform,
-    endo_apply,
     endo_is_idempotent,
     g_pow,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "make_generalized_shifted_family",
     "make_generalized_shifted_bi",
     "make_split_shifted",
-    "encode_op",
 ]
 
 _GROUP_KINDS = {
@@ -188,27 +185,23 @@ def apply_op(op: OpDescriptor, x: Element, y: Element) -> Element:
     if kind == "conj":
         return mul(mul(inv(x), y), x)
     if kind == "f_conj":
-        return mul(endo_apply(op.f, mul(inv(x), y)), x)
+        return mul(op.f.apply(mul(inv(x), y)), x)
     if kind == "f_conj_rev":
-        return mul(x, endo_apply(op.f, mul(y, inv(x))))
+        return mul(x, op.f.apply(mul(y, inv(x))))
     if kind == "twisted_conj":
-        return mul(mul(endo_apply(op.f, inv(x)), y), x)
+        return mul(mul(op.f.apply(inv(x)), y), x)
     if kind in ("sym_conj", "bullet"):
         return mul(mul(x, inv(y)), x)
     if kind == "f_sym_conj":
-        return mul(endo_apply(op.f, mul(x, inv(y))), x)
+        return mul(op.f.apply(mul(x, inv(y))), x)
     if kind == "f_sym_conj_rev":
-        return mul(x, endo_apply(op.f, mul(inv(y), x)))
+        return mul(x, op.f.apply(mul(inv(y), x)))
     if kind == "beta_kl":
         return mul(mul(g_pow(g, x, op.k), y), g_pow(g, x, op.l))
     if kind == "fgh_conj":
-        return mul(
-            mul(endo_apply(op.f, inv(x)), endo_apply(op.g, y)), endo_apply(op.h, x)
-        )
+        return mul(mul(op.f.apply(inv(x)), op.g.apply(y)), op.h.apply(x))
     if kind == "fgh_sym":
-        return mul(
-            mul(endo_apply(op.f, x), endo_apply(op.g, inv(y))), endo_apply(op.h, x)
-        )
+        return mul(mul(op.f.apply(x), op.g.apply(inv(y))), op.h.apply(x))
     raise AssertionError(kind)
 
 
@@ -341,6 +334,31 @@ class LawVerdict:
         return self.passed
 
 
+def _sampled_law(
+    op1: OpDescriptor,
+    op2: OpDescriptor,
+    samples: int,
+    rng: random.Random,
+    braid_len: int,
+    law: str,
+    f: Optional[Endomorphism] = None,
+) -> LawVerdict:
+    """Check x *1 (y *2 z) = (x *1 y) *2 (f(x) *1 z) on random triples from op1.
+
+    ``f`` defaults to the identity; the first violating triple is returned.
+    """
+    for i in range(samples):
+        x = op_sample(op1, rng, braid_len)
+        y = op_sample(op1, rng, braid_len)
+        z = op_sample(op1, rng, braid_len)
+        fx = x if f is None else f.apply(x)
+        lhs = apply_op(op1, x, apply_op(op2, y, z))
+        rhs = apply_op(op2, apply_op(op1, x, y), apply_op(op1, fx, z))
+        if not op_eq(op1, lhs, rhs):
+            return LawVerdict(False, i + 1, (x, y, z), law)
+    return LawVerdict(True, samples, law=law)
+
+
 def verify_ld(
     op: OpDescriptor,
     samples: int,
@@ -351,15 +369,7 @@ def verify_ld(
 
     Returns the first violating triple if one is found.
     """
-    for i in range(samples):
-        x = op_sample(op, rng, braid_len)
-        y = op_sample(op, rng, braid_len)
-        z = op_sample(op, rng, braid_len)
-        lhs = apply_op(op, x, apply_op(op, y, z))
-        rhs = apply_op(op, apply_op(op, x, y), apply_op(op, x, z))
-        if not op_eq(op, lhs, rhs):
-            return LawVerdict(False, i + 1, (x, y, z))
-    return LawVerdict(True, samples)
+    return _sampled_law(op, op, samples, rng, braid_len, "ld")
 
 
 def verify_ld_exhaustive(op: OpDescriptor) -> LawVerdict:
@@ -387,15 +397,10 @@ def verify_multi_ld(
     checked = 0
     for i, opi in enumerate(family):
         for j, opj in enumerate(family):
-            for _ in range(samples):
-                checked += 1
-                x = op_sample(opi, rng, braid_len)
-                y = op_sample(opi, rng, braid_len)
-                z = op_sample(opi, rng, braid_len)
-                lhs = apply_op(opi, x, apply_op(opj, y, z))
-                rhs = apply_op(opj, apply_op(opi, x, y), apply_op(opi, x, z))
-                if not op_eq(opi, lhs, rhs):
-                    return LawVerdict(False, checked, (i, j, x, y, z), law="multi_ld")
+            verdict = _sampled_law(opi, opj, samples, rng, braid_len, "multi_ld")
+            checked += verdict.checked
+            if not verdict.passed:
+                return LawVerdict(False, checked, (i, j, *verdict.counterexample), "multi_ld")
     return LawVerdict(True, checked, law="multi_ld")
 
 
@@ -407,15 +412,7 @@ def verify_near_ld(
     braid_len: int = 5,
 ) -> LawVerdict:
     """The near-LD law of twisted conjugacy: x*(y*z) = (x*y)*(f(x)*z)."""
-    for i in range(samples):
-        x = op_sample(op, rng, braid_len)
-        y = op_sample(op, rng, braid_len)
-        z = op_sample(op, rng, braid_len)
-        lhs = apply_op(op, x, apply_op(op, y, z))
-        rhs = apply_op(op, apply_op(op, x, y), apply_op(op, endo_apply(f, x), z))
-        if not op_eq(op, lhs, rhs):
-            return LawVerdict(False, i + 1, (x, y, z), law="near_ld")
-    return LawVerdict(True, samples, law="near_ld")
+    return _sampled_law(op, op, samples, rng, braid_len, "near_ld", f)
 
 
 def check_distributivity(
@@ -426,15 +423,7 @@ def check_distributivity(
     braid_len: int = 5,
 ) -> LawVerdict:
     """Check op1 distributes over op2: x *1 (y *2 z) = (x *1 y) *2 (x *1 z)."""
-    for i in range(samples):
-        x = op_sample(op1, rng, braid_len)
-        y = op_sample(op1, rng, braid_len)
-        z = op_sample(op1, rng, braid_len)
-        lhs = apply_op(op1, x, apply_op(op2, y, z))
-        rhs = apply_op(op2, apply_op(op1, x, y), apply_op(op1, x, z))
-        if not op_eq(op1, lhs, rhs):
-            return LawVerdict(False, i + 1, (x, y, z), law="distributivity")
-    return LawVerdict(True, samples, law="distributivity")
+    return _sampled_law(op1, op2, samples, rng, braid_len, "distributivity")
 
 
 # -- parameter condition checkers -------------------------------------------
@@ -611,56 +600,3 @@ def make_split_shifted(
         braid.shift(a2pp, p1),
     )
     return shifted_op(p, a)
-
-
-# -- serialization -----------------------------------------------------------
-
-_KIND_TAGS = {
-    "conj": 0x01,
-    "f_conj": 0x02,
-    "f_conj_rev": 0x03,
-    "twisted_conj": 0x04,
-    "sym_conj": 0x05,
-    "f_sym_conj": 0x06,
-    "f_sym_conj_rev": 0x07,
-    "bullet": 0x08,
-    "beta_kl": 0x09,
-    "shifted": 0x0A,
-    "shifted_bar": 0x0B,
-    "shifted_rev": 0x0C,
-    "laver": 0x0D,
-    "fgh_conj": 0x0E,
-    "fgh_sym": 0x0F,
-}
-
-_ENDO_TAGS = {"identity": 0x00, "inner": 0x01, "power_shift": 0x02, "point_map": 0x03}
-
-
-def _encode_endo(e: Optional[Endomorphism]) -> bytes:
-    from .platforms import encode_element
-
-    if e is None:
-        return b"\xff"
-    out = bytearray([_ENDO_TAGS[e.kind]])
-    if e.kind == "inner":
-        out += encode_element(e.platform, e.conjugator)
-    elif e.kind == "power_shift":
-        out += struct.pack(">H", e.d)
-    elif e.kind == "point_map":
-        out += struct.pack(">I", len(e.pairs))
-        for key, value in sorted(e.pairs, key=lambda kv: str(kv[0])):
-            out += encode_element(e.platform, key)
-            out += encode_element(e.platform, value)
-    return bytes(out)
-
-
-def encode_op(op: OpDescriptor) -> bytes:
-    """1-byte kind tag + parameter payload; feeds spec digests."""
-    out = bytearray([_KIND_TAGS[op.kind]])
-    out += struct.pack(">HhhB", op.p, op.k, op.l, op.level)
-    out += _encode_endo(op.f)
-    out += _encode_endo(op.g)
-    out += _encode_endo(op.h)
-    if op.a is not None:
-        out += braid.encode_braid(op.a)
-    return bytes(out)

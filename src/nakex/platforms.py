@@ -33,11 +33,6 @@ __all__ = [
     "PowerShiftEndo",
     "PointMapEndo",
     "PlatformMismatch",
-    "g_mul",
-    "g_inv",
-    "g_id",
-    "g_eq",
-    "endo_apply",
     "centralizer",
     "encode_element",
     "decode_element",
@@ -237,22 +232,6 @@ class MultModPlatform:
 Platform = Union[BraidPlatform, SymmetricPlatform, MultModPlatform]
 
 
-def g_mul(p: Platform, x: Element, y: Element) -> Element:
-    return p.mul(x, y)
-
-
-def g_inv(p: Platform, x: Element) -> Element:
-    return p.inv(x)
-
-
-def g_id(p: Platform) -> Element:
-    return p.identity()
-
-
-def g_eq(p: Platform, x: Element, y: Element) -> bool:
-    return p.eq(x, y)
-
-
 def g_pow(p: Platform, x: Element, k: int) -> Element:
     """Square-and-multiply power; negative exponents via inversion."""
     if k < 0:
@@ -370,10 +349,6 @@ class PointMapEndo:
 
 
 Endomorphism = Union[IdentityEndo, InnerEndo, PowerShiftEndo, PointMapEndo]
-
-
-def endo_apply(f: Endomorphism, x: Element) -> Element:
-    return f.apply(x)
 
 
 def endo_is_idempotent(f: Endomorphism) -> bool:

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import threading
 from dataclasses import replace
@@ -141,6 +143,64 @@ def test_run_invalid_spec_exits_2(tmp_path, capsys):
     assert main(["run", "--spec", str(spec_path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "CommutationViolation" in err
+
+
+# Small configs of all six experiments; the low bf_csp budget and the short
+# length-attack search also give budget_exceeded and not_found rows.
+GOLDEN_EXPERIMENTS = [
+    {"experiment": "bf_csp", "degree": 4, "trials": 8, "budget": 6},
+    {"experiment": "cdp_to_klp", "degree": 4, "trials": 4},
+    {"experiment": "sscsp_to_aagp", "degree": 4, "trials": 4},
+    {"experiment": "inn_centralizer", "degree": 4, "trials": 4},
+    {"experiment": "length_attack", "strands": 4, "secret_length": 3, "budget": 2, "trials": 6},
+    {"experiment": "laver_membership", "level": 2, "max_leaves": 4},
+]
+GOLDEN_REPORT_DIGEST = "c2b1c7bfc37b0c173b2eaf870936206eff3bcf9d36bcc9c0e4a9bb094e3e4f3a"
+
+
+def test_attack_reports_golden_digest(tmp_path):
+    # sha256 over the CSV rows without wall_time; recorded when the
+    # experiments were written out in the CLI, so it pins their draw order.
+    digest = hashlib.sha256()
+    instance, out = tmp_path / "instance.json", tmp_path / "report.csv"
+    for seed in (3, 11):
+        for config in GOLDEN_EXPERIMENTS:
+            instance.write_text(json.dumps({**config, "seed": seed}))
+            assert main(["attack", "--instance", str(instance), "--out", str(out)]) == 0
+            with open(out, newline="") as handle:
+                for row in csv.reader(handle):
+                    digest.update(",".join(row[:-1]).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_REPORT_DIGEST
+
+
+ATTACK_ARGV = ["attack", "--instance", "{tmp}/instance.json", "--out", "{tmp}/report.csv"]
+
+
+@pytest.mark.parametrize(
+    "instance, argv",
+    [
+        (None, ATTACK_ARGV),
+        ("{nope", ATTACK_ARGV),
+        ("[1, 2]", ATTACK_ARGV),
+        ("{}", ATTACK_ARGV),
+        ('{"experiment": "bf_csp", "trials": "x"}', ATTACK_ARGV),
+        ('{"experiment": "bf_csp", "degree": 0}', ATTACK_ARGV),
+        ('{"experiment": "laver_membership", "level": 9}', ATTACK_ARGV),
+        ('{"experiment": "bf_csp", "trials": 2}', [*ATTACK_ARGV[:4], "{tmp}/none/report.csv"]),
+        (None, ["verify-laws", "--op", "laver", "--level", "9"]),
+        (None, ["verify-laws", "--op", "shifted", "--p", "0"]),
+    ],
+    ids=[
+        "missing_instance", "invalid_json", "json_list", "no_experiment", "trials_str",
+        "degree_0", "level_9", "out_dir_missing", "laws_level_9", "laws_p_0",
+    ],
+)
+def test_bad_input_exits_2(tmp_path, capsys, instance, argv):
+    if instance is not None:
+        (tmp_path / "instance.json").write_text(instance)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_attack_unknown_experiment(tmp_path):

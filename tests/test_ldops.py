@@ -13,7 +13,6 @@ from nakex.platforms import (
     InnerEndo,
     PowerShiftEndo,
     SymmetricPlatform,
-    endo_apply,
 )
 
 S3 = SymmetricPlatform(3)
@@ -154,9 +153,9 @@ def test_fld_reduces_to_twisted_conjugacy():
     for _ in range(150):
         u, v = rng.choice(elements), rng.choice(elements)
         ld_reachable = any(S4.eq(L.apply_op(op, c, u), v) for c in elements)
-        fu = endo_apply(f, u)
+        fu = f.apply(u)
         tw_reachable = any(
-            S4.eq(S4.mul(S4.mul(endo_apply(f, S4.inv(c)), fu), c), v)
+            S4.eq(S4.mul(S4.mul(f.apply(S4.inv(c)), fu), c), v)
             for c in elements
         )
         assert ld_reachable == tw_reachable
@@ -295,20 +294,3 @@ def test_distributivity_counterexample():
     assert not gf_eq_f
     verdict = L.check_distributivity(L.f_sym_conj_op(f), L.f_sym_conj_op(g), 2000, rng)
     assert not verdict.passed
-
-
-# -- serialization ---------------------------------------------------------------------
-
-
-def test_encode_op_distinguishes_descriptors():
-    ops = [
-        L.conj_op(S4),
-        L.sym_conj_op(S4),
-        L.shifted_op(1, SIGMA1),
-        L.shifted_bar_op(1, BraidWord(2, (-1,))),
-        L.shifted_op(2, B.tau(2, 2)),
-        L.laver_op(3),
-        L.beta_kl_op(S4, 3, 1),
-    ]
-    encodings = [L.encode_op(op) for op in ops]
-    assert len(set(encodings)) == len(encodings)

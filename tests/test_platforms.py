@@ -17,12 +17,7 @@ from nakex.platforms import (
     centralizer,
     decode_element,
     encode_element,
-    endo_apply,
     endo_is_idempotent,
-    g_eq,
-    g_id,
-    g_inv,
-    g_mul,
     g_pow,
 )
 
@@ -38,31 +33,31 @@ def _sample(platform, rng):
 @pytest.mark.parametrize("platform", PLATFORMS, ids=["braid", "sym", "modp"])
 def test_group_axioms(platform):
     rng = random.Random(11)
-    e = g_id(platform)
+    e = platform.identity()
     for _ in range(40):
         x, y, z = (_sample(platform, rng) for _ in range(3))
-        assert g_eq(platform, g_mul(platform, g_mul(platform, x, y), z),
-                    g_mul(platform, x, g_mul(platform, y, z)))
-        assert g_eq(platform, g_mul(platform, x, e), x)
-        assert g_eq(platform, g_mul(platform, e, x), x)
-        assert g_eq(platform, g_mul(platform, x, g_inv(platform, x)), e)
+        assert platform.eq(platform.mul(platform.mul(x, y), z),
+                           platform.mul(x, platform.mul(y, z)))
+        assert platform.eq(platform.mul(x, e), x)
+        assert platform.eq(platform.mul(e, x), x)
+        assert platform.eq(platform.mul(x, platform.inv(x)), e)
 
 
 def test_platform_examples():
     modp = MultModPlatform(23)
-    assert g_mul(modp, 5, 5) == 2
+    assert modp.mul(5, 5) == 2
     sym = SymmetricPlatform(3)
     swap = Permutation((2, 1, 3))
-    assert g_mul(sym, swap, swap).is_identity()
+    assert sym.mul(swap, swap).is_identity()
     braid_platform = BraidPlatform(3)
-    assert g_eq(braid_platform, BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2)))
+    assert braid_platform.eq(BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2)))
 
 
 def test_platform_validation():
     with pytest.raises(ValueError):
         MultModPlatform(24)
     with pytest.raises(PlatformMismatch):
-        g_mul(SymmetricPlatform(3), Permutation((2, 1, 3, 4)), Permutation((2, 1, 3, 4)))
+        SymmetricPlatform(3).mul(Permutation((2, 1, 3, 4)), Permutation((2, 1, 3, 4)))
     with pytest.raises(PlatformMismatch):
         MultModPlatform(23).check(0)
     with pytest.raises(PlatformMismatch):
@@ -85,10 +80,10 @@ def test_identity_and_inner_endo():
     sym = SymmetricPlatform(4)
     rng = random.Random(12)
     x = sym.random_element(rng)
-    assert endo_apply(IdentityEndo(sym), x) == x
+    assert IdentityEndo(sym).apply(x) == x
     p = sym.random_element(rng)
     inner = InnerEndo(sym, p)
-    assert g_eq(sym, endo_apply(inner, p), p)  # p commutes with itself
+    assert sym.eq(inner.apply(p), p)  # p commutes with itself
 
 
 @pytest.mark.parametrize("platform", PLATFORMS, ids=["braid", "sym", "modp"])
@@ -97,17 +92,17 @@ def test_endo_homomorphic(platform):
     f = InnerEndo(platform, _sample(platform, rng))
     for _ in range(25):
         x, y = _sample(platform, rng), _sample(platform, rng)
-        lhs = endo_apply(f, g_mul(platform, x, y))
-        rhs = g_mul(platform, endo_apply(f, x), endo_apply(f, y))
-        assert g_eq(platform, lhs, rhs)
+        lhs = f.apply(platform.mul(x, y))
+        rhs = platform.mul(f.apply(x), f.apply(y))
+        assert platform.eq(lhs, rhs)
 
 
 def test_power_shift_endo():
     platform = BraidPlatform(3)
     f = PowerShiftEndo(platform, 1)
-    assert endo_apply(f, BraidWord(3, (1, 1))) == BraidWord(3, (2, 2))
+    assert f.apply(BraidWord(3, (1, 1))) == BraidWord(3, (2, 2))
     with pytest.raises(ValueError):
-        endo_apply(f, BraidWord(3, (1,)))  # non-pure input
+        f.apply(BraidWord(3, (1,)))  # non-pure input
     with pytest.raises(PlatformMismatch):
         PowerShiftEndo(SymmetricPlatform(3), 1)
 
@@ -119,9 +114,9 @@ def test_power_shift_homomorphic_on_pure_braids():
     for _ in range(50):
         x = B.random_pure_braid(5, rng, conj_len=4)
         y = B.random_pure_braid(5, rng, conj_len=4)
-        lhs = endo_apply(f, g_mul(platform, x, y))
-        rhs = g_mul(platform, endo_apply(f, x), endo_apply(f, y))
-        assert g_eq(platform, lhs, rhs)
+        lhs = f.apply(platform.mul(x, y))
+        rhs = platform.mul(f.apply(x), f.apply(y))
+        assert platform.eq(lhs, rhs)
 
 
 def test_point_map_rejects_non_homomorphism():
@@ -144,7 +139,7 @@ def test_point_map_accepts_inner_table():
     f = inner_point_map(sym, p)
     inner = InnerEndo(sym, p)
     for x in sym.elements():
-        assert endo_apply(f, x) == endo_apply(inner, x)
+        assert f.apply(x) == inner.apply(x)
 
 
 def test_endo_idempotence_detection():
@@ -197,7 +192,7 @@ def test_element_codec_roundtrip(platform):
         assert data[0] == platform.tag
         decoded, offset = decode_element(platform, data)
         assert offset == len(data)
-        assert g_eq(platform, decoded, x)
+        assert platform.eq(decoded, x)
 
 
 def test_decode_rejects_invalid_payload():
