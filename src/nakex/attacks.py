@@ -14,6 +14,17 @@ simultaneous decomposition for the a_l y a_r scheme, the symmetric (k,l)
 version, and the f-/shifted-conjugacy search problems of the commutator
 schemes.
 
+An instance states its defining equation as ``holds(platform, witness)``,
+which ``verify_witness`` calls, and its search space in traversal order as
+``candidates(platform)``, which ``bf_solve`` walks under one budget.  Special
+cases reuse the general equation and search through views: CSP and SubCSP
+are SimCSP and SSCSP with one pair, CDP is DCP with H1 = H2, SymSDP is NSimDP
+with (a_l, a_r) = (a^k, a^l), and FCSP and ShCSP share b * s_i = s'_i under
+the LD operation ``op`` they expose with their length-attack ``steps``.  Four
+are not plain searches and bring a ``solve(platform, budget)`` of their own:
+Ko-Lee (two subgroup CSPs), DH-DCP (one DCP), AAG (two ssCSPs) and subgroup
+membership (a BFS remembering a shortest generator word per element).
+
 The ``nakex attack`` experiments live here too, as the table ``EXPERIMENTS``:
 ``build_experiment(config)`` draws every trial's instance from the config's
 seed before any solver runs, and ``run_experiment(trials)`` runs the solvers
@@ -27,6 +38,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from . import braid, ldops, magma
@@ -88,26 +100,90 @@ __all__ = [
 ]
 
 
+# -- equations and search spaces ---------------------------------------------
+
+
+def _space(platform: Platform, gens: Optional[Sequence[Element]]):
+    """G in enumeration order when ``gens`` is None, else the closure of <gens>."""
+    return platform.elements() if gens is None else subgroup_closure(platform, gens)
+
+
+class _Conjugacy:
+    """One x with s^x = s' for every pair (s, s'), x in G or in <subgroup_gens>."""
+
+    def holds(self, platform: Platform, x: Element) -> bool:
+        return all(platform.eq(g_conj(platform, x, s), sx) for s, sx in self.pairs)
+
+    def candidates(self, platform: Platform):
+        return _space(platform, self.subgroup_gens)
+
+
+class _Decomposition:
+    """One (x1, x2) in H1 x H2 with x1 s x2 = s' for every pair (s, s')."""
+
+    def holds(self, platform: Platform, witness) -> bool:
+        x1, x2 = witness
+        return all(
+            platform.eq(platform.mul(platform.mul(x1, s), x2), t) for s, t in self.pairs
+        )
+
+    def candidates(self, platform: Platform):
+        h1 = list(_space(platform, self.h1_gens))
+        h2 = h1 if self.h2_gens == self.h1_gens else _space(platform, self.h2_gens)
+        return itertools.product(h1, h2)
+
+
+class _LDConjugacy:
+    """One b with b * s = s' for every pair (s, s') under the LD operation ``op``.
+
+    ``steps`` are the length attack's moves on ``strands`` strands: each
+    sigma_i^{+-1}, repeated ``step_width`` times.
+    """
+
+    step_width = 1
+
+    def holds(self, platform: Optional[Platform], b: Element) -> bool:
+        op = self.op
+        return all(ldops.op_eq(op, apply_op(op, b, s), s2) for s, s2 in self.pairs)
+
+    def candidates(self, platform: Platform):
+        return platform.elements()
+
+    @property
+    def steps(self) -> list[tuple[int, ...]]:
+        return [(e,) * self.step_width for i in range(1, self.strands) for e in (i, -i)]
+
+
+class _OnePair:
+    """The instance's (s, sx) as the one entry of its simultaneous case's ``pairs``."""
+
+    @property
+    def pairs(self) -> tuple[tuple[Element, Element], ...]:
+        return ((self.s, self.sx),)
+
+
 # -- problem instances -------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class CSPInstance:
+class CSPInstance(_OnePair, _Conjugacy):
     """Given (s, s^x), find x' with s^{x'} = s^x."""
 
     s: Element
     sx: Element
+    subgroup_gens = None
 
 
 @dataclass(frozen=True)
-class SimCSPInstance:
+class SimCSPInstance(_Conjugacy):
     """Simultaneous conjugacy: one x' for all pairs (s_i, s_i^x)."""
 
     pairs: tuple[tuple[Element, Element], ...]
+    subgroup_gens = None
 
 
 @dataclass(frozen=True)
-class SubCSPInstance:
+class SubCSPInstance(_OnePair, _Conjugacy):
     """CSP with the witness constrained to the subgroup <gens>."""
 
     s: Element
@@ -116,7 +192,7 @@ class SubCSPInstance:
 
 
 @dataclass(frozen=True)
-class SSCSPInstance:
+class SSCSPInstance(_Conjugacy):
     """Simultaneous subgroup-constrained conjugacy search."""
 
     pairs: tuple[tuple[Element, Element], ...]
@@ -124,7 +200,7 @@ class SSCSPInstance:
 
 
 @dataclass(frozen=True)
-class DCPInstance:
+class DCPInstance(_Decomposition):
     """Given (s, x1 s x2), find (x1', x2') in H1 x H2 with x1' s x2' = x1 s x2."""
 
     s: Element
@@ -132,14 +208,24 @@ class DCPInstance:
     h1_gens: tuple[Element, ...]
     h2_gens: tuple[Element, ...]
 
+    @property
+    def pairs(self) -> tuple[tuple[Element, Element], ...]:
+        return ((self.s, self.t),)
+
 
 @dataclass(frozen=True)
-class CDPInstance:
+class CDPInstance(_OnePair, _Decomposition):
     """DCP specialized to conjugation data: t = s^x with x in H, witness in H^2."""
 
     s: Element
     sx: Element
     h_gens: tuple[Element, ...]
+
+    @property
+    def h1_gens(self) -> tuple[Element, ...]:
+        return self.h_gens
+
+    h2_gens = h1_gens
 
 
 @dataclass(frozen=True)
@@ -151,6 +237,14 @@ class KLPInstance:
     sy: Element
     a_gens: tuple[Element, ...]
     b_gens: tuple[Element, ...]
+
+    def solve(self, platform: Platform, budget: int | None) -> Optional[Element]:
+        """(s^y)^x from the first x in A with s^x = sx and the first y in B with s^y = sy."""
+        x = bf_solve(SubCSPInstance(self.s, self.sx, self.a_gens), platform, budget)
+        y = bf_solve(SubCSPInstance(self.s, self.sy, self.b_gens), platform, budget)
+        if x is None or y is None:
+            return None
+        return g_conj(platform, x, g_conj(platform, y, self.s))
 
 
 @dataclass(frozen=True)
@@ -164,6 +258,16 @@ class DHDCPInstance:
     a2_gens: tuple[Element, ...]
     b1_gens: tuple[Element, ...]
     b2_gens: tuple[Element, ...]
+
+    def solve(self, platform: Platform, budget: int | None) -> Optional[Element]:
+        """x1' yb x2' from the first DCP witness (x1', x2') in A1 x A2 of ya."""
+        witness = bf_solve(
+            DCPInstance(self.s, self.ya, self.a1_gens, self.a2_gens), platform, budget
+        )
+        if witness is None:
+            return None
+        x1, x2 = witness
+        return platform.mul(platform.mul(x1, self.yb), x2)
 
 
 @dataclass(frozen=True)
@@ -180,6 +284,20 @@ class AAGPInstance:
     b_conj: tuple[Element, ...]  # b_j^x
     planted: Optional[tuple[Element, Element]] = None
 
+    def halves(self) -> tuple[SSCSPInstance, SSCSPInstance]:
+        """The ssCSP instances solved by x (in A) and by y (in B)."""
+        return (
+            SSCSPInstance(tuple(zip(self.b_gens, self.b_conj)), self.a_gens),
+            SSCSPInstance(tuple(zip(self.a_gens, self.a_conj)), self.b_gens),
+        )
+
+    def solve(self, platform: Platform, budget: int | None) -> Optional[Element]:
+        """[x', y'] from the first witness of each half."""
+        x, y = (bf_solve(half, platform, budget) for half in self.halves())
+        if x is None or y is None:
+            return None
+        return g_commutator(platform, x, y)
+
 
 @dataclass(frozen=True)
 class MSPInstance:
@@ -188,38 +306,77 @@ class MSPInstance:
     target: Element
     gens: tuple[Element, ...]
 
+    def holds(self, platform: Platform, word: tuple[int, ...]) -> bool:
+        value = platform.identity()
+        for i in word:
+            value = platform.mul(value, self.gens[i])
+        return platform.eq(value, self.target)
+
+    def solve(self, platform: Platform, budget: int | None) -> Optional[tuple[int, ...]]:
+        """A shortest generator word, from a BFS of at most ``budget`` visits."""
+        hit = _msp_words(platform, self.gens, budget).get(platform.canon(self.target))
+        return None if hit is None else hit[1]
+
 
 @dataclass(frozen=True)
-class NSimDPInstance:
+class NSimDPInstance(_Decomposition):
     """Pairs (t_j, a_l t_j a_r); find (a_l', a_r') reproducing all of them."""
 
     pairs: tuple[tuple[Element, Element], ...]
+    h1_gens = h2_gens = None
 
 
 @dataclass(frozen=True)
-class SymSDPInstance:
+class SymSDPInstance(_Decomposition):
     """Pairs (t_j, a^k t_j a^l) for known exponents; find a'."""
 
     k: int
     l: int
     pairs: tuple[tuple[Element, Element], ...]
 
+    def holds(self, platform: Platform, a: Element) -> bool:
+        return super().holds(platform, (g_pow(platform, a, self.k), g_pow(platform, a, self.l)))
+
+    def candidates(self, platform: Platform):
+        return platform.elements()
+
 
 @dataclass(frozen=True)
-class FCSPInstance:
+class FCSPInstance(_LDConjugacy):
     """Pairs (s_i, b *_f s_i) with b *_f s = f(b^-1 s) b; find b'."""
 
     f: Endomorphism
     pairs: tuple[tuple[Element, Element], ...]
 
+    @property
+    def op(self) -> OpDescriptor:
+        return ldops.f_conj_op(self.f)
+
+    @property
+    def strands(self) -> int:
+        return self.f.platform.strands
+
+    @property
+    def step_width(self) -> int:
+        # a power-shift endomorphism only accepts pure braids: walk on squares
+        return 2 if self.f.kind == "power_shift" else 1
+
 
 @dataclass(frozen=True)
-class ShCSPInstance:
+class ShCSPInstance(_LDConjugacy):
     """Pairs (s_i, b * s_i) for the shifted conjugacy with parameters (p, a)."""
 
     p: int
     a: BraidWord
     pairs: tuple[tuple[BraidWord, BraidWord], ...]
+
+    @property
+    def op(self) -> OpDescriptor:
+        return ldops.shifted_op(self.p, self.a)
+
+    @property
+    def strands(self) -> int:
+        return max(w.strands for pair in self.pairs for w in pair)
 
 
 @dataclass(frozen=True)
@@ -230,39 +387,25 @@ class LDMSPInstance:
     target: Element
     gens: tuple[Element, ...]
 
+    def holds(self, platform: Optional[Platform], tree: TreeWord) -> bool:
+        value = magma.eval_tree(tree, self.gens, [partial(apply_op, o) for o in self.ops])
+        return ldops.op_eq(self.ops[0], value, self.target)
+
 
 # -- closures and enumeration ------------------------------------------------
-
-
-def subgroup_closure(
-    platform: Platform, gens: Sequence[Element], budget: int | None = None
-) -> list[Element]:
-    """Deterministic BFS closure of <gens> in a finite group."""
-    if not platform.finite:
-        raise ValueError("subgroup closure enumeration needs a finite platform")
-    out = [platform.identity()]
-    seen = {platform.canon(out[0])}
-    queue = [out[0]]
-    visits = 0
-    while queue:
-        current = queue.pop(0)
-        for g in gens:
-            visits += 1
-            if budget is not None and visits > budget:
-                raise BudgetExceeded(f"subgroup closure exceeded {budget} visits")
-            nxt = platform.mul(current, g)
-            key = platform.canon(nxt)
-            if key not in seen:
-                seen.add(key)
-                out.append(nxt)
-                queue.append(nxt)
-    return out
 
 
 def _msp_words(
     platform: Platform, gens: Sequence[Element], budget: int | None = None
 ) -> dict:
-    """BFS closure remembering a shortest generator word for each element."""
+    """Deterministic BFS closure of <gens> in a finite group.
+
+    Maps each element's canonical key to the element and a shortest generator
+    word for it, in visit order.  Raises BudgetExceeded when more than
+    ``budget`` products would be visited.
+    """
+    if not platform.finite:
+        raise ValueError("subgroup closure enumeration needs a finite platform")
     identity = platform.identity()
     words = {platform.canon(identity): (identity, ())}
     queue = [(identity, ())]
@@ -272,7 +415,7 @@ def _msp_words(
         for i, g in enumerate(gens):
             visits += 1
             if budget is not None and visits > budget:
-                raise BudgetExceeded(f"membership search exceeded {budget} visits")
+                raise BudgetExceeded(f"subgroup closure exceeded {budget} visits")
             nxt = platform.mul(current, g)
             key = platform.canon(nxt)
             if key not in words:
@@ -280,6 +423,13 @@ def _msp_words(
                 words[key] = entry
                 queue.append(entry)
     return words
+
+
+def subgroup_closure(
+    platform: Platform, gens: Sequence[Element], budget: int | None = None
+) -> list[Element]:
+    """The elements of <gens> in the BFS order of ``_msp_words``."""
+    return [element for element, _ in _msp_words(platform, gens, budget).values()]
 
 
 def submagma_closure(op: OpDescriptor, gens: Sequence[Element]) -> list[Element]:
@@ -309,184 +459,38 @@ def submagma_closure(op: OpDescriptor, gens: Sequence[Element]) -> list[Element]
     return elements
 
 
-# -- witness verification ----------------------------------------------------
+# -- witness verification and brute force ------------------------------------
 
 
 def verify_witness(platform: Optional[Platform], inst, witness) -> bool:
     """Substitute the witness into the instance's defining equation.
 
     ``platform`` may be None for instances that carry their own operations
-    (LD-submagma membership, shifted conjugacy).
+    (LD-submagma membership, f- and shifted conjugacy).
     """
-    if isinstance(inst, LDMSPInstance):
-        value = magma.eval_tree(
-            witness,
-            inst.gens,
-            [lambda x, y, _o=o: apply_op(_o, x, y) for o in inst.ops],
-        )
-        return ldops.op_eq(inst.ops[0], value, inst.target)
-    if isinstance(inst, ShCSPInstance):
-        op = ldops.shifted_op(inst.p, inst.a)
-        return all(
-            braid.braids_equal(apply_op(op, witness, s), s2) for s, s2 in inst.pairs
-        )
-    eq = platform.eq
-    if isinstance(inst, CSPInstance):
-        return eq(g_conj(platform, witness, inst.s), inst.sx)
-    if isinstance(inst, SimCSPInstance):
-        return all(eq(g_conj(platform, witness, s), sx) for s, sx in inst.pairs)
-    if isinstance(inst, SubCSPInstance):
-        return eq(g_conj(platform, witness, inst.s), inst.sx)
-    if isinstance(inst, SSCSPInstance):
-        return all(eq(g_conj(platform, witness, s), sx) for s, sx in inst.pairs)
-    if isinstance(inst, (DCPInstance,)):
-        x1, x2 = witness
-        return eq(platform.mul(platform.mul(x1, inst.s), x2), inst.t)
-    if isinstance(inst, CDPInstance):
-        x1, x2 = witness
-        return eq(platform.mul(platform.mul(x1, inst.s), x2), inst.sx)
-    if isinstance(inst, MSPInstance):
-        value = platform.identity()
-        for i in witness:
-            value = platform.mul(value, inst.gens[i])
-        return eq(value, inst.target)
-    if isinstance(inst, NSimDPInstance):
-        al, ar = witness
-        return all(
-            eq(platform.mul(platform.mul(al, t), ar), t2) for t, t2 in inst.pairs
-        )
-    if isinstance(inst, SymSDPInstance):
-        return all(
-            eq(
-                platform.mul(
-                    platform.mul(g_pow(platform, witness, inst.k), t),
-                    g_pow(platform, witness, inst.l),
-                ),
-                t2,
-            )
-            for t, t2 in inst.pairs
-        )
-    if isinstance(inst, FCSPInstance):
-        op = ldops.f_conj_op(inst.f)
-        return all(eq(apply_op(op, witness, s), s2) for s, s2 in inst.pairs)
-    raise TypeError(f"no verifier for {type(inst).__name__}")
-
-
-# -- brute force -------------------------------------------------------------
+    return inst.holds(platform, witness)
 
 
 def bf_solve(inst, platform: Platform, budget: int | None = None):
     """Exhaustive search for a verifying witness on a finite platform.
 
-    Returns the witness, or None when the search space is exhausted.  Raises
-    BudgetExceeded when the configured budget runs out first, so NotFound is
-    always a proof of exhaustion.
+    Tries ``inst.candidates(platform)`` in order, each through
+    verify_witness; an instance with its own ``solve`` (Ko-Lee, DH-DCP, AAG,
+    membership) runs that instead and returns its key or word.  Returns the
+    witness, or None when the search space is exhausted.  Raises
+    BudgetExceeded when more than ``budget`` candidates would be tried, so
+    NotFound is always a proof of exhaustion.
     """
     if not platform.finite:
         raise ValueError("brute force needs a finite platform")
-
-    spent = itertools.count(1)
-
-    def spend():
-        if budget is not None and next(spent) > budget:
+    if hasattr(inst, "solve"):
+        return inst.solve(platform, budget)
+    for tried, candidate in enumerate(inst.candidates(platform), 1):
+        if budget is not None and tried > budget:
             raise BudgetExceeded(f"brute force exceeded {budget} candidates")
-
-    if isinstance(inst, (CSPInstance, SimCSPInstance)):
-        for x in platform.elements():
-            spend()
-            if verify_witness(platform, inst, x):
-                return x
-        return None
-
-    if isinstance(inst, (SubCSPInstance, SSCSPInstance)):
-        for x in subgroup_closure(platform, inst.subgroup_gens):
-            spend()
-            if verify_witness(platform, inst, x):
-                return x
-        return None
-
-    if isinstance(inst, CDPInstance):
-        closure = subgroup_closure(platform, inst.h_gens)
-        for x1, x2 in itertools.product(closure, closure):
-            spend()
-            if verify_witness(platform, inst, (x1, x2)):
-                return (x1, x2)
-        return None
-
-    if isinstance(inst, DCPInstance):
-        h1 = subgroup_closure(platform, inst.h1_gens)
-        h2 = subgroup_closure(platform, inst.h2_gens)
-        for x1, x2 in itertools.product(h1, h2):
-            spend()
-            if verify_witness(platform, inst, (x1, x2)):
-                return (x1, x2)
-        return None
-
-    if isinstance(inst, MSPInstance):
-        words = _msp_words(platform, inst.gens, budget)
-        hit = words.get(platform.canon(inst.target))
-        return None if hit is None else hit[1]
-
-    if isinstance(inst, KLPInstance):
-        a = subgroup_closure(platform, inst.a_gens)
-        b = subgroup_closure(platform, inst.b_gens)
-        for x in a:
-            spend()
-            if platform.eq(g_conj(platform, x, inst.s), inst.sx):
-                for y in b:
-                    spend()
-                    if platform.eq(g_conj(platform, y, inst.s), inst.sy):
-                        inner = g_conj(platform, y, inst.s)
-                        return g_conj(platform, x, inner)
-        return None
-
-    if isinstance(inst, DHDCPInstance):
-        a1 = subgroup_closure(platform, inst.a1_gens)
-        a2 = subgroup_closure(platform, inst.a2_gens)
-        for x1, x2 in itertools.product(a1, a2):
-            spend()
-            if platform.eq(platform.mul(platform.mul(x1, inst.s), x2), inst.ya):
-                return platform.mul(platform.mul(x1, inst.yb), x2)
-        return None
-
-    if isinstance(inst, AAGPInstance):
-        x = bf_solve(
-            SSCSPInstance(tuple(zip(inst.b_gens, inst.b_conj)), inst.a_gens),
-            platform,
-            budget,
-        )
-        y = bf_solve(
-            SSCSPInstance(tuple(zip(inst.a_gens, inst.a_conj)), inst.b_gens),
-            platform,
-            budget,
-        )
-        if x is None or y is None:
-            return None
-        return g_commutator(platform, x, y)
-
-    if isinstance(inst, (NSimDPInstance, SymSDPInstance)):
-        elements = list(platform.elements())
-        if isinstance(inst, SymSDPInstance):
-            for a in elements:
-                spend()
-                if verify_witness(platform, inst, a):
-                    return a
-            return None
-        for al in elements:
-            spend()
-            for ar in elements:
-                if verify_witness(platform, inst, (al, ar)):
-                    return (al, ar)
-        return None
-
-    if isinstance(inst, FCSPInstance):
-        for b in platform.elements():
-            spend()
-            if verify_witness(platform, inst, b):
-                return b
-        return None
-
-    raise TypeError(f"no brute-force solver for {type(inst).__name__}")
+        if verify_witness(platform, inst, candidate):
+            return candidate
+    return None
 
 
 def bf_membership_magma(
@@ -503,7 +507,7 @@ def bf_membership_magma(
     None after exhausting them all.
     """
     ops = tuple(ops)
-    callables = [lambda x, y, _o=o: apply_op(_o, x, y) for o in ops]
+    callables = [partial(apply_op, o) for o in ops]
     for k in range(1, max_leaves + 1):
         for tree in magma.enumerate_trees(k, len(gens), len(ops), max_count):
             value = magma.eval_tree(tree, gens, callables)
@@ -521,11 +525,12 @@ def reduce_cdp_to_klp(cdp_oracle: Callable, inst: KLPInstance, platform: Platfor
     The oracle yields (x1, x2) in A^2 with x1 s x2 = s^x; then
     x1 s^y x2 = y^-1 (x1 s x2) y = K because [A, B] = 1.
     """
-    witness = cdp_oracle(CDPInstance(inst.s, inst.sx, inst.a_gens))
+    cdp = CDPInstance(inst.s, inst.sx, inst.a_gens)
+    witness = cdp_oracle(cdp)
     if witness is None:
         raise ValueError("CDP oracle failed on the derived instance")
     x1, x2 = witness
-    if not verify_witness(platform, CDPInstance(inst.s, inst.sx, inst.a_gens), witness):
+    if not verify_witness(platform, cdp, witness):
         raise ValueError("CDP oracle returned a non-verifying witness")
     return platform.mul(platform.mul(x1, inst.sy), x2)
 
@@ -548,8 +553,7 @@ def reduce_sscsp_to_aagp(
     the commutator and K' = K.  With planted secrets available the residual
     commutator c_b^-1 c_a^-1 c_b c_a is reported as a diagnostic.
     """
-    x = sscsp_oracle(SSCSPInstance(tuple(zip(inst.b_gens, inst.b_conj)), inst.a_gens))
-    y = sscsp_oracle(SSCSPInstance(tuple(zip(inst.a_gens, inst.a_conj)), inst.b_gens))
+    x, y = (sscsp_oracle(half) for half in inst.halves())
     if x is None or y is None:
         raise ValueError("ssCSP oracle failed on a derived instance")
     key = g_commutator(platform, x, y)
@@ -585,6 +589,14 @@ def reduce_simdp_to_sscsp(
     return SimCSPInstance(tuple(left)), SimCSPInstance(tuple(right))
 
 
+def _quotient_pairs(pairs, mul, inv, phi: Callable) -> SimCSPInstance:
+    """{(phi(s_i^-1 s_j), (s'_i)^-1 s'_j)} over the ordered pairs i != j."""
+    return SimCSPInstance(tuple(
+        (phi(mul(inv(si), sj)), mul(inv(si2), sj2))
+        for (si, si2), (sj, sj2) in itertools.permutations(pairs, 2)
+    ))
+
+
 def reduce_simfcsp_to_simcsp(inst: FCSPInstance, platform: Platform) -> SimCSPInstance:
     """Derive the simCSP instance {(f(s_i^-1 s_j), (s'_i)^-1 s'_j)}.
 
@@ -592,12 +604,7 @@ def reduce_simfcsp_to_simcsp(inst: FCSPInstance, platform: Platform) -> SimCSPIn
     witness; with f = id this is the classical simCSP of the same data.
     Fewer than two pairs derive the empty instance.
     """
-    mul, inv = platform.mul, platform.inv
-    pairs = []
-    for (si, si2), (sj, sj2) in itertools.permutations(inst.pairs, 2):
-        base = inst.f.apply(mul(inv(si), sj))
-        pairs.append((base, mul(inv(si2), sj2)))
-    return SimCSPInstance(tuple(pairs))
+    return _quotient_pairs(inst.pairs, platform.mul, platform.inv, inst.f.apply)
 
 
 def reduce_simshcsp_to_simcsp(inst: ShCSPInstance) -> SimCSPInstance:
@@ -606,12 +613,9 @@ def reduce_simshcsp_to_simcsp(inst: ShCSPInstance) -> SimCSPInstance:
     The braid parameter cancels between the inverted and plain messages, so
     the single-pair case (m = 1, the non-simultaneity regime) yields nothing.
     """
-    pairs = []
-    for (si, si2), (sj, sj2) in itertools.permutations(inst.pairs, 2):
-        base = braid.shift(braid.concat(braid.invert(si), sj), inst.p)
-        img = braid.concat(braid.invert(si2), sj2)
-        pairs.append((base, img))
-    return SimCSPInstance(tuple(pairs))
+    return _quotient_pairs(
+        inst.pairs, braid.concat, braid.invert, lambda w: braid.shift(w, inst.p)
+    )
 
 
 # -- instance coercions realizing the problem hierarchy ----------------------
@@ -673,14 +677,13 @@ def inn_centralizer_experiment(
     """
     mul, inv, eq = platform.mul, platform.inv, platform.eq
 
-    for s in s_gens:
-        sp = mul(s, p)
-        if not eq(mul(c1, sp), mul(sp, c1)):
-            raise ValueError("c1 must centralize every s_i p")
-    for t in t_gens:
-        tp = mul(t, p)
-        if not eq(mul(c2, tp), mul(tp, c2)):
-            raise ValueError("c2 must centralize every t_j p")
+    def commutes(u, v):
+        return eq(mul(u, v), mul(v, u))
+
+    if not all(commutes(c1, mul(s, p)) for s in s_gens):
+        raise ValueError("c1 must centralize every s_i p")
+    if not all(commutes(c2, mul(t, p)) for t in t_gens):
+        raise ValueError("c2 must centralize every t_j p")
 
     def perturbed(u, v):
         # u^-1 p^-1 v^-1 u p v
@@ -689,10 +692,6 @@ def inn_centralizer_experiment(
     key = perturbed(a, b)
     a2, b2 = mul(c2, a), mul(c1, b)
     key2 = perturbed(a2, b2)
-
-    def commutes(u, v):
-        return eq(mul(u, v), mul(v, u))
-
     return InnCentralizerReport(
         key=key,
         perturbed_key=key2,
@@ -724,26 +723,12 @@ def length_attack_skeleton(
 ) -> Optional[BraidWord]:
     """Greedy canonical-length descent for f-/shifted-conjugacy instances.
 
-    Starting from the empty braid, repeatedly moves to the best-scoring
-    neighbour candidate * sigma_i^{+-1}; best-effort only.  Returns a
-    substitution-verified witness or None.
+    Starting from the empty braid on ``inst.strands`` strands, repeatedly
+    moves to the best-scoring neighbour candidate * step over ``inst.steps``;
+    best-effort only.  Returns a substitution-verified witness or None.
     """
-    if isinstance(inst, ShCSPInstance):
-        op = ldops.shifted_op(inst.p, inst.a)
-        strands = max(w.strands for s, s2 in inst.pairs for w in (s, s2))
-        steps = [(e,) for i in range(1, strands) for e in (i, -i)]
-    elif isinstance(inst, FCSPInstance):
-        op = ldops.f_conj_op(inst.f)
-        strands = inst.f.platform.strands
-        if inst.f.kind == "power_shift":
-            # the endomorphism only accepts pure braids: walk on squares
-            steps = [(e, e) for i in range(1, strands) for e in (i, -i)]
-        else:
-            steps = [(e,) for i in range(1, strands) for e in (i, -i)]
-    else:
-        raise TypeError("length attack expects an f-CSP or sh-CSP instance")
-
-    score = scorer or _default_scorer(op, inst.pairs)
+    strands, steps = inst.strands, inst.steps
+    score = scorer or _default_scorer(inst.op, inst.pairs)
     candidate = BraidWord(strands)
     best = score(candidate)
     for _ in range(budget):
@@ -812,6 +797,16 @@ def write_report(records: Sequence[ExperimentRecord], path: str) -> None:
 # depend on when the solvers run.
 
 Trial = tuple[str, str, str, Callable[[], tuple]]
+
+
+def _count(config: dict, key: str, default: int | None) -> int | None:
+    """``config[key]``: a non-negative int, or null where the default is None."""
+    value = config.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _commuting_subgroups(platform: SymmetricPlatform, rng):
@@ -889,7 +884,7 @@ def _inn_centralizer(config: dict, rng) -> list[Trial]:
 
 def _bf_csp(config: dict, rng) -> list[Trial]:
     platform = SymmetricPlatform(config.get("degree", 4))
-    budget = config.get("budget")
+    budget = _count(config, "budget", None)
 
     def trial(t):
         s = platform.random_element(rng)
@@ -910,7 +905,7 @@ def _length_attack(config: dict, rng) -> list[Trial]:
     strands = config.get("strands", 5)
     secret_length = config.get("secret_length", 1)
     m = config.get("m", 2)
-    budget = config.get("budget", 8)
+    budget = _count(config, "budget", 8)
     op = ldops.shifted_op(p)
 
     def trial(t):
@@ -931,7 +926,7 @@ def _length_attack(config: dict, rng) -> list[Trial]:
 
 def _laver_membership(config: dict, rng) -> list[Trial]:
     level = config.get("level", 3)
-    max_leaves = config.get("max_leaves", 6)
+    max_leaves = _count(config, "max_leaves", 6)
     op = ldops.laver_op(level)
     elements = range(1, ldops.laver_table(level).size + 1)
     closures = {g: submagma_closure(op, [g]) for g in elements}

@@ -202,6 +202,8 @@ _LAWS = {
 def _cmd_verify_laws(args) -> int:
     label, verdict_of = _LAWS[args.op]
     try:
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         verdict = verdict_of(args, random.Random(args.seed))
     except ValueError as exc:
         return _usage_error(f"invalid parameters for --op {args.op}", exc)

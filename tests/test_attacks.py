@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from nakex.platforms import (
     centralizer,
     g_commutator,
     g_conj,
+    g_pow,
 )
 
 S3 = SymmetricPlatform(3)
@@ -89,6 +91,148 @@ def test_subgroup_closure_deterministic():
     second = A.subgroup_closure(S4, gens)
     assert first == second
     assert len(first) == 6  # S_3 embedded in S_4
+
+
+# -- first witnesses ---------------------------------------------------------------
+
+
+# S4 subgroups for the commuting-pair problems: [A1, B1] = [A2, B2] = 1, A1 != A2
+A1_GENS, B1_GENS = (Permutation((2, 1, 3, 4)),), (Permutation((1, 2, 4, 3)),)
+A2_GENS, B2_GENS = B1_GENS, A1_GENS
+
+
+def _picks(rng, *gens_lists):
+    """One random member of each subgroup, drawn in order."""
+    return [rng.choice(A.subgroup_closure(S4, gens)) for gens in gens_lists]
+
+
+def _golden_instances():
+    """Seeded planted instances of every type bf_solve accepts, with their platforms."""
+    rng = random.Random(20261018)
+    out = []
+    for platform in (S3, S4, S3, S4):
+        def el():
+            return platform.random_element(rng)
+
+        x, y, b = el(), el(), el()
+        ss = [el() for _ in range(2)]
+        sub = (el(),)
+        closure = A.subgroup_closure(platform, sub)
+        h = rng.choice(closure)
+        ys = tuple((s, g_conj(platform, x, s)) for s in ss)
+        yh = tuple((s, g_conj(platform, h, s)) for s in ss)
+        outside = [g for g in platform.elements() if g not in closure]
+        f = InnerEndo(platform, el())
+        op = L.f_conj_op(f)
+        out += [
+            (platform, A.CSPInstance(*ys[0])),
+            (platform, A.SimCSPInstance(ys)),
+            (platform, A.SubCSPInstance(*yh[0], sub)),
+            (platform, A.SSCSPInstance(yh, sub)),
+            (platform, A.DCPInstance(ss[0], platform.mul(platform.mul(h, ss[0]), x), sub, (x,))),
+            (platform, A.CDPInstance(*yh[0], sub)),
+            (platform, A.MSPInstance(rng.choice(closure), sub)),
+            (platform, A.MSPInstance(outside[0] if outside else x, sub)),
+            (platform, A.NSimDPInstance(
+                tuple((s, platform.mul(platform.mul(x, s), y)) for s in ss)
+            )),
+            (platform, A.SymSDPInstance(1, 2, tuple(
+                (s, platform.mul(platform.mul(x, s), platform.mul(x, x))) for s in ss
+            ))),
+            (platform, A.FCSPInstance(f, tuple((s, L.apply_op(op, b, s)) for s in ss))),
+        ]
+    for _ in range(3):
+        s = S4.random_element(rng)
+        x, y, x1, x2, y1, y2 = _picks(rng, A_GENS, B_GENS, A1_GENS, A2_GENS, B1_GENS, B2_GENS)
+        out += [
+            (S4, A.KLPInstance(s, g_conj(S4, x, s), g_conj(S4, y, s), A_GENS, B_GENS)),
+            (S4, A.DHDCPInstance(
+                s, S4.mul(S4.mul(x1, s), x2), S4.mul(S4.mul(y1, s), y2),
+                A1_GENS, A2_GENS, B1_GENS, B2_GENS,
+            )),
+            (S4, A.AAGPInstance(
+                A_GENS, tuple(g_conj(S4, y, g) for g in A_GENS),
+                B_GENS, tuple(g_conj(S4, x, g) for g in B_GENS),
+            )),
+        ]
+    return out
+
+
+def _canonical(platform, result):
+    if isinstance(result, tuple):
+        return tuple(_canonical(platform, r) for r in result)
+    if result is None or isinstance(result, int):
+        return result
+    return platform.canon(result)
+
+
+GOLDEN_FIRST_WITNESS_DIGEST = "f749c4e3b219612a7d9d7f518bf87c2f24a3e867afc30102fca054e8d671c7cd"
+
+
+def test_bf_solve_first_witness_golden_digest():
+    # sha256 over the first witness bf_solve returns for each instance type;
+    # the search order, not just the existence of a witness, is pinned
+    digest = hashlib.sha256()
+    for platform, inst in _golden_instances():
+        result = _canonical(platform, A.bf_solve(inst, platform))
+        digest.update(repr((type(inst).__name__, result)).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_FIRST_WITNESS_DIGEST
+
+
+def test_bf_solve_witnesses_verify():
+    # covers every searched type, SubCSP and FCSP included; the Ko-Lee,
+    # DH-DCP and AAG solvers return a key, which has no verifier
+    kinds = set()
+    for platform, inst in _golden_instances():
+        if isinstance(inst, (A.KLPInstance, A.DHDCPInstance, A.AAGPInstance)):
+            continue
+        witness = A.bf_solve(inst, platform)
+        if isinstance(inst, A.MSPInstance) and witness is None:
+            continue
+        assert A.verify_witness(platform, inst, witness)
+        kinds.add(type(inst).__name__)
+    assert len(kinds) == 10
+
+
+def test_bf_symsdp_with_unequal_exponents():
+    rng = random.Random(80)
+    for _ in range(10):
+        a = S4.random_element(rng)
+        ts = [S4.random_element(rng) for _ in range(2)]
+        pairs = tuple((t, S4.mul(S4.mul(a, t), g_pow(S4, a, 3))) for t in ts)
+        inst = A.SymSDPInstance(1, 3, pairs)
+        witness = A.bf_solve(inst, S4)
+        assert A.verify_witness(S4, inst, witness)
+
+
+def test_bf_dhdcp_with_two_commuting_pairs():
+    rng = random.Random(81)
+    for _ in range(10):
+        s = S4.random_element(rng)
+        x1, x2, y1, y2 = _picks(rng, A1_GENS, A2_GENS, B1_GENS, B2_GENS)
+        ya, yb = S4.mul(S4.mul(x1, s), x2), S4.mul(S4.mul(y1, s), y2)
+        key = A.bf_solve(A.DHDCPInstance(s, ya, yb, A1_GENS, A2_GENS, B1_GENS, B2_GENS), S4)
+        assert S4.eq(key, S4.mul(S4.mul(S4.mul(x1, y1), s), S4.mul(x2, y2)))
+        # the key comes from a decomposition witness of ya in A1 x A2
+        dcp = A.DCPInstance(s, ya, A1_GENS, A2_GENS)
+        witness = A.bf_solve(dcp, S4)
+        assert A.verify_witness(S4, dcp, witness)
+        assert S4.eq(key, S4.mul(S4.mul(witness[0], yb), witness[1]))
+
+
+def test_bf_nsimdp_budget_counts_pairs():
+    # with one pair, every left factor has exactly one right factor; the
+    # first witness is (1, t^-1 t'), pair number index + 1 of the search
+    rng = random.Random(82)
+    t, al, ar = (S4.random_element(rng) for _ in range(3))
+    inst = A.NSimDPInstance(((t, S4.mul(S4.mul(al, t), ar)),))
+    right = S4.mul(S4.inv(t), inst.pairs[0][1])
+    index = [S4.canon(g) for g in S4.elements()].index(S4.canon(right))
+    assert 0 < index < 24
+    with pytest.raises(BudgetExceeded):
+        A.bf_solve(inst, S4, budget=index)
+    witness = A.bf_solve(inst, S4, budget=index + 1)
+    assert S4.eq(witness[0], S4.identity()) and S4.eq(witness[1], right)
 
 
 # -- membership in submagmas ----------------------------------------------------

@@ -189,10 +189,16 @@ ATTACK_ARGV = ["attack", "--instance", "{tmp}/instance.json", "--out", "{tmp}/re
         ('{"experiment": "bf_csp", "trials": 2}', [*ATTACK_ARGV[:4], "{tmp}/none/report.csv"]),
         (None, ["verify-laws", "--op", "laver", "--level", "9"]),
         (None, ["verify-laws", "--op", "shifted", "--p", "0"]),
+        ('{"experiment": "bf_csp", "trials": 2, "budget": "x"}', ATTACK_ARGV),
+        ('{"experiment": "bf_csp", "trials": 2, "budget": true}', ATTACK_ARGV),
+        ('{"experiment": "laver_membership", "max_leaves": "x"}', ATTACK_ARGV),
+        (None, ["verify-laws", "--op", "conj", "--samples", "0"]),
+        (None, ["verify-laws", "--op", "conj", "--samples", "-5"]),
     ],
     ids=[
         "missing_instance", "invalid_json", "json_list", "no_experiment", "trials_str",
         "degree_0", "level_9", "out_dir_missing", "laws_level_9", "laws_p_0",
+        "budget_str", "budget_bool", "max_leaves_str", "laws_samples_0", "laws_samples_neg",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, instance, argv):
