@@ -799,13 +799,14 @@ def write_report(records: Sequence[ExperimentRecord], path: str) -> None:
 Trial = tuple[str, str, str, Callable[[], tuple]]
 
 
-def _count(config: dict, key: str, default: int | None) -> int | None:
-    """``config[key]``: a non-negative int, or null where the default is None."""
+def _count(config: dict, key: str, default: int | None, minimum: int = 0) -> int | None:
+    """``config[key]``: an int of at least ``minimum`` (``true`` is not one),
+    or null where the default is None."""
     value = config.get(key, default)
     if value is None and default is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
     return value
 
 
@@ -820,7 +821,7 @@ def _commuting_subgroups(platform: SymmetricPlatform, rng):
 
 
 def _cdp_to_klp(config: dict, rng) -> list[Trial]:
-    platform = SymmetricPlatform(config.get("degree", 4))
+    platform = SymmetricPlatform(_count(config, "degree", 4, 1))
     a_gens, b_gens, a_closure, b_closure = _commuting_subgroups(platform, rng)
 
     def trial(t):
@@ -835,11 +836,11 @@ def _cdp_to_klp(config: dict, rng) -> list[Trial]:
 
         return "klp", f"S{platform.degree}", f"trial={t}", solve
 
-    return [trial(t) for t in range(config.get("trials", 10))]
+    return [trial(t) for t in range(_count(config, "trials", 10))]
 
 
 def _sscsp_to_aagp(config: dict, rng) -> list[Trial]:
-    platform = SymmetricPlatform(config.get("degree", 4))
+    platform = SymmetricPlatform(_count(config, "degree", 4, 1))
     a_gens, b_gens, a_closure, b_closure = _commuting_subgroups(platform, rng)
 
     def trial(t):
@@ -857,11 +858,11 @@ def _sscsp_to_aagp(config: dict, rng) -> list[Trial]:
 
         return "aagp", f"S{platform.degree}", f"trial={t}", solve
 
-    return [trial(t) for t in range(config.get("trials", 10))]
+    return [trial(t) for t in range(_count(config, "trials", 10))]
 
 
 def _inn_centralizer(config: dict, rng) -> list[Trial]:
-    platform = SymmetricPlatform(config.get("degree", 4))
+    platform = SymmetricPlatform(_count(config, "degree", 4, 1))
 
     def trial(t):
         p = platform.random_element(rng)
@@ -879,11 +880,11 @@ def _inn_centralizer(config: dict, rng) -> list[Trial]:
 
         return "inn_centralizer", f"S{platform.degree}", f"trial={t}", solve
 
-    return [trial(t) for t in range(config.get("trials", 10))]
+    return [trial(t) for t in range(_count(config, "trials", 10))]
 
 
 def _bf_csp(config: dict, rng) -> list[Trial]:
-    platform = SymmetricPlatform(config.get("degree", 4))
+    platform = SymmetricPlatform(_count(config, "degree", 4, 1))
     budget = _count(config, "budget", None)
 
     def trial(t):
@@ -897,14 +898,14 @@ def _bf_csp(config: dict, rng) -> list[Trial]:
 
         return "csp", f"S{platform.degree}", f"trial={t}", solve
 
-    return [trial(t) for t in range(config.get("trials", 10))]
+    return [trial(t) for t in range(_count(config, "trials", 10))]
 
 
 def _length_attack(config: dict, rng) -> list[Trial]:
-    p = config.get("p", 1)
-    strands = config.get("strands", 5)
-    secret_length = config.get("secret_length", 1)
-    m = config.get("m", 2)
+    p = _count(config, "p", 1, 1)
+    strands = _count(config, "strands", 5, 2)
+    secret_length = _count(config, "secret_length", 1)
+    m = _count(config, "m", 2, 1)
     budget = _count(config, "budget", 8)
     op = ldops.shifted_op(p)
 
@@ -921,11 +922,11 @@ def _length_attack(config: dict, rng) -> list[Trial]:
 
         return "sh_csp", f"B{strands}", f"trial={t},p={p}", solve
 
-    return [trial(t) for t in range(config.get("trials", 10))]
+    return [trial(t) for t in range(_count(config, "trials", 10))]
 
 
 def _laver_membership(config: dict, rng) -> list[Trial]:
-    level = config.get("level", 3)
+    level = _count(config, "level", 3)
     max_leaves = _count(config, "max_leaves", 6)
     op = ldops.laver_op(level)
     elements = range(1, ldops.laver_table(level).size + 1)

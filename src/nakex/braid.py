@@ -85,7 +85,16 @@ class BraidWord:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of {1..n} given by its image sequence (1-based)."""
+    """A permutation of {1..n} given by its image sequence (1-based).
+
+    ``Permutation(images)`` checks that the images are 1..n in some order and
+    raises ValueError otherwise.  It is the constructor for images from
+    outside the program (decoders, spec and transcript JSON, callers).  The
+    results this package computes itself (products, inverses, identities,
+    braid projections, normal-form factors, enumerations and random draws)
+    are permutations by construction, so they are built by ``_perm``, which
+    skips the check: it would cost more than the arithmetic it guards.
+    """
 
     images: tuple[int, ...]
 
@@ -105,22 +114,30 @@ class Permutation:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
 
+def _perm(images: tuple[int, ...]) -> Permutation:
+    """The Permutation of ``images``, which must already be 1..n in some order."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 def perm_identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
+    return _perm(tuple(range(1, n + 1)))
 
 
 def perm_compose(a: Permutation, b: Permutation) -> Permutation:
     """Apply ``a`` first, then ``b`` (matches braid word concatenation)."""
-    if a.degree != b.degree:
+    images = b.images
+    if len(a.images) != len(images):
         raise ValueError("degree mismatch")
-    return Permutation(tuple(b.images[v - 1] for v in a.images))
+    return _perm(tuple([images[v - 1] for v in a.images]))
 
 
 def perm_inverse(a: Permutation) -> Permutation:
-    inv = [0] * a.degree
-    for i, v in enumerate(a.images):
-        inv[v - 1] = i + 1
-    return Permutation(tuple(inv))
+    inv = [0] * len(a.images)
+    for i, v in enumerate(a.images, 1):
+        inv[v - 1] = i
+    return _perm(tuple(inv))
 
 
 @dataclass(frozen=True)
@@ -182,7 +199,7 @@ def with_strands(w: BraidWord, n: int) -> BraidWord:
 def permutation_of(w: BraidWord) -> Permutation:
     """Image of the word under the projection B_n -> S_n."""
     perm = _kernels.perm_of_word(w.letters, w.strands)
-    return Permutation(tuple(v + 1 for v in perm))
+    return _perm(tuple([v + 1 for v in perm]))
 
 
 def is_pure(w: BraidWord) -> bool:
@@ -195,7 +212,7 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     if w.strands == 1:
         return GarsideNormalForm(1, 0, ())
     inf, facs = _kernels.word_to_nf(w.letters, w.strands)
-    factors = tuple(Permutation(tuple(v + 1 for v in f)) for f in facs)
+    factors = tuple([_perm(tuple([v + 1 for v in f])) for f in facs])
     return GarsideNormalForm(w.strands, inf, factors)
 
 

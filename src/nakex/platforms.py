@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
 from . import braid
-from .braid import BraidWord, Permutation
+from .braid import BraidWord, Permutation, _perm
 
 __all__ = [
     "Platform",
@@ -129,7 +129,7 @@ class SymmetricPlatform:
             raise ValueError("degree must be positive")
 
     def check(self, x: Element) -> Permutation:
-        if not isinstance(x, Permutation) or x.degree != self.degree:
+        if not isinstance(x, Permutation) or len(x.images) != self.degree:
             raise PlatformMismatch(f"expected Permutation of degree {self.degree}")
         return x
 
@@ -150,7 +150,7 @@ class SymmetricPlatform:
 
     def elements(self) -> Iterator[Permutation]:
         for images in itertools.permutations(range(1, self.degree + 1)):
-            yield Permutation(images)
+            yield _perm(images)
 
     def order(self) -> int:
         out = 1
@@ -161,7 +161,7 @@ class SymmetricPlatform:
     def random_element(self, rng) -> Element:
         images = list(range(1, self.degree + 1))
         rng.shuffle(images)
-        return Permutation(tuple(images))
+        return _perm(tuple(images))
 
     def encode(self, x: Element) -> bytes:
         perm = self.check(x)

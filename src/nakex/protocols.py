@@ -573,8 +573,8 @@ def _finish(
 # -- the protocol engine -----------------------------------------------------
 
 
-def generate_secrets(spec: ProtocolSpec) -> tuple[SecretKey, SecretKey]:
-    """Deterministically derive both parties' secrets from the spec seed.
+def _setup(spec: ProtocolSpec):
+    """The work platform, Alice's and Bob's roles, and both parties' secrets.
 
     Alice's whole draw precedes Bob's, so a networked session and an
     in-process run agree.
@@ -583,14 +583,17 @@ def generate_secrets(spec: ProtocolSpec) -> tuple[SecretKey, SecretKey]:
     alice, bob = _roles(spec, platform)
     rng = random.Random(spec.seed)
     ska = _draw(spec, platform, alice, rng)
-    return ska, _draw(spec, platform, bob, rng)
+    return platform, alice, bob, ska, _draw(spec, platform, bob, rng)
+
+
+def generate_secrets(spec: ProtocolSpec) -> tuple[SecretKey, SecretKey]:
+    """Deterministically derive both parties' secrets from the spec seed."""
+    return _setup(spec)[3:]
 
 
 def run(spec: ProtocolSpec) -> Transcript:
     """Execute steps 1-4 and assert K_A = K_B under platform equality."""
-    platform = work_platform(spec)
-    alice, bob = _roles(spec, platform)
-    ska, skb = generate_secrets(spec)
+    platform, alice, bob, ska, skb = _setup(spec)
     msg_a = _publish(spec, platform, alice, ska)
     msg_b = _publish(spec, platform, bob, skb)
     step3_a, key_a = _finish(spec, platform, alice, ska, msg_b)

@@ -63,6 +63,31 @@ def test_permutation_of_generator():
     assert B.permutation_of(BraidWord(3)).is_identity()
 
 
+def test_permutation_arithmetic_matches_checked_constructor():
+    # products, inverses and identities skip the constructor's images check;
+    # they must equal, and hash like, the permutation it builds and accepts
+    rng = random.Random(7)
+    for n in range(1, 8):
+        for _ in range(20):
+            a, b = (Permutation(tuple(rng.sample(range(1, n + 1), n))) for _ in range(2))
+            product, inverse, identity = B.perm_compose(a, b), B.perm_inverse(a), B.perm_identity(n)
+            assert product.images == tuple(b(a(i)) for i in range(1, n + 1))
+            assert all(inverse(a(i)) == i for i in range(1, n + 1))
+            assert identity.is_identity() and B.perm_compose(a, inverse) == identity
+            for result in (product, inverse, identity):
+                checked = Permutation(result.images)
+                assert type(result) is Permutation and type(result.images) is tuple
+                assert result == checked and hash(result) == hash(checked)
+
+
+def test_permutation_constructor_rejects_non_permutations():
+    for images in ((1, 1, 2), (0, 1), (1, 3)):
+        with pytest.raises(ValueError):
+            Permutation(images)
+    with pytest.raises(ValueError):
+        B.perm_compose(Permutation((2, 1)), Permutation((1, 2, 3)))
+
+
 def test_permutation_is_homomorphism(rng=random.Random(1)):
     for _ in range(100):
         n = rng.randrange(2, 7)

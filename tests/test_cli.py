@@ -194,11 +194,22 @@ ATTACK_ARGV = ["attack", "--instance", "{tmp}/instance.json", "--out", "{tmp}/re
         ('{"experiment": "laver_membership", "max_leaves": "x"}', ATTACK_ARGV),
         (None, ["verify-laws", "--op", "conj", "--samples", "0"]),
         (None, ["verify-laws", "--op", "conj", "--samples", "-5"]),
+        ('{"experiment": "length_attack", "trials": 1, "m": 0}', ATTACK_ARGV),
+        ('{"experiment": "bf_csp", "trials": true}', ATTACK_ARGV),
+        ('{"experiment": "length_attack", "trials": 1, "p": true}', ATTACK_ARGV),
+        ('{"experiment": "length_attack", "trials": 1, "p": 0}', ATTACK_ARGV),
+        ('{"experiment": "length_attack", "trials": 1, "strands": 1}', ATTACK_ARGV),
+        ('{"experiment": "length_attack", "trials": 1, "secret_length": true}', ATTACK_ARGV),
+        ('{"experiment": "length_attack", "trials": 1, "m": true}', ATTACK_ARGV),
+        ('{"experiment": "bf_csp", "trials": 1, "degree": true}', ATTACK_ARGV),
+        ('{"experiment": "laver_membership", "level": true}', ATTACK_ARGV),
     ],
     ids=[
         "missing_instance", "invalid_json", "json_list", "no_experiment", "trials_str",
         "degree_0", "level_9", "out_dir_missing", "laws_level_9", "laws_p_0",
         "budget_str", "budget_bool", "max_leaves_str", "laws_samples_0", "laws_samples_neg",
+        "m_0", "trials_bool", "p_bool", "p_0", "strands_1", "secret_length_bool", "m_bool",
+        "degree_bool", "level_bool",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, instance, argv):

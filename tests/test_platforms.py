@@ -1,9 +1,12 @@
+import json
 import random
+import struct
 
 import pytest
 
 from endo_utils import inner_point_map, trivial_endo
 from nakex import braid as B
+from nakex import protocols as P
 from nakex.braid import BraidWord, Permutation
 from nakex.platforms import (
     BraidPlatform,
@@ -206,6 +209,18 @@ def test_decode_rejects_invalid_payload():
         decode_element(sym, bytes([sym.tag]) + b"\x00\x01\x00\x01\x00\x02")
     with pytest.raises(ValueError):
         decode_element(sym, bytes([0x7A]) + b"\x00" * 6)  # wrong platform tag
+
+
+def test_symmetric_decoders_reject_repeated_images():
+    # the checking Permutation constructor guards every outside image tuple
+    with pytest.raises(ValueError):
+        SymmetricPlatform(4).decode(struct.pack(">4H", 1, 1, 2, 3), 0)
+    spec = P.random_spec("simdcp", 0)
+    obj = json.loads(P.spec_to_json(spec))
+    degree = spec.platform.degree
+    obj["alice_gens"][0] = "02" + struct.pack(f">{degree}H", 1, 1, *range(2, degree)).hex()
+    with pytest.raises(ValueError):
+        P.spec_from_json(json.dumps(obj))
 
 
 @pytest.mark.parametrize("platform", PLATFORMS, ids=["braid", "sym", "modp"])

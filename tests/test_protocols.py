@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import warnings
@@ -20,6 +21,12 @@ from nakex.platforms import (
 
 S4 = SymmetricPlatform(4)
 S5 = SymmetricPlatform(5)
+
+# sha256 over transcript_to_json(run(random_spec(tag, s))), s = 0..19, for the
+# finite-platform tags (f_commutator: its draws on S_n); recorded before
+# permutation products stopped re-checking their images.
+FINITE_TAGS = ("classic_dh", "aag_commutator", "simdcp", "simdcp_alt", "symdp", "f_commutator")
+GOLDEN_FINITE_DIGEST = "5852848fe835ae1934eb1273e8880d218fcca8917a2a6882afeebdb275f44cd6"
 
 
 def run_quiet(spec):
@@ -454,3 +461,17 @@ def test_work_platform_covers_all_letters():
         t = run_quiet(spec)
         for element in t.alice_messages + t.bob_messages + (t.key_a, t.key_b, t.alice_step3, t.bob_step3):
             platform.check(element)  # raises if any index exceeds the sizing
+
+
+def test_finite_transcripts_golden_digest():
+    digest = hashlib.sha256()
+    runs = 0
+    for tag in FINITE_TAGS:
+        for s in range(20):
+            spec = P.random_spec(tag, s)
+            if isinstance(spec.platform, BraidPlatform):
+                continue
+            digest.update(P.transcript_to_json(run_quiet(spec)).encode())
+            runs += 1
+    assert runs == 114
+    assert digest.hexdigest() == GOLDEN_FINITE_DIGEST
