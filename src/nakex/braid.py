@@ -329,10 +329,8 @@ def canonical_word(w: BraidWord) -> BraidWord:
 
 
 def encode_braid(w: BraidWord) -> bytes:
-    out = bytearray(struct.pack(">HI", w.strands, len(w.letters)))
-    for e in w.letters:
-        out += struct.pack(">h", e)
-    return bytes(out)
+    count = len(w.letters)
+    return struct.pack(">HI%dh" % count, w.strands, count, *w.letters)
 
 
 def decode_braid(data: bytes, offset: int = 0) -> tuple[BraidWord, int]:
@@ -350,8 +348,7 @@ def decode_braid(data: bytes, offset: int = 0) -> tuple[BraidWord, int]:
 
 def encode_normal_form(nf: GarsideNormalForm) -> bytes:
     """Deterministic encoding of a normal form (key-extraction input)."""
-    out = bytearray(struct.pack(">HiI", nf.strands, nf.infimum, len(nf.factors)))
-    for factor in nf.factors:
-        for v in factor.images:
-            out += struct.pack(">H", v)
-    return bytes(out)
+    images = [v for factor in nf.factors for v in factor.images]
+    return struct.pack(
+        ">HiI%dH" % len(images), nf.strands, nf.infimum, len(nf.factors), *images
+    )

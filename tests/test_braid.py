@@ -134,6 +134,30 @@ def test_normal_form_identity_and_delta():
     assert half_twist.infimum == 1 and half_twist.factors == ()
 
 
+def _assert_normal_form_invariants(nf):
+    """No factor is the identity or Delta, and adjacent pairs are left-weighted."""
+    n = nf.strands
+    w0 = tuple(range(n, 0, -1))
+    identity = tuple(range(1, n + 1))
+    for left, right in zip(nf.factors, nf.factors[1:]):
+        descents = {
+            i for i in range(1, n) if right.images[i - 1] > right.images[i]
+        }
+        left_inv = B.perm_inverse(left)
+        finishing = {
+            i for i in range(1, n) if left_inv.images[i] < left_inv.images[i - 1]
+        }
+        assert descents <= finishing
+    for factor in nf.factors:
+        assert factor.images != identity and factor.images != w0
+
+
+def _assert_normal_form_oracle(w):
+    """Normal-form invariants, and the canonical word equals ``w`` by handle reduction."""
+    _assert_normal_form_invariants(B.normal_form(w))
+    assert B.handle_trivial(B.concat(w, B.invert(B.canonical_word(w))))
+
+
 def test_normal_form_invariants():
     rng = random.Random(2)
     words = []
@@ -142,21 +166,50 @@ def test_normal_form_invariants():
         words.append(B.random_braid(n, rng.randrange(0, 30), rng))
     words += [B.random_braid(8, length, rng) for length in (120, 400) for _ in range(2)]
     for w in words:
-        n = w.strands
-        nf = B.normal_form(w)
-        w0 = tuple(range(n, 0, -1))
-        identity = tuple(range(1, n + 1))
-        for left, right in zip(nf.factors, nf.factors[1:]):
-            descents = {
-                i for i in range(1, n) if right.images[i - 1] > right.images[i]
-            }
-            left_inv = B.perm_inverse(left)
-            finishing = {
-                i for i in range(1, n) if left_inv.images[i] < left_inv.images[i - 1]
-            }
-            assert descents <= finishing
-        for factor in nf.factors:
-            assert factor.images != identity and factor.images != w0
+        _assert_normal_form_invariants(B.normal_form(w))
+
+
+def _reduced_words(n, max_len):
+    """Every freely reduced word of length at most ``max_len`` in B_n."""
+    generators = [e for i in range(1, n) for e in (i, -i)]
+    words = [()]
+    for w in words:
+        if len(w) < max_len:
+            words += [w + (e,) for e in generators if not w or w[-1] != -e]
+    return [BraidWord(n, w) for w in words]
+
+
+def test_normal_form_b2_letters_are_half_twists():
+    # sigma_1 is Delta in B_2: the letter sum of a word is its infimum
+    for k in range(-12, 13):
+        w = BraidWord(2, (1 if k > 0 else -1,) * abs(k))
+        assert B.normal_form(w) == GarsideNormalForm(2, k, ())
+        _assert_normal_form_oracle(w)
+    assert B.normal_form(BraidWord(2, (1, 1, -1, 1, -1, -1, -1))) == GarsideNormalForm(2, -1, ())
+
+
+def test_normal_form_every_short_word():
+    # exhausts the in-place paths: a letter extending or cancelling into the
+    # tail factor, a tail factor growing into Delta, and runs of either sign
+    words = _reduced_words(3, 7) + _reduced_words(4, 5)
+    assert len(words) == 4373 + 4687
+    for w in words:
+        _assert_normal_form_oracle(w)
+
+
+def test_normal_form_sign_biased_words():
+    # long runs of one sign: positive letters pack into the tail factor,
+    # inverse letters cancel into it or pull half twists into the infimum
+    rng = random.Random(11)
+    for n in range(4, 9):
+        for share in (0.8, 0.9, 1.0):
+            for sign in (1, -1):
+                for _ in range(4):
+                    letters = []
+                    for _ in range(rng.randrange(10, 60)):
+                        i = rng.randrange(1, n)
+                        letters.append(sign * i if rng.random() < share else -sign * i)
+                    _assert_normal_form_oracle(B.freely_reduced(BraidWord(n, tuple(letters))))
 
 
 def _with_relator(w, rng):
@@ -239,6 +292,37 @@ def test_normal_form_golden_digest():
         digest.update(B.encode_normal_form(B.normal_form.__wrapped__(w)))
         digest.update(B.encode_braid(B.canonical_word(w)))
     assert digest.hexdigest() == GOLDEN_NF_DIGEST
+
+
+def test_normal_form_sweep_stays_short(monkeypatch):
+    # left-weighted pairs per letter stay bounded as words grow; a sweep that
+    # carries half twists to the head would grow with the word instead
+    from nakex import _kernels
+
+    calls = 0
+    left_weight_pair = _kernels._left_weight_pair
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return left_weight_pair(x, y)
+
+    monkeypatch.setattr(_kernels, "_left_weight_pair", counting)
+
+    def pairs_per_letter(words):
+        nonlocal calls
+        calls = 0
+        for w in words:
+            _kernels.word_to_nf(w.letters, w.strands)
+        return calls / sum(len(w) for w in words)
+
+    rng = random.Random(12)
+    short = pairs_per_letter([B.random_braid(8, 120, rng) for _ in range(10)])
+    long_words = [w for w in _golden_words() if w.strands == 8 and len(w) > 1000]
+    assert len(long_words) == 3
+    long = pairs_per_letter(long_words)
+    assert short <= 8 and long <= 8
+    assert long <= 1.5 * short
 
 
 def test_delta_powers_move_only_the_infimum():
