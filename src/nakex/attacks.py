@@ -1,10 +1,10 @@
 """Desk-scale oracles and executable reductions for the base problems.
 
 Brute force only makes sense on finite platforms; braid-platform problems get
-the instance-transform reductions and a pluggable greedy length-attack
-skeleton.  Every solver's witness is checked by substitution into the
-problem's defining equation before it is returned, and budgets are explicit
-with deterministic traversal order so a NotFound claim is reproducible.
+the instance-transform reductions and a greedy length-attack skeleton.  Every
+solver's witness is checked by substitution into the problem's defining
+equation before it is returned, and budgets are explicit with deterministic
+traversal order so a NotFound claim is reproducible.
 
 Problem zoo (one frozen dataclass per tag): conjugacy search (CSP) and its
 simultaneous / subgroup-constrained variants, decomposition (DCP) and its
@@ -498,7 +498,6 @@ def bf_membership_magma(
     gens: Sequence[Element],
     ops: Sequence[OpDescriptor],
     max_leaves: int,
-    max_count: int = 2_000_000,
 ) -> Optional[TreeWord]:
     """Exhaustive submagma membership search by tree enumeration.
 
@@ -509,7 +508,7 @@ def bf_membership_magma(
     ops = tuple(ops)
     callables = [partial(apply_op, o) for o in ops]
     for k in range(1, max_leaves + 1):
-        for tree in magma.enumerate_trees(k, len(gens), len(ops), max_count):
+        for tree in magma.enumerate_trees(k, len(gens), len(ops)):
             value = magma.eval_tree(tree, gens, callables)
             if ldops.op_eq(ops[0], value, target):
                 return tree
@@ -705,7 +704,17 @@ def inn_centralizer_experiment(
 # -- length attack skeleton --------------------------------------------------
 
 
-def _default_scorer(op: OpDescriptor, pairs) -> Callable[[BraidWord], int]:
+def length_attack_skeleton(inst, budget: int) -> Optional[BraidWord]:
+    """Greedy canonical-length descent for f-/shifted-conjugacy instances.
+
+    Starting from the empty braid on ``inst.strands`` strands, repeatedly
+    moves to the neighbour candidate * step over ``inst.steps`` with the
+    smallest score: the total canonical length of the residues
+    op(candidate, s)^-1 s' over the instance's pairs.  Best-effort only.
+    Returns a substitution-verified witness or None.
+    """
+    strands, steps, op, pairs = inst.strands, inst.steps, inst.op, inst.pairs
+
     def score(candidate: BraidWord) -> int:
         total = 0
         for s, s2 in pairs:
@@ -713,22 +722,6 @@ def _default_scorer(op: OpDescriptor, pairs) -> Callable[[BraidWord], int]:
             total += len(braid.canonical_word(residue).letters)
         return total
 
-    return score
-
-
-def length_attack_skeleton(
-    inst,
-    budget: int,
-    scorer: Callable[[BraidWord], int] | None = None,
-) -> Optional[BraidWord]:
-    """Greedy canonical-length descent for f-/shifted-conjugacy instances.
-
-    Starting from the empty braid on ``inst.strands`` strands, repeatedly
-    moves to the best-scoring neighbour candidate * step over ``inst.steps``;
-    best-effort only.  Returns a substitution-verified witness or None.
-    """
-    strands, steps = inst.strands, inst.steps
-    score = scorer or _default_scorer(inst.op, inst.pairs)
     candidate = BraidWord(strands)
     best = score(candidate)
     for _ in range(budget):

@@ -156,9 +156,6 @@ class GarsideNormalForm:
     def is_identity(self) -> bool:
         return self.infimum == 0 and not self.factors
 
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
 
 def concat(w1: BraidWord, w2: BraidWord) -> BraidWord:
     """Product of two braid words, freely reduced; strand counts may differ."""

@@ -3,8 +3,8 @@
 Subcommands: ``run`` (in-process protocol run from a spec file), ``serve`` /
 ``connect`` (two-party session over TCP), ``attack`` (experiment from an
 instance file, CSV report), ``verify-laws`` (law verdicts for a named
-operation), ``bench`` (kernel and protocol timings), and ``keygen`` (emit a
-random spec and its secrets under a key policy).
+operation), and ``keygen`` (emit a random spec and its secrets under a key
+policy).  The benchmark is ``perfbench/run.py``, not a subcommand.
 
 This module parses arguments, loads files and maps outcomes to exit codes.
 Each subcommand's handler is bound with ``set_defaults``; the attack
@@ -12,10 +12,13 @@ experiments are the table ``attacks.EXPERIMENTS`` and the ``verify-laws``
 operations the table ``_LAWS`` below, whose keys are the ``--op`` choices.
 
 Exit codes: 0 success, 1 verified failure (a law counterexample, a key
-mismatch, an attack record whose witness did not verify), 2 usage errors (a
-spec or experiment file that does not load or build, a report path that
-cannot be written, law parameters the operation rejects, or a spec whose
-secrets break its key policy).
+mismatch, an attack record whose witness did not verify) or a failed
+session, 2 usage errors, each reported in one line on stderr: an argument
+argparse rejects (among them an ``--address`` or ``NAKEX_LISTEN`` that is
+not host:port with a port in 1..65535, or a ``--timeout`` that is not a
+positive finite number of seconds), a spec or experiment file that does not
+load or build, an output path that cannot be written, law parameters the
+operation rejects, or a spec whose secrets break its key policy.
 """
 
 from __future__ import annotations
@@ -23,27 +26,50 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
-import time
 
 from . import attacks, braid, ldops, magma, protocols, session
 from .braid import BraidWord
 from .platforms import IdentityEndo, InnerEndo, MultModPlatform, SymmetricPlatform
 
-DEFAULT_LISTEN = os.environ.get("NAKEX_LISTEN", "127.0.0.1:9131")
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line, like every other usage error; -h still prints the usage
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _parse_listen(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
+    if not port.isdecimal() or not 0 < int(port) < 65536:
+        raise argparse.ArgumentTypeError(f"expected host:port, port 1..65535; got {value!r}")
     return host or "127.0.0.1", int(port)
+
+
+def _positive_seconds(value: str) -> float:
+    seconds = float(value)
+    if not 0 < seconds < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"expected positive finite seconds, got {value!r}")
+    return seconds
 
 
 def _usage_error(what: str, exc: Exception) -> int:
     """Print one line for a usage error on stderr; its exit code."""
     print(f"{what}: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 2
+
+
+def _write_out(path: str, text: str) -> int:
+    """Write ``text`` to ``path``: 0, or 2 after a one-line error on stderr."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        return _usage_error(f"cannot write {path}", exc)
+    return 0
 
 
 def _load_spec(path: str, seed: int | None) -> protocols.ProtocolSpec | None:
@@ -77,11 +103,10 @@ def _cmd_run(args) -> int:
         print(f"policy violation: {exc}", file=sys.stderr)
         return 2
     text = protocols.transcript_to_json(transcript)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
+    if not args.out:
         print(text)
+    elif _write_out(args.out, text):
+        return 2
     print(f"extracted key: {transcript.extracted_key.hex()}", file=sys.stderr)
     return 0
 
@@ -90,7 +115,7 @@ def _cmd_session(args, role: str) -> int:
     spec = _load_spec(args.spec, args.seed)
     if spec is None:
         return 2
-    host, port = _parse_listen(args.address or DEFAULT_LISTEN)
+    host, port = args.address
     cfg = session.SessionConfig(
         role=role, spec=spec, host=host, port=port, timeout=args.timeout
     )
@@ -102,9 +127,8 @@ def _cmd_session(args, role: str) -> int:
     except protocols.PolicyViolation as exc:
         print(f"policy violation: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(protocols.transcript_to_json(transcript))
+    if args.out and _write_out(args.out, protocols.transcript_to_json(transcript)):
+        return 2
     print(f"extracted key: {transcript.extracted_key.hex()}", file=sys.stderr)
     return 0
 
@@ -114,8 +138,8 @@ def _cmd_session(args, role: str) -> int:
 
 def _cmd_keygen(args) -> int:
     spec = protocols.random_spec(args.tag, args.seed)
-    with open(args.out, "w") as handle:
-        handle.write(protocols.spec_to_json(spec))
+    if _write_out(args.out, protocols.spec_to_json(spec)):
+        return 2
     if args.secrets_out:
         ska, skb = protocols.generate_secrets(spec)
         platform = protocols.work_platform(spec)
@@ -130,8 +154,9 @@ def _cmd_keygen(args) -> int:
                 "indices": list(sk.indices),
             }
 
-        with open(args.secrets_out, "w") as handle:
-            json.dump({"alice": secret_obj(ska), "bob": secret_obj(skb)}, handle, indent=2)
+        secrets = {"alice": secret_obj(ska), "bob": secret_obj(skb)}
+        if _write_out(args.secrets_out, json.dumps(secrets, indent=2)):
+            return 2
     print(f"wrote {args.tag} spec to {args.out}", file=sys.stderr)
     return 0
 
@@ -238,51 +263,11 @@ def _cmd_attack(args) -> int:
     return 1 if bad else 0
 
 
-# -- bench --------------------------------------------------------------------
-
-
-def _bench_payload(repeat: int) -> dict:
-    rng = random.Random(20120401)
-    results: dict[str, float] = {}
-
-    words = [braid.random_braid(8, length, rng) for length in (120, 400, 1200) for _ in range(repeat)]
-    start = time.perf_counter()
-    for w in words:
-        braid.normal_form.__wrapped__(w)  # bypass the cache: time the kernel
-    results["normal_form_s"] = time.perf_counter() - start
-
-    pairs = [
-        (braid.random_braid(6, 30, rng), braid.random_braid(6, 30, rng))
-        for _ in range(repeat * 10)
-    ]
-    start = time.perf_counter()
-    for w1, w2 in pairs:
-        braid.handle_trivial(braid.concat(w1, braid.invert(w2)))
-    results["handle_reduce_s"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for seed in range(max(2, repeat // 2)):
-        protocols.run(protocols.random_spec("shifted_commutator", seed))
-    results["shifted_runs_s"] = time.perf_counter() - start
-    return results
-
-
-def _cmd_bench(args) -> int:
-    payload = _bench_payload(args.repeat)
-    if args.json:
-        print(json.dumps(payload))
-        return 0
-
-    for key, seconds in payload.items():
-        print(f"{key:<18} {seconds:8.3f} s")
-    return 0
-
-
 # -- parser -------------------------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nakex",
         description="Workbench for non-associative and non-commutative key establishment.",
     )
@@ -298,8 +283,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} a two-party session")
         p.set_defaults(func=functools.partial(_cmd_session, role=role))
         p.add_argument("--spec", required=True)
-        p.add_argument("--address", help="host:port (default from NAKEX_LISTEN)")
-        p.add_argument("--timeout", type=float, default=30.0)
+        p.add_argument(
+            "--address", type=_parse_listen,
+            default=os.environ.get("NAKEX_LISTEN", "127.0.0.1:9131"),
+            help="host:port (default from NAKEX_LISTEN, else 127.0.0.1:9131)",
+        )
+        p.add_argument("--timeout", type=_positive_seconds, default=30.0, help="seconds")
         p.add_argument("--out", help="write the transcript JSON here")
         p.add_argument("--seed", type=int)
 
@@ -324,11 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--instance", required=True, help="experiment JSON file")
     p_attack.add_argument("--out", required=True, help="CSV report path")
     p_attack.set_defaults(func=_cmd_attack)
-
-    p_bench = sub.add_parser("bench", help="time kernels and protocol runs")
-    p_bench.add_argument("--repeat", type=int, default=4)
-    p_bench.add_argument("--json", action="store_true")
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 

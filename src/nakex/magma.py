@@ -29,7 +29,6 @@ __all__ = [
     "left_comb",
     "right_comb",
     "comb_distance",
-    "tree_leaves",
     "tree_depth",
     "leaf_count",
     "enumerate_trees",
@@ -90,23 +89,23 @@ def push_through(t: TreeWord, images: Sequence, ops: Sequence[BinOp]):
     return eval_tree(t, images, ops)
 
 
-def left_comb(k: int, op: int = 0) -> TreeWord:
-    """r_0 * (r_1 * (r_2 * ...)): the linear-growth comb."""
+def left_comb(k: int) -> TreeWord:
+    """r_0 * (r_1 * (r_2 * ...)) under operation 0: the linear-growth comb."""
     if k < 1:
         raise ValueError("need at least one leaf")
     tree: TreeWord = Leaf(k - 1)
     for i in range(k - 2, -1, -1):
-        tree = Node(op, Leaf(i), tree)
+        tree = Node(0, Leaf(i), tree)
     return tree
 
 
-def right_comb(k: int, op: int = 0) -> TreeWord:
-    """((r_0 * r_1) * r_2) * ...: the exponential-growth comb."""
+def right_comb(k: int) -> TreeWord:
+    """((r_0 * r_1) * r_2) * ... under operation 0: the exponential-growth comb."""
     if k < 1:
         raise ValueError("need at least one leaf")
     tree: TreeWord = Leaf(0)
     for i in range(1, k):
-        tree = Node(op, tree, Leaf(i))
+        tree = Node(0, tree, Leaf(i))
     return tree
 
 
@@ -120,12 +119,6 @@ def comb_distance(t: TreeWord) -> int:
         return 0
     here = 1 if isinstance(t.left, Node) else 0
     return here + comb_distance(t.left) + comb_distance(t.right)
-
-
-def tree_leaves(t: TreeWord) -> list[int]:
-    if isinstance(t, Leaf):
-        return [t.index]
-    return tree_leaves(t.left) + tree_leaves(t.right)
 
 
 def leaf_count(t: TreeWord) -> int:

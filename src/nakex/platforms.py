@@ -101,9 +101,6 @@ class BraidPlatform:
     def canon(self, x: Element):
         return braid.normal_form(self.check(x))
 
-    def canonical(self, x: Element) -> BraidWord:
-        return braid.canonical_word(self.check(x))
-
     def random_element(self, rng, length: int = 8) -> Element:
         return braid.random_braid(self.strands, length, rng)
 
@@ -151,12 +148,6 @@ class SymmetricPlatform:
     def elements(self) -> Iterator[Permutation]:
         for images in itertools.permutations(range(1, self.degree + 1)):
             yield _perm(images)
-
-    def order(self) -> int:
-        out = 1
-        for k in range(2, self.degree + 1):
-            out *= k
-        return out
 
     def random_element(self, rng) -> Element:
         images = list(range(1, self.degree + 1))
@@ -212,9 +203,6 @@ class MultModPlatform:
 
     def elements(self) -> Iterator[int]:
         return iter(range(1, self.modulus))
-
-    def order(self) -> int:
-        return self.modulus - 1
 
     def random_element(self, rng) -> Element:
         return rng.randrange(1, self.modulus)
@@ -339,10 +327,6 @@ class PointMapEndo:
                         f"table is not a homomorphism: f({x}*{y}) != f({x})f({y})"
                     )
         object.__setattr__(self, "_table", table)
-
-    @classmethod
-    def from_callable(cls, platform: Platform, fn) -> "PointMapEndo":
-        return cls(platform, tuple((x, fn(x)) for x in platform.elements()))
 
     def apply(self, x: Element) -> Element:
         return self._table[self.platform.check(x)]

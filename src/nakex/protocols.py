@@ -680,17 +680,19 @@ def make_aag_commutator(
 
 def make_simdcp(
     platform: Platform, s_gens, t_gens,
-    policy: KeyPolicy | None = None, seed: int = 0, alternating: bool = False,
+    policy: KeyPolicy | None = None, seed: int = 0,
 ) -> ProtocolSpec:
     return ProtocolSpec(
-        tag="simdcp_alt" if alternating else "simdcp",
-        platform=platform, alice_gens=tuple(s_gens), bob_gens=tuple(t_gens),
+        tag="simdcp", platform=platform, alice_gens=tuple(s_gens), bob_gens=tuple(t_gens),
         policy=policy or _default_policy(platform), seed=seed,
     )
 
 
 def make_simdcp_alt(platform, s_gens, t_gens, policy=None, seed: int = 0) -> ProtocolSpec:
-    return make_simdcp(platform, s_gens, t_gens, policy, seed, alternating=True)
+    return ProtocolSpec(
+        tag="simdcp_alt", platform=platform, alice_gens=tuple(s_gens), bob_gens=tuple(t_gens),
+        policy=policy or _default_policy(platform), seed=seed,
+    )
 
 
 def make_symdp(
@@ -721,7 +723,6 @@ def make_shifted_commutator(
     variant: str = "bi_ld",
     p: int = 1,
     a: BraidWord | None = None,
-    base_strands: int | None = None,
     policy: KeyPolicy | None = None,
     seed: int = 0,
 ) -> ProtocolSpec:
@@ -731,7 +732,7 @@ def make_shifted_commutator(
     default a = tau(p,p) specializes to Dehornoy's sigma_1 for p = 1.
     """
     s, t = tuple(s_gens), tuple(t_gens)
-    strands = base_strands or max(
+    strands = max(
         [2, 2 * p] + [w.strands for w in s + t if isinstance(w, BraidWord)]
     )
     return ProtocolSpec(
@@ -816,24 +817,12 @@ def _endo_from_obj(platform: Platform, obj: Optional[dict]) -> Optional[Endomorp
     raise ValueError(f"unknown endomorphism kind {kind!r}")
 
 
-def _policy_obj(policy: KeyPolicy) -> dict:
-    return {
-        "max_leaves": policy.max_leaves,
-        "max_depth": policy.max_depth,
-        "comb_bias": policy.comb_bias,
-        "gen_length": policy.gen_length,
-        "max_word_letters": policy.max_word_letters,
-        "exponent_min": policy.exponent_min,
-        "exponent_max": policy.exponent_max,
-    }
-
-
 def spec_to_obj(spec: ProtocolSpec) -> dict:
     platform = spec.platform
     obj = {
         "tag": spec.tag,
         "platform": _platform_obj(platform),
-        "policy": _policy_obj(spec.policy),
+        "policy": dict(vars(spec.policy)),
         "seed": spec.seed,
         "alice_gens": [_elem_hex(platform, g) for g in spec.alice_gens],
         "bob_gens": [_elem_hex(platform, g) for g in spec.bob_gens],

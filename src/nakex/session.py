@@ -111,13 +111,22 @@ def encode_frame(ftype: int, payload: bytes) -> bytes:
     return struct.pack(">IB", len(payload), ftype) + payload
 
 
+def _check_header(header: bytes) -> tuple[int, int]:
+    """(type, payload length) of a 5-byte frame header; MalformedFrame for an
+    unknown type or a length over MAX_FRAME_PAYLOAD."""
+    length, ftype = struct.unpack_from(">IB", header)
+    if ftype not in _KNOWN_TYPES:
+        raise MalformedFrame(f"unknown frame type {ftype:#x}")
+    if length > MAX_FRAME_PAYLOAD:
+        raise MalformedFrame(f"frame payload of {length} bytes exceeds the cap")
+    return ftype, length
+
+
 def decode_frame(data: bytes) -> tuple[int, bytes, int]:
     """Decode one frame from a buffer; returns (type, payload, bytes used)."""
     if len(data) < 5:
         raise MalformedFrame("short frame header")
-    length, ftype = struct.unpack_from(">IB", data)
-    if ftype not in _KNOWN_TYPES:
-        raise MalformedFrame(f"unknown frame type {ftype:#x}")
+    ftype, length = _check_header(data)
     if len(data) < 5 + length:
         raise MalformedFrame("truncated frame payload")
     return ftype, data[5 : 5 + length], 5 + length
@@ -139,12 +148,7 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 
 
 def read_frame(sock: socket.socket) -> tuple[int, bytes]:
-    header = _recv_exact(sock, 5)
-    length, ftype = struct.unpack(">IB", header)
-    if ftype not in _KNOWN_TYPES:
-        raise MalformedFrame(f"unknown frame type {ftype:#x}")
-    if length > MAX_FRAME_PAYLOAD:
-        raise MalformedFrame(f"frame payload of {length} bytes exceeds the cap")
+    ftype, length = _check_header(_recv_exact(sock, 5))
     return ftype, _recv_exact(sock, length)
 
 
@@ -243,8 +247,8 @@ def connect_and_run(cfg: SessionConfig) -> Transcript:
         return _exchange(sock, cfg)
 
 
-def session_run(cfg: SessionConfig, bound_socket: Optional[socket.socket] = None) -> Transcript:
+def session_run(cfg: SessionConfig) -> Transcript:
     """Run one session in the configured role."""
     if cfg.role == "initiator":
         return connect_and_run(cfg)
-    return serve_once(cfg, bound_socket)
+    return serve_once(cfg)

@@ -174,6 +174,9 @@ def test_attack_reports_golden_digest(tmp_path):
 
 
 ATTACK_ARGV = ["attack", "--instance", "{tmp}/instance.json", "--out", "{tmp}/report.csv"]
+# a loadable spec in instance.json, for the cases that fail after loading it
+DH_SPEC = P.spec_to_json(P.make_classic_dh(23, 5, seed=1))
+SPEC_ARGV = ["--spec", "{tmp}/instance.json"]
 
 
 @pytest.mark.parametrize(
@@ -203,19 +206,41 @@ ATTACK_ARGV = ["attack", "--instance", "{tmp}/instance.json", "--out", "{tmp}/re
         ('{"experiment": "length_attack", "trials": 1, "m": true}', ATTACK_ARGV),
         ('{"experiment": "bf_csp", "trials": 1, "degree": true}', ATTACK_ARGV),
         ('{"experiment": "laver_membership", "level": true}', ATTACK_ARGV),
+        (DH_SPEC, ["run", *SPEC_ARGV, "--out", "{tmp}/none/t.json"]),
+        (None, ["keygen", "--tag", "classic_dh", "--out", "{tmp}/none/spec.json"]),
+        (None, ["keygen", "--tag", "classic_dh", "--out", "{tmp}/spec.json",
+                "--secrets-out", "{tmp}/none/secrets.json"]),
+        (DH_SPEC, ["serve", *SPEC_ARGV, "--address", "foo"]),
+        (DH_SPEC, ["NAKEX_LISTEN=bad", "connect", *SPEC_ARGV]),
+        (DH_SPEC, ["serve", *SPEC_ARGV, "--address", "127.0.0.1:99999"]),
+        (DH_SPEC, ["connect", *SPEC_ARGV, "--address", "127.0.0.1:99999"]),
+        (DH_SPEC, ["serve", *SPEC_ARGV, "--timeout", "-1"]),
+        (DH_SPEC, ["connect", *SPEC_ARGV, "--timeout", "0"]),
+        (DH_SPEC, ["serve", *SPEC_ARGV, "--timeout", "nan"]),
+        (DH_SPEC, ["serve", *SPEC_ARGV, "--timeout", "inf"]),
     ],
     ids=[
         "missing_instance", "invalid_json", "json_list", "no_experiment", "trials_str",
         "degree_0", "level_9", "out_dir_missing", "laws_level_9", "laws_p_0",
         "budget_str", "budget_bool", "max_leaves_str", "laws_samples_0", "laws_samples_neg",
         "m_0", "trials_bool", "p_bool", "p_0", "strands_1", "secret_length_bool", "m_bool",
-        "degree_bool", "level_bool",
+        "degree_bool", "level_bool", "run_out_dir_missing", "keygen_out_dir_missing",
+        "keygen_secrets_dir_missing", "address_no_port", "listen_env_bad", "serve_port_99999",
+        "connect_port_99999", "timeout_neg", "timeout_0", "timeout_nan", "timeout_inf",
     ],
 )
-def test_bad_input_exits_2(tmp_path, capsys, instance, argv):
+def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, instance, argv):
     if instance is not None:
         (tmp_path / "instance.json").write_text(instance)
-    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    if "=" in argv[0]:  # a leading NAME=value word sets the environment, as in a shell
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
+    try:
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+    except SystemExit as exc:  # argparse rejected an argument
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
 
@@ -226,20 +251,9 @@ def test_attack_unknown_experiment(tmp_path):
     assert main(["attack", "--instance", str(instance), "--out", str(tmp_path / "r.csv")]) == 2
 
 
-def test_bench_json():
-    import io
-    from contextlib import redirect_stdout
-
-    buffer = io.StringIO()
-    with redirect_stdout(buffer):
-        code = main(["bench", "--repeat", "1", "--json"])
-    assert code == 0
-    payload = json.loads(buffer.getvalue().strip().splitlines()[-1])
-    assert {"normal_form_s", "handle_reduce_s", "shifted_runs_s"} <= set(payload)
-
-
-def _serve_and_connect(spec_path, tmp_path):
-    """Exit codes of `serve` and `connect` run against each other on loopback."""
+def _serve_and_connect(spec_path, out_dir):
+    """Exit codes of `serve` and `connect` run against each other on loopback,
+    writing their transcripts to out_dir."""
     import socket
     import time
 
@@ -252,7 +266,7 @@ def _serve_and_connect(spec_path, tmp_path):
     def serve():
         results["serve"] = main([
             "serve", "--spec", str(spec_path), "--address", address,
-            "--out", str(tmp_path / "responder.json"), "--timeout", "20",
+            "--out", str(out_dir / "responder.json"), "--timeout", "20",
         ])
 
     thread = threading.Thread(target=serve)
@@ -262,7 +276,7 @@ def _serve_and_connect(spec_path, tmp_path):
     while time.time() < deadline:
         code = main([
             "connect", "--spec", str(spec_path), "--address", address,
-            "--out", str(tmp_path / "initiator.json"), "--timeout", "20",
+            "--out", str(out_dir / "initiator.json"), "--timeout", "20",
         ])
         if code != 1:  # 1 is also "connection refused": the server is not up yet
             break
@@ -301,3 +315,12 @@ def test_session_policy_violation_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     # connect may print "connection refused" lines while the server starts
     assert err.count("policy violation: ") == 2 and "Traceback" not in err
+
+
+def test_session_unwritable_out_exits_2(tmp_path, capsys):
+    # both ends finish the session, then fail to write the transcript
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(DH_SPEC)
+    assert _serve_and_connect(spec_path, tmp_path / "none") == (2, 2)
+    err = capsys.readouterr().err
+    assert err.count("cannot write ") == 2 and "Traceback" not in err

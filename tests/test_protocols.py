@@ -27,6 +27,10 @@ S5 = SymmetricPlatform(5)
 # permutation products stopped re-checking their images.
 FINITE_TAGS = ("classic_dh", "aag_commutator", "simdcp", "simdcp_alt", "symdp", "f_commutator")
 GOLDEN_FINITE_DIGEST = "5852848fe835ae1934eb1273e8880d218fcca8917a2a6882afeebdb275f44cd6"
+# The same digest over the braid-platform draws (f_commutator: its draws on B_n);
+# recorded before the unused spec-builder parameters became constants.
+BRAID_TAGS = ("group_dh", "ko_lee", "str_kep", "shifted_commutator", "f_commutator")
+GOLDEN_BRAID_DIGEST = "f77a85c7a98ddeeedd7e604a25dc374df4c45990d884a8acaa9df2deec84ade2"
 
 
 def run_quiet(spec):
@@ -475,3 +479,17 @@ def test_finite_transcripts_golden_digest():
             runs += 1
     assert runs == 114
     assert digest.hexdigest() == GOLDEN_FINITE_DIGEST
+
+
+def test_braid_transcripts_golden_digest():
+    digest = hashlib.sha256()
+    runs = 0
+    for tag in BRAID_TAGS:
+        for s in range(20):
+            spec = P.random_spec(tag, s)
+            if not isinstance(spec.platform, BraidPlatform):
+                continue
+            digest.update(P.transcript_to_json(run_quiet(spec)).encode())
+            runs += 1
+    assert runs == 86
+    assert digest.hexdigest() == GOLDEN_BRAID_DIGEST

@@ -44,6 +44,19 @@ def test_frame_malformed():
         S.encode_frame(0x42, b"")
 
 
+def test_frame_over_cap_is_malformed():
+    # the header alone is refused: no payload is buffered or awaited
+    header = struct.pack(">IB", S.MAX_FRAME_PAYLOAD + 1, S.FRAME_PUBLIC_KEYS)
+    with pytest.raises(S.MalformedFrame, match="exceeds the cap"):
+        S.decode_frame(header)
+    left, right = socket.socketpair()
+    with left, right:
+        right.settimeout(5)
+        left.sendall(header)
+        with pytest.raises(S.MalformedFrame, match="exceeds the cap"):
+            S.read_frame(right)
+
+
 # -- loopback sessions ------------------------------------------------------------
 
 
