@@ -24,12 +24,15 @@ Delta^d tau^p(F_1 ... F_r), with p one bit for a pending tau, and reads each
 letter, mapped through tau^p, along one of three paths: a positive letter
 that extends the tail factor in place, an inverse letter that cancels into
 it in place, or any other letter appended as a factor (an inverse letter as
-Delta^-1 times its near-Delta factor, which moves d and p).  Pairs are then
-left-weighted back from the tail only as far as they change, and a factor
-that grows into Delta is pulled straight into the infimum instead of being
-carried to the head.  Its cost is O(n) per left-weighted pair plus O(1) per
-transposition moved, with a bounded number of pairs per letter: between 2.7
-and 4.6 on random B_8 words of 120 to 1200 letters.
+Delta^-1 times its near-Delta factor, which moves d and p).  The tail factor
+may be left dirty, not yet left-weighted with its left neighbour: letters
+keep extending or cancelling into it while it stays simple, and pairs are
+left-weighted back from the tail, only as far as they change, when the next
+letter does not fit or the word ends.  A factor that grows into Delta is
+pulled straight into the infimum instead of being carried to the head.  Its
+cost is O(n) per left-weighted pair plus O(1) per transposition moved, with
+a bounded number of pairs per letter: 1.8, 2.5 and 2.7 on random B_8 words
+of 120, 400 and 1200 letters.
 """
 
 __all__ = [
@@ -117,39 +120,49 @@ def word_to_nf(letters, n):
     left-weighted.  The represented braid is Delta^inf f_1 ... f_l.
 
     The form is built incrementally (Elrifai-Morton; Epstein et al., *Word
-    Processing in Groups*, ch. 9).  The prefix read so far is held in normal
-    form as Delta^d tau^p(F_1 ... F_r), where tau(x) = Delta^-1 x Delta is
-    the flip sigma_j -> sigma_(n-j) and p is one bit: tau is an involution,
-    and Delta^-1 can only pass the factors on their left as tau, so the
-    pending tau is applied to each letter instead of to every factor.  A
-    letter, mapped through tau^p, takes one of three paths:
+    Processing in Groups*, ch. 9).  The prefix read so far is held as
+    Delta^d tau^p(F_1 ... F_r), where tau(x) = Delta^-1 x Delta is the flip
+    sigma_j -> sigma_(n-j) and p is one bit: tau is an involution, and
+    Delta^-1 can only pass the factors on their left as tau, so the pending
+    tau is applied to each letter instead of to every factor.  F_1 ... F_(r-1)
+    is always in normal form; the tail factor F_r is simple but may be
+    dirty, that is not yet left-weighted with F_(r-1).  A letter, mapped
+    through tau^p, takes one of three paths:
 
     - a positive letter sigma_j whose values j, j+1 stand in order in F_r
-      extends F_r in place, and the sweep below runs from the tail;
+      extends F_r in place and marks it dirty;
     - an inverse letter whose generator right-divides F_r cancels in place
-      (a factor emptied is popped), with no sweep: F_r shrinks to a prefix of
-      itself, whose starting set only shrinks, so its left pair stays
-      left-weighted;
-    - any other letter is appended as a factor.  For sigma_j the new pair is
-      already left-weighted (F_r ends in sigma_j), so nothing more is done.
+      (a factor emptied is popped, and the tail left is clean).  A clean F_r
+      stays clean: it shrinks to a prefix of itself, whose starting set only
+      shrinks, so its left pair stays left-weighted;
+    - any other letter first sweeps a dirty tail and is then read again
+      against the swept one, which may now take it in place.  Otherwise it is
+      appended as a factor.  For sigma_j the new pair is already
+      left-weighted (F_r ends in sigma_j), so the tail is clean.
       sigma_j^-1 = Delta^-1 (Delta sigma_j^-1) first does d -= 1 and
       p ^= 1, then appends the near-Delta factor Delta sigma_j^-1 (j mapped
-      through the new parity), and the sweep runs.
+      through the new parity) as a dirty tail.  Every sigma_b with b != j
+      right-divides it, so a run of inverse letters cancels into it.
 
-    The sweep left-weights pairs from the tail leftward and stops at the
-    first pair that does not change; pairs to its right stay left-weighted
-    although their left factors gave up a head to the left, which is the
-    right-multiplication step of the reference.  When a pair turns its left
-    factor into Delta, that factor is deleted, tau is applied to the factors
-    on its right (Delta passes them on its way to the head), d += 1, p ^= 1,
-    and the sweep stops: carried to the head, the Delta would only apply tau
-    to each factor on its left, and the pair that closes over the gap is
-    left-weighted already.  At the end tau^p is applied to every factor.
+    So a run of letters that keeps the tail simple costs one sweep, not one
+    per letter.  The sweep (also run at the end) is the right-multiplication
+    step of the reference: F_1 ... F_(r-1) times the simple F_r.  It
+    left-weights pairs from the tail leftward and stops at the first pair
+    that does not change; pairs to its right stay left-weighted although
+    their left factors gave up a head to the left.  When a pair turns its
+    left factor into Delta, that factor is deleted, tau is applied to the
+    factors on its right (Delta passes them on its way to the head),
+    d += 1, p ^= 1, and the sweep stops: carried to the head, the Delta
+    would only apply tau to each factor on its left, and the pair that
+    closes over the gap is left-weighted already.  At the end tau^p is
+    applied to every factor.
 
     Cost: a pair costs O(n) plus O(1) per transposition moved, and a sweep
-    seldom goes past the near-Delta factor it absorbs, so the number of
-    pairs per letter is bounded rather than growing with the word; on random
-    B_8 words of 120 to 1200 letters it stays between 2.7 and 4.6.
+    seldom goes past the factor it absorbs, so the number of pairs per
+    letter is bounded rather than growing with the word: 1.8, 2.5 and 2.7
+    on random B_8 words of 120, 400 and 1200 letters (2.7, 3.6 and 4.0 with
+    one sweep per letter), and 1.5 on the words ``kex_braid`` normalizes
+    (2.0 with one sweep per letter).
     """
     letters = free_reduce(letters)
     if not letters or n < 2:
@@ -162,61 +175,83 @@ def word_to_nf(letters, n):
     top = n - 2  # tau(sigma_j) = sigma_(top - j), 0-based
     d = 0
     flip = 0
+    dirty = False  # F_r not yet left-weighted with its left neighbour
     facs = []
     for e in letters:
-        j = (e if e > 0 else -e) - 1
-        if flip:
-            j = top - j
-        extend = False
-        if facs:
-            x = facs[-1]
-            a = x.index(j)
-            b = x.index(j + 1)
-            extend = (a < b) == (e > 0)
-        if extend:
-            # x sigma_j (values in order) or x sigma_j^-1 (out of order) is
-            # simple: swap the two values.
-            x[a] = j + 1
-            x[b] = j
-            if e < 0:
-                if x == identity:
-                    facs.pop()
-                continue
-        elif e > 0:
-            f = identity.copy()
-            f[j] = j + 1
-            f[j + 1] = j
-            facs.append(f)
-            continue
-        else:
-            d -= 1
-            flip ^= 1
-            j = top - j
-            # Delta sigma_j^-1: start from w0 and swap the entries holding
-            # values j and j+1.
-            f = w0.copy()
-            f[top + 1 - j] = j + 1
-            f[top - j] = j
-            facs.append(f)
-
-        k = len(facs) - 1
         while True:
-            if facs[k] == w0:
-                del facs[k]
-                for i in range(k, len(facs)):
-                    facs[i] = _tau(facs[i])
-                d += 1
+            j = (e if e > 0 else -e) - 1
+            if flip:
+                j = top - j
+            if facs:
+                x = facs[-1]
+                a = x.index(j)
+                b = x.index(j + 1)
+                if (a < b) == (e > 0):
+                    # x sigma_j (values in order) or x sigma_j^-1 (out of
+                    # order) is simple: swap the two values.
+                    x[a] = j + 1
+                    x[b] = j
+                    if e > 0:
+                        dirty = True
+                    elif x == identity:
+                        facs.pop()
+                        dirty = False
+                    break
+                if dirty:
+                    # the letter does not fit: sweep, then read it again
+                    if _sweep(facs, identity, w0):
+                        d += 1
+                        flip ^= 1
+                    dirty = False
+                    continue
+            if e > 0:
+                f = identity.copy()
+                f[j] = j + 1
+                f[j + 1] = j
+            else:
+                d -= 1
                 flip ^= 1
-                break
-            if not k or not _left_weight_pair(facs[k - 1], facs[k]):
-                break
-            k -= 1
-        if facs and facs[-1] == identity:
-            facs.pop()
+                j = top - j
+                # Delta sigma_j^-1: start from w0 and swap the entries
+                # holding values j and j+1.
+                f = w0.copy()
+                f[top + 1 - j] = j + 1
+                f[top - j] = j
+                dirty = True
+            facs.append(f)
+            break
 
+    if dirty and _sweep(facs, identity, w0):
+        d += 1
+        flip ^= 1
     if flip:
         facs = [_tau(f) for f in facs]
     return d, facs
+
+
+def _sweep(facs, identity, w0):
+    """Left-weight ``facs`` from the tail leftward; True if a Delta left.
+
+    Stops at the first pair that does not change.  A factor that has grown
+    into Delta is deleted and tau is applied to the factors on its right;
+    the caller then raises the infimum and flips the tau parity.  A tail
+    factor emptied into its left neighbour is popped.
+    """
+    k = len(facs) - 1
+    pulled = False
+    while True:
+        if facs[k] == w0:
+            del facs[k]
+            for i in range(k, len(facs)):
+                facs[i] = _tau(facs[i])
+            pulled = True
+            break
+        if not k or not _left_weight_pair(facs[k - 1], facs[k]):
+            break
+        k -= 1
+    if facs and facs[-1] == identity:
+        facs.pop()
+    return pulled
 
 
 def nf_factor_word(perm):

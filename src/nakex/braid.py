@@ -65,6 +65,14 @@ class BraidWord:
     empty word is the identity.  Dataclass equality is letter-wise equality of
     words, not equality of the braids they represent; use :func:`braids_equal`
     or compare normal forms for the latter.
+
+    ``BraidWord(strands, letters)`` checks the strand count and every letter
+    and raises ValueError otherwise.  It is the constructor for words from
+    outside the program: :func:`decode_braid`, spec and transcript JSON, and
+    callers.  The words this package derives from checked words (products,
+    inverses, shifts, a lift to more strands, handle and free reductions,
+    strand removal, canonical words and random draws) are valid by
+    construction, so they are built by ``_word``, which skips the check.
     """
 
     strands: int
@@ -114,6 +122,14 @@ class Permutation:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
 
+def _word(strands: int, letters: tuple[int, ...]) -> BraidWord:
+    """The BraidWord of ``letters``, which must already fit ``strands``."""
+    w = object.__new__(BraidWord)
+    object.__setattr__(w, "strands", strands)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def _perm(images: tuple[int, ...]) -> Permutation:
     """The Permutation of ``images``, which must already be 1..n in some order."""
     p = object.__new__(Permutation)
@@ -160,18 +176,18 @@ class GarsideNormalForm:
 def concat(w1: BraidWord, w2: BraidWord) -> BraidWord:
     """Product of two braid words, freely reduced; strand counts may differ."""
     n = max(w1.strands, w2.strands)
-    return BraidWord(n, _kernels.free_reduce(w1.letters + w2.letters))
+    return _word(n, _kernels.free_reduce(w1.letters + w2.letters))
 
 
 def concat_all(*words: BraidWord) -> BraidWord:
-    out = BraidWord(1)
+    out = _word(1, ())
     for w in words:
         out = concat(out, w)
     return out
 
 
 def invert(w: BraidWord) -> BraidWord:
-    return BraidWord(w.strands, tuple(-e for e in reversed(w.letters)))
+    return _word(w.strands, tuple([-e for e in reversed(w.letters)]))
 
 
 def shift(w: BraidWord, p: int) -> BraidWord:
@@ -180,16 +196,15 @@ def shift(w: BraidWord, p: int) -> BraidWord:
         raise ValueError("shift amount must be nonnegative")
     if p == 0:
         return w
-    return BraidWord(
-        w.strands + p,
-        tuple(e + p if e > 0 else e - p for e in w.letters),
-    )
+    return _word(w.strands + p, tuple([e + p if e > 0 else e - p for e in w.letters]))
 
 
 def with_strands(w: BraidWord, n: int) -> BraidWord:
     """Re-declare ``w`` on n strands (n must cover every letter)."""
     if n == w.strands:
         return w
+    if n > w.strands:
+        return _word(n, w.letters)
     return BraidWord(n, w.letters)
 
 
@@ -221,7 +236,7 @@ def braids_equal(w1: BraidWord, w2: BraidWord) -> bool:
 
 def handle_reduce(w: BraidWord) -> BraidWord:
     """Handle-free word equal to ``w`` in B_n; empty iff ``w`` is trivial."""
-    return BraidWord(w.strands, _kernels.handle_reduce_word(w.letters))
+    return _word(w.strands, _kernels.handle_reduce_word(w.letters))
 
 
 def handle_trivial(w: BraidWord) -> bool:
@@ -262,7 +277,7 @@ def remove_strands(w: BraidWord, d: int) -> BraidWord:
     if not is_pure(w):
         raise ValueError("remove_strands requires a pure braid")
     reduced = _kernels.remove_strands_word(w.letters, w.strands, d)
-    return BraidWord(w.strands - d, reduced)
+    return _word(w.strands - d, reduced)
 
 
 def pure_braid_endo(w: BraidWord, d: int) -> BraidWord:
@@ -282,7 +297,7 @@ def random_braid(n: int, length: int, rng: random.Random) -> BraidWord:
     for _ in range(length):
         e = rng.randrange(1, n)
         letters.append(e if rng.random() < 0.5 else -e)
-    return BraidWord(n, _kernels.free_reduce(letters))
+    return _word(n, _kernels.free_reduce(letters))
 
 
 def random_pure_braid(n: int, rng: random.Random, conj_len: int = 4, blocks: int = 2) -> BraidWord:
@@ -297,7 +312,7 @@ def random_pure_braid(n: int, rng: random.Random, conj_len: int = 4, blocks: int
 
 
 def freely_reduced(w: BraidWord) -> BraidWord:
-    return BraidWord(w.strands, _kernels.free_reduce(w.letters))
+    return _word(w.strands, _kernels.free_reduce(w.letters))
 
 
 def canonical_word(w: BraidWord) -> BraidWord:
@@ -317,7 +332,7 @@ def canonical_word(w: BraidWord) -> BraidWord:
         letters.extend(block * abs(nf.infimum))
     for factor in nf.factors:
         letters.extend(_kernels.nf_factor_word([v - 1 for v in factor.images]))
-    return BraidWord(n, tuple(letters))
+    return _word(n, tuple(letters))
 
 
 # -- canonical byte serialization -------------------------------------------

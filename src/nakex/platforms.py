@@ -221,7 +221,11 @@ Platform = Union[BraidPlatform, SymmetricPlatform, MultModPlatform]
 
 
 def g_pow(p: Platform, x: Element, k: int) -> Element:
-    """Square-and-multiply power; negative exponents via inversion."""
+    """Square-and-multiply power; negative exponents via inversion.
+
+    The base is squared only while higher bits remain, so k >= 1 costs
+    bit_length(k) - 1 squarings and popcount(k) multiplications.
+    """
     if k < 0:
         return g_pow(p, p.inv(x), -k)
     acc = p.identity()
@@ -229,8 +233,9 @@ def g_pow(p: Platform, x: Element, k: int) -> Element:
     while k:
         if k & 1:
             acc = p.mul(acc, base)
-        base = p.mul(base, base)
         k >>= 1
+        if k:
+            base = p.mul(base, base)
     return acc
 
 
@@ -293,9 +298,12 @@ class PowerShiftEndo:
 
     def apply(self, x: Element) -> Element:
         word = self.platform.check(x)
-        if not braid.is_pure(word):
-            raise ValueError("power_shift endomorphism applied to a non-pure braid")
-        return braid.pure_braid_endo(word, self.d)
+        # word has the platform's strands, so 0 < d < strands holds and the
+        # one ValueError remove_strands can raise is its purity check
+        try:
+            return braid.pure_braid_endo(word, self.d)
+        except ValueError:
+            raise ValueError("power_shift endomorphism applied to a non-pure braid") from None
 
 
 @dataclass(frozen=True)

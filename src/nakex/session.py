@@ -106,8 +106,12 @@ class SessionConfig:
 
 
 def encode_frame(ftype: int, payload: bytes) -> bytes:
+    """Frame ``payload``; MalformedFrame, before any byte is built, for a
+    payload over MAX_FRAME_PAYLOAD, which every receiver refuses."""
     if ftype not in _KNOWN_TYPES:
         raise ValueError(f"unknown frame type {ftype:#x}")
+    if len(payload) > MAX_FRAME_PAYLOAD:
+        raise MalformedFrame(f"frame payload of {len(payload)} bytes exceeds the cap")
     return struct.pack(">IB", len(payload), ftype) + payload
 
 

@@ -34,6 +34,32 @@ def test_letter_validation():
     BraidWord(1)  # trivial group: empty word is fine
 
 
+def test_derived_words_match_checked_constructor():
+    # products, inverses, shifts and lifts skip the constructor's letter
+    # check; they must equal, and hash like, the word it builds and accepts
+    rng = random.Random(14)
+    for _ in range(60):
+        n = rng.randrange(2, 8)
+        w1, w2 = B.random_braid(n, rng.randrange(0, 20), rng), B.random_braid(n + 1, 9, rng)
+        results = [B.concat(w1, w2), B.concat_all(w1, w2, w1), B.invert(w1),
+                   B.shift(w1, rng.randrange(1, 4)), B.with_strands(w1, n + 2),
+                   B.handle_reduce(w1), B.freely_reduced(w1), B.canonical_word(w2)]
+        for result in results:
+            checked = BraidWord(result.strands, result.letters)
+            assert type(result) is BraidWord and type(result.letters) is tuple
+            assert result == checked and hash(result) == hash(checked)
+
+
+def test_words_from_outside_are_still_checked():
+    with pytest.raises(ValueError):
+        BraidWord(3, (3,))
+    with pytest.raises(ValueError):
+        B.decode_braid(b"\x00\x04\x00\x00\x00\x01\x00\x04")  # sigma_4 on 4 strands
+    with pytest.raises(ValueError):
+        B.with_strands(BraidWord(5, (1, 4)), 4)
+    assert B.with_strands(BraidWord(5, (1, 3)), 4) == BraidWord(4, (1, 3))
+
+
 def test_concat_examples():
     assert B.concat(BraidWord(2, (1,)), BraidWord(2, (-1,))).letters == ()
     assert B.concat(BraidWord(3, (1, 2)), BraidWord(3)).letters == (1, 2)
@@ -294,9 +320,8 @@ def test_normal_form_golden_digest():
     assert digest.hexdigest() == GOLDEN_NF_DIGEST
 
 
-def test_normal_form_sweep_stays_short(monkeypatch):
-    # left-weighted pairs per letter stay bounded as words grow; a sweep that
-    # carries half twists to the head would grow with the word instead
+def _pairs_per_letter(monkeypatch):
+    """A function of words giving left-weighted pairs per letter of their normal forms."""
     from nakex import _kernels
 
     calls = 0
@@ -316,6 +341,13 @@ def test_normal_form_sweep_stays_short(monkeypatch):
             _kernels.word_to_nf(w.letters, w.strands)
         return calls / sum(len(w) for w in words)
 
+    return pairs_per_letter
+
+
+def test_normal_form_sweep_stays_short(monkeypatch):
+    # left-weighted pairs per letter stay bounded as words grow; a sweep that
+    # carries half twists to the head would grow with the word instead
+    pairs_per_letter = _pairs_per_letter(monkeypatch)
     rng = random.Random(12)
     short = pairs_per_letter([B.random_braid(8, 120, rng) for _ in range(10)])
     long_words = [w for w in _golden_words() if w.strands == 8 and len(w) > 1000]
@@ -323,6 +355,24 @@ def test_normal_form_sweep_stays_short(monkeypatch):
     long = pairs_per_letter(long_words)
     assert short <= 8 and long <= 8
     assert long <= 1.5 * short
+
+
+def test_normal_form_sweeps_once_per_simple_run(monkeypatch):
+    # letters that keep the tail factor simple are read without a sweep, so a
+    # run of inverse letters after a near-Delta factor costs one sweep
+    pairs_per_letter = _pairs_per_letter(monkeypatch)
+    rng = random.Random(12)
+    assert pairs_per_letter([B.random_braid(8, 120, rng) for _ in range(10)]) <= 2.6
+    rng = random.Random(15)
+    mostly_inverse = []
+    for n in range(4, 9):
+        for _ in range(6):
+            letters = []
+            for _ in range(60):
+                i = rng.randrange(1, n)
+                letters.append(-i if rng.random() < 0.8 else i)
+            mostly_inverse.append(B.freely_reduced(BraidWord(n, tuple(letters))))
+    assert pairs_per_letter(mostly_inverse) <= 1.6
 
 
 def test_delta_powers_move_only_the_infimum():

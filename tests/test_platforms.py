@@ -76,6 +76,38 @@ def test_g_pow():
     )
 
 
+class _CountingMul:
+    """A platform whose ``mul`` counts its calls."""
+
+    def __init__(self, platform):
+        self.platform = platform
+        self.muls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.platform, name)
+
+    def mul(self, x, y):
+        self.muls += 1
+        return self.platform.mul(x, y)
+
+
+@pytest.mark.parametrize("platform", PLATFORMS, ids=["braid", "sym", "modp"])
+def test_g_pow_squares_only_below_the_top_bit(platform):
+    # results equal the plain product of |k| copies (exactly, since braid
+    # products are freely reduced words), and k >= 1 costs bit_length(k) - 1
+    # squarings plus popcount(k) multiplications
+    x = _sample(platform, random.Random(13))
+    for k in range(-5, 65):
+        factor = x if k >= 0 else platform.inv(x)
+        expected = platform.identity()
+        for _ in range(abs(k)):
+            expected = platform.mul(expected, factor)
+        counting = _CountingMul(platform)
+        assert g_pow(counting, x, k) == expected
+        m = abs(k)
+        assert counting.muls == (m.bit_length() - 1 + bin(m).count("1") if m else 0)
+
+
 # -- endomorphisms -------------------------------------------------------------
 
 
@@ -108,6 +140,29 @@ def test_power_shift_endo():
         f.apply(BraidWord(3, (1,)))  # non-pure input
     with pytest.raises(PlatformMismatch):
         PowerShiftEndo(SymmetricPlatform(3), 1)
+
+
+def test_power_shift_checks_purity_once(monkeypatch):
+    from nakex import _kernels
+
+    calls = 0
+    perm_of_word = _kernels.perm_of_word
+
+    def counting(letters, n):
+        nonlocal calls
+        calls += 1
+        return perm_of_word(letters, n)
+
+    monkeypatch.setattr(_kernels, "perm_of_word", counting)
+    f = PowerShiftEndo(BraidPlatform(5), 2)
+    assert f.apply(BraidWord(5, (1, 1, -3, 2, 2, 3))) == BraidWord(5, (3, 3))
+    assert calls == 1
+    for word in (BraidWord(5, (1,)), BraidWord(4, (3, 1, 1))):
+        with pytest.raises(ValueError) as exc:
+            f.apply(word)
+        assert str(exc.value) == "power_shift endomorphism applied to a non-pure braid"
+    with pytest.raises(PlatformMismatch):
+        f.apply(BraidWord(7, (6, 6)))
 
 
 def test_power_shift_homomorphic_on_pure_braids():

@@ -44,6 +44,17 @@ def test_frame_malformed():
         S.encode_frame(0x42, b"")
 
 
+def test_encode_frame_refuses_a_payload_over_the_cap():
+    # at the cap the frame round-trips; one byte more is refused before the
+    # frame is built, instead of being sent to a peer that refuses it
+    payload = bytes(S.MAX_FRAME_PAYLOAD)
+    ftype, got, used = S.decode_frame(S.encode_frame(S.FRAME_PUBLIC_KEYS, payload))
+    assert (ftype, len(got), used) == (S.FRAME_PUBLIC_KEYS, S.MAX_FRAME_PAYLOAD, 5 + S.MAX_FRAME_PAYLOAD)
+    del payload, got
+    with pytest.raises(S.MalformedFrame, match="exceeds the cap"):
+        S.encode_frame(S.FRAME_PUBLIC_KEYS, bytes(S.MAX_FRAME_PAYLOAD + 1))
+
+
 def test_frame_over_cap_is_malformed():
     # the header alone is refused: no payload is buffered or awaited
     header = struct.pack(">IB", S.MAX_FRAME_PAYLOAD + 1, S.FRAME_PUBLIC_KEYS)
