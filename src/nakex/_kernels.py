@@ -11,7 +11,9 @@ Conventions shared by all kernels:
 - A permutation is a list ``p`` of length n with 0-based images, composed
   left-to-right: ``compose(p, q)[k] = q[p[k]]`` means "apply p, then q".
   Under this convention the permutation of a concatenated braid word is the
-  left-to-right composite of the letters' transpositions.
+  left-to-right composite of the letters' transpositions.  Only
+  :func:`word_to_nf` returns its factors as tuples of 1-based images, the
+  form :class:`nakex.braid.Permutation` holds.
 - A positive permutation braid is identified with its permutation; its letter
   length equals the inversion count.  For a pair of factors (x, y) the
   left-weighted condition is S(y) subset-of F(x), where S(y) = {i : y[i] >
@@ -29,11 +31,20 @@ may be left dirty, not yet left-weighted with its left neighbour: letters
 keep extending or cancelling into it while it stays simple, and pairs are
 left-weighted back from the tail, only as far as they change, when the next
 letter does not fit or the word ends.  A factor that grows into Delta is
-pulled straight into the infimum instead of being carried to the head.  Its
-cost is O(n) per left-weighted pair plus O(1) per transposition moved, with
-a bounded number of pairs per letter: 1.8, 2.5 and 2.7 on random B_8 words
+pulled straight into the infimum instead of being carried to the head.  The
+number of pairs per letter is bounded: 1.8, 2.5 and 2.7 on random B_8 words
 of 120, 400 and 1200 letters.
+
+On B_n with n <= 7 the factors are small-int ids in a per-n table of simple
+braids (n! <= 5040 of them), filled as words reach new factors, under a lock
+because session endpoints normalize from two threads.  A letter's fit test
+is one bit of a mask, and a left-weighted pair costs one table step per
+transposition moved.  On more strands the factors are lists of images, and a
+pair costs O(n) plus O(1) per transposition moved; a table there would grow
+towards n! entries, most of them reached once.
 """
+
+import threading
 
 __all__ = [
     "free_reduce",
@@ -116,8 +127,10 @@ def word_to_nf(letters, n):
     """Left-greedy Garside normal form of a braid word in B_n.
 
     Returns ``(inf, factors)`` where ``factors`` is a list of permutation-braid
-    factors, none the identity or the half twist, adjacent pairs
-    left-weighted.  The represented braid is Delta^inf f_1 ... f_l.
+    factors, each a tuple of its 1-based images (what
+    :class:`nakex.braid.Permutation` holds), none the identity or the half
+    twist, adjacent pairs left-weighted.  The represented braid is
+    Delta^inf f_1 ... f_l.
 
     The form is built incrementally (Elrifai-Morton; Epstein et al., *Word
     Processing in Groups*, ch. 9).  The prefix read so far is held as
@@ -157,19 +170,39 @@ def word_to_nf(letters, n):
     closes over the gap is left-weighted already.  At the end tau^p is
     applied to every factor.
 
-    Cost: a pair costs O(n) plus O(1) per transposition moved, and a sweep
-    seldom goes past the factor it absorbs, so the number of pairs per
-    letter is bounded rather than growing with the word: 1.8, 2.5 and 2.7
-    on random B_8 words of 120, 400 and 1200 letters (2.7, 3.6 and 4.0 with
-    one sweep per letter), and 1.5 on the words ``kex_braid`` normalizes
-    (2.0 with one sweep per letter).
+    The number of pairs per letter is bounded rather than growing with the
+    word: 1.8, 2.5 and 2.7 on random B_8 words of 120, 400 and 1200 letters
+    (2.7, 3.6 and 4.0 with one sweep per letter), and 1.5 on the words
+    ``kex_braid`` normalizes (2.0 with one sweep per letter).
+
+    Two paths run these steps on different factors and give the same output:
+
+    - For n <= ``TABLE_MAX_STRANDS`` (7) a factor is an id in the table of
+      simple braids of B_n (:class:`_FactorTable`).  A letter's fit test is
+      one bit of F(F_r), extending or cancelling is one table step, and a
+      pair is left-weighted from the masks S(y) - F(x) with one table step
+      for each of x and y per transposition moved (:func:`_left_weight_ids`).
+    - For n >= 8 a factor is a list of 0-based images, a letter's fit test
+      looks up two positions, and a pair costs O(n) to rebuild x^-1 and scan
+      every position, plus O(1) per transposition moved
+      (:func:`_left_weight_pair`).  The table would hold up to n! factors,
+      and words on many strands keep reaching new ones: from cold tables,
+      ten random B_8 words of 400 letters took 0.29 s against 0.06 s here
+      and added 23,884 factors, and ten B_11 words 2.6 s against 0.09 s,
+      adding 197,047.
     """
     letters = free_reduce(letters)
     if not letters or n < 2:
         return 0, []
     if n == 2:
         return sum(letters), []  # sigma_1 is the half twist of B_2
+    if n <= TABLE_MAX_STRANDS:
+        return _nf_table(letters, n)
+    return _nf_lists(letters, n)
 
+
+def _nf_lists(letters, n):
+    """:func:`word_to_nf` of a freely reduced nonempty word, n >= 3, on lists."""
     identity = list(range(n))
     w0 = identity[::-1]
     top = n - 2  # tau(sigma_j) = sigma_(top - j), 0-based
@@ -199,7 +232,7 @@ def word_to_nf(letters, n):
                     break
                 if dirty:
                     # the letter does not fit: sweep, then read it again
-                    if _sweep(facs, identity, w0):
+                    if _sweep_lists(facs, identity, w0):
                         d += 1
                         flip ^= 1
                     dirty = False
@@ -221,15 +254,15 @@ def word_to_nf(letters, n):
             facs.append(f)
             break
 
-    if dirty and _sweep(facs, identity, w0):
+    if dirty and _sweep_lists(facs, identity, w0):
         d += 1
         flip ^= 1
     if flip:
         facs = [_tau(f) for f in facs]
-    return d, facs
+    return d, [tuple([v + 1 for v in f]) for f in facs]
 
 
-def _sweep(facs, identity, w0):
+def _sweep_lists(facs, identity, w0):
     """Left-weight ``facs`` from the tail leftward; True if a Delta left.
 
     Stops at the first pair that does not change.  A factor that has grown
@@ -252,6 +285,232 @@ def _sweep(facs, identity, w0):
     if facs and facs[-1] == identity:
         facs.pop()
     return pulled
+
+
+# -- factor tables: the simple braids of B_n as small ints, for n <= 7 --------
+
+TABLE_MAX_STRANDS = 7
+_TABLES = {}  # n -> _FactorTable, made on first use
+_TABLE_LOCK = threading.Lock()  # held while any table or table entry is filled
+_LOWEST_BIT = tuple((m & -m).bit_length() - 1 for m in range(1 << (TABLE_MAX_STRANDS - 1)))
+_IDENTITY = 0  # the ids every table gives these two factors
+_DELTA = 1
+
+
+class _FactorTable:
+    """The simple braids of B_n reached so far, as ids 0, 1, 2, ...
+
+    Id 0 is the identity and id 1 is Delta.  For each id the table holds its
+    permutation's images, 0-based (``images0``) and 1-based (``images1``, the
+    output of :func:`word_to_nf`), its starting set S and finishing set F as
+    bit masks (bit i stands for sigma_(i+1)), and three kinds of step to
+    another id, each filled the first time it is taken (-1 until then):
+
+    - ``vswap[x][j]`` swaps the values j, j+1: x sigma_(j+1), or x
+      sigma_(j+1)^-1 when sigma_(j+1) right-divides x;
+    - ``pswap[y][i]`` swaps the positions i, i+1: sigma_(i+1) taken off the
+      head of y, or put on it;
+    - ``tau[x]`` is tau(x).
+
+    A table fills as words reach new factors, never eagerly: all 5040 of B_7
+    would take 40 ms to build.  Session endpoints normalize from two
+    threads, so every fill holds ``_TABLE_LOCK``, and a new id's fields are
+    all appended before the id is stored where a reader can find it.
+    """
+
+    __slots__ = ("ids", "images0", "images1", "start", "finish", "vswap", "pswap", "tau")
+
+    def __init__(self, n):
+        self.ids = {}
+        self.images0 = []
+        self.images1 = []
+        self.start = []
+        self.finish = []
+        self.vswap = []
+        self.pswap = []
+        self.tau = []
+        self._intern(tuple(range(n)))
+        self._intern(tuple(range(n - 1, -1, -1)))
+
+    def _intern(self, p):
+        """The id of the permutation ``p``, added if new (lock held)."""
+        k = self.ids.get(p)
+        if k is not None:
+            return k
+        last = len(p) - 1
+        inv = [0] * (last + 1)
+        for pos, v in enumerate(p):
+            inv[v] = pos
+        k = len(self.images0)
+        self.images0.append(p)
+        self.images1.append(tuple([v + 1 for v in p]))
+        self.start.append(sum(1 << i for i in range(last) if p[i] > p[i + 1]))
+        self.finish.append(sum(1 << i for i in range(last) if inv[i] > inv[i + 1]))
+        self.vswap.append([-1] * last)
+        self.pswap.append([-1] * last)
+        self.tau.append(-1)
+        self.ids[p] = k
+        return k
+
+    def value_step(self, x, j):
+        """Fill ``vswap[x][j]`` (and its converse) and return it."""
+        with _TABLE_LOCK:
+            p = list(self.images0[x])
+            a = p.index(j)
+            b = p.index(j + 1)
+            p[a] = j + 1
+            p[b] = j
+            y = self._intern(tuple(p))
+            self.vswap[x][j] = y
+            self.vswap[y][j] = x
+        return y
+
+    def position_step(self, y, i):
+        """Fill ``pswap[y][i]`` (and its converse) and return it."""
+        with _TABLE_LOCK:
+            p = list(self.images0[y])
+            p[i], p[i + 1] = p[i + 1], p[i]
+            z = self._intern(tuple(p))
+            self.pswap[y][i] = z
+            self.pswap[z][i] = y
+        return z
+
+    def tau_step(self, x):
+        """Fill ``tau[x]`` (and ``tau`` of the result) and return it."""
+        with _TABLE_LOCK:
+            y = self._intern(tuple(_tau(self.images0[x])))
+            self.tau[x] = y
+            self.tau[y] = x
+        return y
+
+
+def _factor_table(n):
+    table = _TABLES.get(n)
+    if table is None:
+        with _TABLE_LOCK:
+            table = _TABLES.get(n)
+            if table is None:
+                table = _TABLES[n] = _FactorTable(n)
+    return table
+
+
+def _nf_table(letters, n):
+    """:func:`word_to_nf` of a freely reduced nonempty word, 3 <= n <= 7, on ids."""
+    table = _factor_table(n)
+    finish = table.finish
+    vswap = table.vswap
+    top = n - 2  # tau(sigma_j) = sigma_(top - j), 0-based
+    d = 0
+    flip = 0
+    dirty = False  # F_r not yet left-weighted with its left neighbour
+    facs = []
+    for e in letters:
+        while True:
+            j = (e if e > 0 else -e) - 1
+            if flip:
+                j = top - j
+            if facs:
+                x = facs[-1]
+                if (finish[x] >> j & 1) != (e > 0):
+                    # x sigma_j (j not in F) or x sigma_j^-1 (j in F) is simple
+                    y = vswap[x][j]
+                    if y < 0:
+                        y = table.value_step(x, j)
+                    if y != _IDENTITY:
+                        facs[-1] = y
+                        if e > 0:
+                            dirty = True
+                    else:
+                        facs.pop()
+                        dirty = False
+                    break
+                if dirty:
+                    # the letter does not fit: sweep, then read it again
+                    if _sweep_table(facs, table):
+                        d += 1
+                        flip ^= 1
+                    dirty = False
+                    continue
+            if e > 0:
+                f = vswap[_IDENTITY][j]
+                if f < 0:
+                    f = table.value_step(_IDENTITY, j)
+            else:
+                d -= 1
+                flip ^= 1
+                j = top - j
+                f = vswap[_DELTA][j]  # Delta sigma_j^-1
+                if f < 0:
+                    f = table.value_step(_DELTA, j)
+                dirty = True
+            facs.append(f)
+            break
+
+    if dirty and _sweep_table(facs, table):
+        d += 1
+        flip ^= 1
+    if flip:
+        _tau_ids(facs, 0, table)
+    images = table.images1
+    return d, [images[f] for f in facs]
+
+
+def _tau_ids(facs, k, table):
+    """Apply tau to ``facs[k:]`` in place."""
+    tau = table.tau
+    for i in range(k, len(facs)):
+        y = tau[facs[i]]
+        facs[i] = y if y >= 0 else table.tau_step(facs[i])
+
+
+def _sweep_table(facs, table):
+    """:func:`_sweep_lists` on factor ids."""
+    k = len(facs) - 1
+    pulled = False
+    while True:
+        if facs[k] == _DELTA:
+            del facs[k]
+            _tau_ids(facs, k, table)
+            pulled = True
+            break
+        if not k or not _left_weight_ids(table, facs, k):
+            break
+        k -= 1
+    if facs and facs[-1] == _IDENTITY:
+        facs.pop()
+    return pulled
+
+
+def _left_weight_ids(table, facs, k):
+    """Make the pair of ids (facs[k-1], facs[k]) left-weighted in place.
+
+    Moves s_i, the lowest i in m = S(y) - F(x), from the head of y to the
+    tail of x, one table step for each, until m is empty.  Returns True
+    when anything moved.
+    """
+    start = table.start
+    finish = table.finish
+    x = facs[k - 1]
+    y = facs[k]
+    m = start[y] & ~finish[x]
+    if not m:
+        return False
+    vswap = table.vswap
+    pswap = table.pswap
+    while m:
+        i = _LOWEST_BIT[m]
+        x1 = vswap[x][i]
+        if x1 < 0:
+            x1 = table.value_step(x, i)
+        y1 = pswap[y][i]
+        if y1 < 0:
+            y1 = table.position_step(y, i)
+        x = x1
+        y = y1
+        m = start[y] & ~finish[x]
+    facs[k - 1] = x
+    facs[k] = y
+    return True
 
 
 def nf_factor_word(perm):
@@ -313,22 +572,18 @@ def handle_reduce_word(letters):
 def remove_strands_word(letters, n, d):
     """Erase the last d strands of a pure braid word in B_n.
 
-    Tracks strand positions through the word; crossings involving a strand
-    whose initial position exceeds n - d are dropped, kept crossings are
-    re-indexed by the number of removed strands currently to their left.
-    Returns a word in B_{n-d}.
+    Tracks which positions hold a removed strand (one whose initial position
+    exceeds n - d) through the word; crossings involving one are dropped,
+    kept crossings are re-indexed by the number of removed strands currently
+    to their left.  Returns a word in B_{n-d}.
     """
-    keep = n - d
-    cur = list(range(n))  # cur[pos] = strand (by start position)
+    removed = [0] * (n - d) + [1] * d  # removed[pos]: a removed strand is at pos
     out = []
     for e in letters:
         j = abs(e) - 1  # 0-based crossing position
-        u = cur[j]
-        v = cur[j + 1]
-        if u < keep and v < keep:
-            removed_left = sum(1 for k in range(j) if cur[k] >= keep)
-            newj = j - removed_left + 1
+        if removed[j] or removed[j + 1]:
+            removed[j], removed[j + 1] = removed[j + 1], removed[j]
+        else:
+            newj = j + 1 - sum(removed[:j])
             out.append(newj if e > 0 else -newj)
-        cur[j] = v
-        cur[j + 1] = u
     return free_reduce(out)

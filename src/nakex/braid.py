@@ -224,7 +224,7 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     if w.strands == 1:
         return GarsideNormalForm(1, 0, ())
     inf, facs = _kernels.word_to_nf(w.letters, w.strands)
-    factors = tuple([_perm(tuple([v + 1 for v in f])) for f in facs])
+    factors = tuple([_perm(f) for f in facs])
     return GarsideNormalForm(w.strands, inf, factors)
 
 

@@ -321,18 +321,29 @@ def test_normal_form_golden_digest():
 
 
 def _pairs_per_letter(monkeypatch):
-    """A function of words giving left-weighted pairs per letter of their normal forms."""
+    """A function of words giving left-weighted pairs per letter of their normal forms.
+
+    Counts the pairs of both kernel paths: factor ids on up to 7 strands,
+    factor lists on more.
+    """
     from nakex import _kernels
 
     calls = 0
     left_weight_pair = _kernels._left_weight_pair
+    left_weight_ids = _kernels._left_weight_ids
 
-    def counting(x, y):
+    def counting_pair(x, y):
         nonlocal calls
         calls += 1
         return left_weight_pair(x, y)
 
-    monkeypatch.setattr(_kernels, "_left_weight_pair", counting)
+    def counting_ids(table, facs, k):
+        nonlocal calls
+        calls += 1
+        return left_weight_ids(table, facs, k)
+
+    monkeypatch.setattr(_kernels, "_left_weight_pair", counting_pair)
+    monkeypatch.setattr(_kernels, "_left_weight_ids", counting_ids)
 
     def pairs_per_letter(words):
         nonlocal calls
@@ -373,6 +384,64 @@ def test_normal_form_sweeps_once_per_simple_run(monkeypatch):
                 letters.append(-i if rng.random() < 0.8 else i)
             mostly_inverse.append(B.freely_reduced(BraidWord(n, tuple(letters))))
     assert pairs_per_letter(mostly_inverse) <= 1.6
+
+
+def _biased_word(n, length, inverse_share, rng):
+    letters = []
+    for _ in range(length):
+        i = rng.randrange(1, n)
+        letters.append(-i if rng.random() < inverse_share else i)
+    return B.freely_reduced(BraidWord(n, tuple(letters)))
+
+
+def test_factor_table_path_matches_list_path():
+    # on B_3..B_7 word_to_nf runs on factor-table ids; the list kernel that
+    # B_8 and up use must give the same forms
+    from nakex import _kernels
+
+    words = _reduced_words(3, 6) + _reduced_words(4, 5)
+    assert len(words) == 1457 + 4687
+    rng = random.Random(16)
+    for n in (5, 6, 7):
+        for share in (0, 0.5, 0.8):
+            words += [_biased_word(n, rng.randrange(0, 201), share, rng) for _ in range(12)]
+    for w in words:
+        if w.letters:  # the paths take nonempty freely reduced words
+            assert _kernels._nf_table(w.letters, w.strands) == _kernels._nf_lists(w.letters, w.strands)
+
+
+def test_factor_tables_fill_safely_from_two_threads(monkeypatch):
+    # two threads normalize the same words on empty tables, so both fill the
+    # same entries at once; a fill that is not atomic misplaces fields
+    import sys
+    import threading
+
+    from nakex import _kernels
+
+    rng = random.Random(18)
+    words = [B.random_braid(n, 150, rng) for n in (6, 7) for _ in range(8)]
+    expected = [_kernels._nf_lists(w.letters, w.strands) for w in words]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(_kernels, "_TABLES", {})
+            barrier = threading.Barrier(2, timeout=30)
+            results = [None, None]
+
+            def normalize(slot):
+                barrier.wait()
+                results[slot] = [_kernels.word_to_nf(w.letters, w.strands) for w in words]
+
+            threads = [threading.Thread(target=normalize, args=(slot,)) for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected, expected]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_delta_powers_move_only_the_infimum():
@@ -479,6 +548,32 @@ def test_remove_strands_representative_independent():
         rhs = B.remove_strands(other, 2)
         assert B.braids_equal(lhs, rhs)
         assert B.is_pure(lhs)
+
+
+def _remove_strands_reference(letters, n, d):
+    """Strand removal by tracking every strand, recounting removed strands per crossing."""
+    keep = n - d
+    cur = list(range(n))
+    out = []
+    for e in letters:
+        j = abs(e) - 1
+        u, v = cur[j], cur[j + 1]
+        if u < keep and v < keep:
+            newj = j - sum(1 for k in range(j) if cur[k] >= keep) + 1
+            out.append(newj if e > 0 else -newj)
+        cur[j], cur[j + 1] = v, u
+    return B.freely_reduced(BraidWord(keep, tuple(out))).letters
+
+
+def test_remove_strands_matches_strand_tracking():
+    from nakex import _kernels
+
+    rng = random.Random(19)
+    for _ in range(80):
+        n = rng.randrange(3, 9)
+        w = B.random_pure_braid(n, rng, conj_len=rng.randrange(1, 9), blocks=3)
+        for d in range(1, n):
+            assert _kernels.remove_strands_word(w.letters, n, d) == _remove_strands_reference(w.letters, n, d)
 
 
 def test_pure_braid_endo():

@@ -145,6 +145,16 @@ def test_run_invalid_spec_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "CommutationViolation" in err
 
 
+def test_run_spec_with_huge_modulus_exits_2(tmp_path, capsys):
+    obj = json.loads(P.spec_to_json(P.random_spec("classic_dh", 0)))
+    obj["platform"]["modulus"] = 18446744073709551557  # 20-digit prime
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(obj))
+    assert main(["run", "--spec", str(spec_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "2^40" in err
+
+
 # Small configs of all six experiments; the low bf_csp budget and the short
 # length-attack search also give budget_exceeded and not_found rows.
 GOLDEN_EXPERIMENTS = [

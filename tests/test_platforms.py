@@ -59,6 +59,8 @@ def test_platform_examples():
 def test_platform_validation():
     with pytest.raises(ValueError):
         MultModPlatform(24)
+    with pytest.raises(ValueError, match="2\\^40"):
+        MultModPlatform(18446744073709551557)  # the largest prime below 2^64
     with pytest.raises(PlatformMismatch):
         SymmetricPlatform(3).mul(Permutation((2, 1, 3, 4)), Permutation((2, 1, 3, 4)))
     with pytest.raises(PlatformMismatch):

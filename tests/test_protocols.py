@@ -369,6 +369,18 @@ def test_symdp_spec_needs_a_unit_exponent():
         P.spec_from_json(_tampered_json(spec, k=2, l=2))
 
 
+def test_spec_with_huge_modulus_is_refused_fast():
+    # a 20-digit prime would keep the trial-division primality test busy for hours
+    import time
+
+    spec = P.random_spec("classic_dh", 0)
+    tampered = _tampered_json(spec, platform={"kind": "mult_mod", "modulus": 18446744073709551557})
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="2\\^40"):
+        P.spec_from_json(tampered)
+    assert time.perf_counter() - start < 1.0
+
+
 # -- engine-level properties ------------------------------------------------------------
 
 
