@@ -1,21 +1,38 @@
 """The generic two-party key-establishment engine and its instantiations.
 
-One protocol shape is run throughout: Alice and Bob publish generator lists
-s_1..s_m and t_1..t_b, each party derives a secret from its own list, applies
-its one-sided operation beta to the *other* party's generators and publishes
-the images, then reconstructs beta(peer secret, own secret) through the
-tree-word push-through (or a termwise/power reconstruction where the
-instantiation calls for it) and finishes with its gamma map.  Condition (3) of
-the scheme makes both gamma outputs the same element K, from which a byte key
-is extracted via canonical serialization and SHA-256.
+One protocol is run throughout, the generalized AAG-KEP for magmas.  Alice
+and Bob publish generator lists s_1..s_m and t_1..t_b, and each party
 
-The engine is three per-party steps, each written once with the role (Alice
-or Bob) as a parameter, so every instantiation's draw, beta and gamma appear
-once: draw the secret (step 1), publish beta on the peer's generators (step
-2), and finish with the reconstruction and gamma (steps 3 and 4).  The role
-alone picks the generator list, the side of the product and the tree
-operations a party uses.  :func:`run` draws, publishes and finishes for both
-roles and compares the keys.
+1. draws a secret from its own generators (a tree word, or a word, an
+   exponent or a pair of subgroup words where the instantiation asks so);
+2. publishes beta of that secret on the peer's generators (or on a public
+   base element);
+3. pushes its own tree through the peer's messages (pi), which gives
+   beta(peer secret, own secret);
+4. combines the result with its secret (gamma).
+
+Condition (3) of the scheme makes both gamma outputs the same element K, from
+which a byte key is extracted via canonical serialization and SHA-256.
+
+The instantiations differ only in these maps and in what they validate, so
+each tag is one row of ``_SCHEMES``: ``party`` draws one party's secret and
+binds steps 2-4 to it, ``check`` holds the tag's own conditions on a spec,
+``drawn`` names the generator lists that must be nonempty, ``sample`` is the
+tag's :func:`random_spec` draw, and ``work_platform`` the platform it
+computes on.  Steps 2-4 come in three shared shapes:
+
+- published on the base: ``left base^e right``, keyed as
+  ``left (peer message)^e right`` (classic_dh with identity sides, group_dh,
+  ko_lee, str_kep);
+- two-sided on the peer's generators: ``left t right`` for every peer
+  generator t, keyed as ``left step3`` (Alice) or ``step3 right`` (Bob)
+  (simdcp, simdcp_alt, symdp);
+- LD-operation commutator: ``beta(secret, t)`` under the tag's LD operation,
+  keyed as a commutator (f_commutator, shifted_commutator).
+
+aag_commutator publishes conjugates and pushes its word through them with the
+product alone.  :func:`run` draws, publishes and finishes for both roles and
+compares the keys; nothing outside the table branches on the tag.
 
 Instantiation tags:
 
@@ -36,8 +53,9 @@ shifted_commutator  shifted conjugacy on braids; K = [a,b]_sh (or the
 Every :class:`ProtocolSpec` is validated when it is built, whether by a
 ``make_*`` constructor, from JSON or by ``dataclasses.replace``: a spec whose
 keys could disagree (non-commuting subgroups, a shifted-conjugacy parameter
-that fails its conditions, ...) raises a typed ``ValueError``.  A
-:class:`Transcript` is a deterministic function of (spec, seed) and
+that fails its conditions, ...) or whose platform has more than
+:data:`MAX_PLATFORM_SIZE` strands or points raises a typed ``ValueError``.
+A :class:`Transcript` is a deterministic function of (spec, seed) and
 round-trips through JSON byte-identically.
 """
 
@@ -49,11 +67,11 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import braid, ldops, magma
 from .braid import BraidWord
-from .ldops import OpDescriptor, apply_op
+from .ldops import apply_op
 from .magma import Leaf, Node, TreeWord
 from .platforms import (
     BraidPlatform,
@@ -104,18 +122,10 @@ __all__ = [
     "random_spec",
 ]
 
-PROTOCOL_TAGS = (
-    "classic_dh",
-    "group_dh",
-    "ko_lee",
-    "str_kep",
-    "aag_commutator",
-    "simdcp",
-    "simdcp_alt",
-    "symdp",
-    "f_commutator",
-    "shifted_commutator",
-)
+# The most strands a spec may compute on, and the largest degree of a symmetric
+# platform it may name: normal forms on B_n cost O(n^2) per factor, and the
+# desk-scale instantiations here stay at B_14 and S_5.
+MAX_PLATFORM_SIZE = 64
 
 
 class KeyMismatch(AssertionError):
@@ -228,13 +238,42 @@ class Transcript:
     key_b: Element
     extracted_key: bytes
 
-    @property
-    def seed(self) -> int:
-        return self.spec.seed
 
-    @property
-    def digest(self) -> str:
-        return spec_digest(self.spec)
+# -- the table's row type ----------------------------------------------------
+
+ALICE, BOB = 0, 1
+_ROLE_NAMES = ("Alice", "Bob")
+# A spec's six generator lists, which the JSON codec writes and reads by name.
+_GEN_LISTS = ("alice_gens", "bob_gens", "a1_gens", "a2_gens", "b1_gens", "b2_gens")
+
+
+class _Party(NamedTuple):
+    """One party after step 1: its secret, with steps 2-4 bound to it.
+
+    ``publish()`` gives the step-2 messages; ``finish(peer_messages)`` gives
+    (step-3 value, key).
+    """
+
+    secret: SecretKey
+    publish: Callable[[], tuple]
+    finish: Callable[[tuple], tuple]
+
+
+class _Scheme(NamedTuple):
+    """One instantiation: a row of ``_SCHEMES``.
+
+    ``party(spec, platform, role, rng)`` is step 1 and returns a
+    :class:`_Party`; ``sample(rng, run_seed)`` is the tag's random_spec draw;
+    ``check(spec)`` raises if the tag's own conditions fail; ``drawn`` are the
+    generator lists that must be nonempty; ``work_platform(spec)`` is the
+    platform to compute on.
+    """
+
+    party: Callable
+    sample: Callable
+    check: Callable = lambda spec: None
+    drawn: tuple[str, ...] = ("alice_gens", "bob_gens")
+    work_platform: Callable = lambda spec: spec.platform
 
 
 # -- platform sizing ---------------------------------------------------------
@@ -245,28 +284,30 @@ def _max_index(w: BraidWord) -> int:
     return max((abs(e) for e in reduced.letters), default=0)
 
 
+def _shifted_work_platform(spec: ProtocolSpec) -> Platform:
+    """B_n sized up front for shifted conjugacy.
+
+    Every operation application wraps its operands in shift^p.  The published
+    messages stack one application on a secret of tree depth <= max_depth,
+    and the step-3 push-through stacks the other party's tree on top of those
+    message words: L = 2 max_depth + 1 levels.  From the largest starting
+    index x_0 each level adds p, and the braid parameter's index A enters at
+    every level, so the last index is x_L = max(x_0 + L p, A + (L - 1) p).
+    """
+    p, levels = spec.shift_p, 2 * spec.policy.max_depth + 1
+    gens = spec.alice_gens + spec.bob_gens
+    start = max([spec.platform.strands - 1] + [_max_index(g) for g in gens])
+    last = max(start + levels * p, _max_index(spec.shift_a) + (levels - 1) * p)
+    return BraidPlatform(last + 1)
+
+
 def work_platform(spec: ProtocolSpec) -> Platform:
     """The platform all computation and serialization happens on.
 
-    For shifted-conjugacy instantiations the ambient B_n is sized up front:
-    every operation application wraps its operands in shift^p.  The published
-    messages stack one application on a secret of tree depth <= max_depth, and
-    the step-3 push-through stacks the other party's tree on top of those
-    message words, so letter indices grow by at most p * (2 max_depth + 1)
-    past the generators and the braid parameter.
+    It is the spec's platform, except for shifted conjugacy, where the ambient
+    B_n grows with the tree depth (see ``_shifted_work_platform``).
     """
-    if spec.tag != "shifted_commutator":
-        return spec.platform
-    levels = 2 * spec.policy.max_depth + 1
-    base_idx = max(
-        [_max_index(g) for g in spec.alice_gens + spec.bob_gens]
-        + [spec.platform.strands - 1]
-    )
-    a_idx = _max_index(spec.shift_a) if spec.shift_a is not None else 2 * spec.shift_p - 1
-    idx = base_idx
-    for _ in range(levels):
-        idx = max(idx + spec.shift_p, a_idx)
-    return BraidPlatform(max(idx + 1, spec.platform.strands))
+    return _SCHEMES[spec.tag].work_platform(spec)
 
 
 # -- key extraction ----------------------------------------------------------
@@ -287,14 +328,36 @@ def key_extract(platform: Platform, x: Element) -> bytes:
 
 # -- spec validation ---------------------------------------------------------
 
-# The generator lists each instantiation draws secrets from.
-_DRAWN_GENS = {
-    "classic_dh": (),
-    "group_dh": ("a1_gens", "a2_gens", "b1_gens", "b2_gens"),
-    "ko_lee": ("a1_gens", "b1_gens"),
-    "str_kep": ("a1_gens", "b1_gens"),
-}
-_BASED_TAGS = ("classic_dh", "group_dh", "ko_lee", "str_kep")
+
+def _check_size(platform: Platform, what: str) -> None:
+    if isinstance(platform, BraidPlatform) and platform.strands > MAX_PLATFORM_SIZE:
+        raise ValueError(f"{what} B_{platform.strands} has over {MAX_PLATFORM_SIZE} strands")
+    if isinstance(platform, SymmetricPlatform) and platform.degree > MAX_PLATFORM_SIZE:
+        raise ValueError(f"{what} S_{platform.degree} has degree over {MAX_PLATFORM_SIZE}")
+
+
+def _validate(spec: ProtocolSpec) -> None:
+    """Check the conditions K_A = K_B rests on; a typed ValueError if one fails.
+
+    The spec's own platform is sized before the row's checks, which may
+    normalize braids on it; the work platform after them, since it is
+    computed from the parameters they check.
+    """
+    scheme = _SCHEMES.get(spec.tag)
+    if scheme is None:
+        raise ValueError(f"unknown protocol tag {spec.tag!r}")
+    _check_size(spec.platform, "platform")
+    for name in scheme.drawn:
+        if not getattr(spec, name):
+            raise ValueError(f"{spec.tag} needs a nonempty {name}")
+    scheme.check(spec)
+    _check_size(scheme.work_platform(spec), "work platform")
+
+
+def _check_base(spec: ProtocolSpec) -> None:
+    if spec.base is None:
+        raise ValueError(f"{spec.tag} needs a base element")
+    spec.platform.check(spec.base)
 
 
 def _check_commuting(platform: Platform, left: tuple, right: tuple, what: str) -> None:
@@ -304,100 +367,47 @@ def _check_commuting(platform: Platform, left: tuple, right: tuple, what: str) -
                 raise CommutationViolation(f"{what}: generators do not commute")
 
 
-def _validate(spec: ProtocolSpec) -> None:
-    """Check the conditions K_A = K_B rests on; a typed ValueError if one fails."""
-    tag, platform = spec.tag, spec.platform
-    if tag not in PROTOCOL_TAGS:
-        raise ValueError(f"unknown protocol tag {tag!r}")
-    for name in _DRAWN_GENS.get(tag, ("alice_gens", "bob_gens")):
-        if not getattr(spec, name):
-            raise ValueError(f"{tag} needs a nonempty {name}")
-    if tag in _BASED_TAGS:
-        if spec.base is None:
-            raise ValueError(f"{tag} needs a base element")
-        platform.check(spec.base)
-    if tag == "classic_dh":
-        if not isinstance(platform, MultModPlatform):
-            raise PlatformMismatch("classic_dh needs a mult_mod platform")
-    elif tag == "group_dh":
-        _check_commuting(platform, spec.a1_gens, spec.b1_gens, "[A1, B1]")
-        _check_commuting(platform, spec.a2_gens, spec.b2_gens, "[A2, B2]")
-    elif tag in ("ko_lee", "str_kep"):
-        _check_commuting(platform, spec.a1_gens, spec.b1_gens, "[A, B]")
-    elif tag == "symdp":
-        if spec.k not in (None, 1) and spec.l not in (None, 1):
-            raise ValueError("symdp needs k = 1 or l = 1")
-    elif tag == "f_commutator":
-        if spec.endo is None or spec.endo.platform != platform:
-            raise ValueError("f_commutator needs an endomorphism of its platform")
-        if isinstance(spec.endo, PowerShiftEndo):
-            for g in spec.alice_gens + spec.bob_gens:
-                if not braid.is_pure(platform.check(g)):
-                    raise ValueError("pure-braid f-commutator needs pure generators")
-    elif tag == "shifted_commutator":
-        if spec.variant not in ("bi_ld", "rev"):
-            raise ValueError("variant must be 'bi_ld' or 'rev'")
-        if not isinstance(platform, BraidPlatform):
-            raise PlatformMismatch("shifted_commutator needs a braid platform")
-        if spec.shift_a is None or not ldops.check_shifted_conditions(spec.shift_p, spec.shift_a):
-            raise ldops.ConditionViolation(
-                "braid parameter fails the shifted-conjugacy conditions"
-            )
+def _check_dh(spec: ProtocolSpec) -> None:
+    _check_base(spec)
+    if not isinstance(spec.platform, MultModPlatform):
+        raise PlatformMismatch("classic_dh needs a mult_mod platform")
 
 
-# -- roles -------------------------------------------------------------------
-
-ALICE, BOB = 0, 1
-_ROLE_NAMES = ("Alice", "Bob")
-
-
-class _Role(NamedTuple):
-    """One party's fixed part of a run.
-
-    ``ops`` are the node operations of the party's own trees, as the binary
-    functions tree evaluation takes; ``beta`` is the LD operation the party
-    applies to the peer's generators (f- and shifted commutator only).
-    """
-
-    index: int
-    ops: tuple = ()
-    beta: Optional[OpDescriptor] = None
+def _check_group_dh(spec: ProtocolSpec) -> None:
+    _check_base(spec)
+    _check_commuting(spec.platform, spec.a1_gens, spec.b1_gens, "[A1, B1]")
+    _check_commuting(spec.platform, spec.a2_gens, spec.b2_gens, "[A2, B2]")
 
 
-def _roles(spec: ProtocolSpec, platform: Platform) -> tuple[_Role, _Role]:
-    """Alice's and Bob's roles; each op is built once and shared.
-
-    Shifted-commutator trees are built over (*, bar*) by both parties, each
-    applying its own side of the bi-LD pair as beta; in the ``rev`` variant
-    Alice builds over * and Bob over *rev, and each applies the other's.
-    """
-    tag = spec.tag
-    if tag in ("simdcp", "symdp"):
-        ops = (partial(apply_op, ldops.bullet_op(platform)),)
-        return _Role(ALICE, ops), _Role(BOB, ops)
-    if tag == "f_commutator":
-        op = ldops.f_conj_op(spec.endo)
-        ops = (partial(apply_op, op),)
-        return _Role(ALICE, ops, op), _Role(BOB, ops, op)
-    if tag == "shifted_commutator":
-        p, a = spec.shift_p, spec.shift_a
-        star = ldops.shifted_op(p, a, platform)
-        if spec.variant == "rev":
-            rev = ldops.shifted_rev_op(p, a, platform)
-            return (
-                _Role(ALICE, (partial(apply_op, star),), rev),
-                _Role(BOB, (partial(apply_op, rev),), star),
-            )
-        bar = ldops.shifted_bar_op(p, braid.invert(a), platform)
-        ops = (partial(apply_op, star), partial(apply_op, bar))
-        return _Role(ALICE, ops, bar), _Role(BOB, ops, star)
-    return _PLAIN_ROLES
+def _check_conjugation(spec: ProtocolSpec) -> None:
+    _check_base(spec)
+    _check_commuting(spec.platform, spec.a1_gens, spec.b1_gens, "[A, B]")
 
 
-_PLAIN_ROLES = (_Role(ALICE), _Role(BOB))
+def _check_symdp(spec: ProtocolSpec) -> None:
+    if spec.k not in (None, 1) and spec.l not in (None, 1):
+        raise ValueError("symdp needs k = 1 or l = 1")
 
 
-# -- the three per-party steps -----------------------------------------------
+def _check_f_commutator(spec: ProtocolSpec) -> None:
+    if spec.endo is None or spec.endo.platform != spec.platform:
+        raise ValueError("f_commutator needs an endomorphism of its platform")
+    if isinstance(spec.endo, PowerShiftEndo):
+        for g in spec.alice_gens + spec.bob_gens:
+            if not braid.is_pure(spec.platform.check(g)):
+                raise ValueError("pure-braid f-commutator needs pure generators")
+
+
+def _check_shifted(spec: ProtocolSpec) -> None:
+    if spec.variant not in ("bi_ld", "rev"):
+        raise ValueError("variant must be 'bi_ld' or 'rev'")
+    if not isinstance(spec.platform, BraidPlatform):
+        raise PlatformMismatch("shifted_commutator needs a braid platform")
+    if spec.shift_a is None or not ldops.check_shifted_conditions(spec.shift_p, spec.shift_a):
+        raise ldops.ConditionViolation("braid parameter fails the shifted-conjugacy conditions")
+
+
+# -- step 1: secrets ---------------------------------------------------------
 
 
 def _word_secret(
@@ -417,17 +427,17 @@ def _word_secret(
 
 
 def _tree_secret(
-    platform: Platform, gens: tuple[Element, ...], role: _Role, policy: KeyPolicy,
+    platform: Platform, gens: tuple[Element, ...], ops: tuple, policy: KeyPolicy,
     rng: random.Random,
 ) -> tuple[TreeWord, Element]:
-    """Random policy tree over gens and the role's ops, and its value."""
+    """Random policy tree over gens and ops, and its value."""
     gens = [platform.check(g) for g in gens]
     tree = magma.random_tree(
-        rng.randint(1, policy.max_leaves), len(gens), len(role.ops), policy.comb_bias, rng
+        rng.randint(1, policy.max_leaves), len(gens), len(ops), policy.comb_bias, rng
     )
     # guaranteed by max_leaves <= max_depth + 1
     assert magma.tree_depth(tree) <= policy.max_depth
-    value = magma.eval_tree(tree, gens, role.ops)
+    value = magma.eval_tree(tree, gens, ops)
     if isinstance(value, BraidWord) and len(value.letters) > policy.max_word_letters:
         raise PolicyViolation(
             f"evaluated secret has {len(value.letters)} letters, cap is {policy.max_word_letters}"
@@ -450,154 +460,249 @@ def _alternating(platform: Platform, indices, terms) -> Element:
     return value
 
 
-def _draw(spec: ProtocolSpec, platform: Platform, role: _Role, rng: random.Random) -> SecretKey:
-    """Step 1: one party's secret, built from its own generators."""
-    tag, policy, i = spec.tag, spec.policy, role.index
-    own = (spec.alice_gens, spec.bob_gens)[i]
-    subgroup = (spec.a1_gens, spec.b1_gens)[i]
-    if tag == "classic_dh":
-        hi = min(policy.exponent_max, platform.modulus - 2)
-        lo = min(policy.exponent_min, hi)
-        fixed = (spec.k, spec.l)[i]
-        return SecretKey(exponents=(rng.randint(lo, hi) if fixed is None else fixed,))
-    if tag == "str_kep":
-        e = rng.randint(policy.exponent_min, policy.exponent_max)
-        _, x = _word_secret(platform, subgroup, policy, rng)
-        return SecretKey(elements=(x,), exponents=(e,))
-    if tag == "simdcp_alt":
-        pairs = rng.randint(0, (policy.max_leaves - 1) // 2)
-        indices = tuple(rng.randrange(len(own)) for _ in range(2 * pairs + 1))
-        x = _alternating(platform, indices, own)
-        free = _random_free_element(platform, policy, rng)
-        return SecretKey(elements=(x, free), indices=indices)
-    if tag in ("simdcp", "symdp"):
-        tree, x = _tree_secret(platform, own, role, policy, rng)
-        if tag == "simdcp":
-            free = _random_free_element(platform, policy, rng)
-            return SecretKey(trees=(tree,), elements=(x, free))
-        fixed = (spec.k, spec.l)[i]
-        e = 1 if fixed is None else fixed
-        if spec.secret_exponents:
-            # one of the two stays 1 so that both betas keep the one-sided-power
-            # form; a public coin on the seed says which, so each party draws
-            # its own exponent alone
-            coin = random.Random(("symdp", spec.seed).__repr__()).random()
-            powered = ALICE if coin < 0.5 else BOB
-            e = rng.randint(policy.exponent_min, policy.exponent_max) if i == powered else 1
-        return SecretKey(trees=(tree,), elements=(x,), exponents=(e,))
-    # the remaining secrets are checked for degeneracy
-    if tag == "group_dh":
-        _, left = _word_secret(platform, subgroup, policy, rng)
-        _, right = _word_secret(platform, (spec.a2_gens, spec.b2_gens)[i], policy, rng)
-        sk = SecretKey(elements=(left, right))
-    elif tag == "ko_lee":
-        _, x = _word_secret(platform, subgroup, policy, rng)
-        sk = SecretKey(elements=(platform.inv(x), x))
-    elif tag == "aag_commutator":
-        tree, x = _word_secret(platform, own, policy, rng)
-        sk = SecretKey(trees=(tree,), elements=(x,))
-    else:  # f_commutator, shifted_commutator
-        tree, x = _tree_secret(platform, own, role, policy, rng)
-        sk = SecretKey(trees=(tree,), elements=(x,))
-    if platform.eq(sk.elements[-1], platform.identity()):
-        warnings.warn(
-            f"degenerate secret ({_ROLE_NAMES[i]}): identity element", WeakKeyWarning
-        )
-    return sk
+def _gens(spec: ProtocolSpec, role: int) -> tuple:
+    """(the role's own generators, the peer's generators)."""
+    return ((spec.alice_gens, spec.bob_gens), (spec.bob_gens, spec.alice_gens))[role]
 
 
-def _sides(spec: ProtocolSpec, platform: Platform, role: _Role, sk: SecretKey):
-    """(left, right) of the party's beta when it is y -> left y right."""
-    tag, x = spec.tag, sk.elements[0]
-    if tag in ("group_dh", "ko_lee"):
-        return sk.elements
-    if tag in ("str_kep", "aag_commutator"):
-        return platform.inv(x), x
-    if tag == "symdp":  # x^k y x for Alice, x y x^l for Bob
-        power = g_pow(platform, x, sk.exponents[0])
-        return (power, x) if role.index == ALICE else (x, power)
-    # simdcp: a_l y a_r for Alice, b_l y b_r for Bob
-    return (sk.elements[1], x) if role.index == ALICE else (x, sk.elements[1])
+def _warn_if_identity(platform: Platform, x: Element, role: int) -> None:
+    if platform.eq(x, platform.identity()):
+        warnings.warn(f"degenerate secret ({_ROLE_NAMES[role]}): identity element", WeakKeyWarning)
 
 
-def _publish(spec: ProtocolSpec, platform: Platform, role: _Role, sk: SecretKey) -> tuple:
-    """Step 2: beta(own secret, y) for every y the peer's key needs."""
-    tag, mul = spec.tag, platform.mul
-    peer_gens = (spec.bob_gens, spec.alice_gens)[role.index]
-    if tag == "classic_dh":
-        return (g_pow(platform, spec.base, sk.exponents[0]),)
-    if tag in ("f_commutator", "shifted_commutator"):
-        x = platform.inv(sk.elements[0]) if spec.variant == "rev" else sk.elements[0]
-        return tuple(apply_op(role.beta, x, t) for t in peer_gens)
-    left, right = _sides(spec, platform, role, sk)
-    if tag in ("group_dh", "ko_lee", "str_kep"):
-        base = platform.check(spec.base)
-        if tag == "str_kep":
-            base = g_pow(platform, base, sk.exponents[0])
-        return (mul(mul(left, base), right),)
-    return tuple(mul(mul(left, t), right) for t in peer_gens)
+# -- shape 1: published on the base ------------------------------------------
 
 
-def _finish(
-    spec: ProtocolSpec, platform: Platform, role: _Role, sk: SecretKey, peer: tuple
-) -> tuple[Element, Element]:
-    """Steps 3 and 4: beta(peer secret, own secret) from the peer's messages,
-    then gamma; returns (step-3 value, key)."""
-    tag, mul, inv = spec.tag, platform.mul, platform.inv
-    alice = role.index == ALICE
-    if tag == "classic_dh":
-        step3 = g_pow(platform, peer[0], sk.exponents[0])
-        return step3, step3
-    if tag in ("group_dh", "ko_lee", "str_kep"):
-        # pi is constant: step 3 is trivial up to str_kep's power
-        step3 = g_pow(platform, peer[0], sk.exponents[0]) if sk.exponents else peer[0]
-        left, right = _sides(spec, platform, role, sk)
-        return step3, mul(mul(left, step3), right)
+def _based(draw):
+    """Party of a base-published scheme; ``draw`` gives (secret, left, right).
 
-    if tag == "simdcp_alt":
-        step3 = _alternating(platform, sk.indices, peer)
-    elif tag == "aag_commutator":
-        step3 = magma.push_through(sk.trees[0], list(peer) + [inv(w) for w in peer], [mul])
-    else:
-        step3 = magma.push_through(sk.trees[0], peer, role.ops)
-    if tag in ("simdcp", "simdcp_alt", "symdp"):
-        left, right = _sides(spec, platform, role, sk)
-        return step3, mul(left, step3) if alice else mul(step3, right)
-    x = sk.elements[0]
-    if spec.variant == "rev":  # a^-1 (b^-1 * a) and (a^-1 *rev b) b^-1
-        return step3, mul(inv(x), step3) if alice else mul(step3, inv(x))
-    # commutators: a^-1 (b * a) and (a * b)^-1 b
-    return step3, mul(inv(x), step3) if alice else mul(inv(step3), x)
+    The party publishes left base^e right and keys on left (peer message)^e
+    right, where e is the secret's exponent, or 1 if it has none: pi is
+    constant, so step 3 is trivial up to that power.
+    """
+
+    def party(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random) -> _Party:
+        sk, left, right = draw(spec, platform, role, rng)
+        mul = platform.mul
+
+        def power(x: Element) -> Element:
+            return g_pow(platform, x, sk.exponents[0]) if sk.exponents else x
+
+        def publish() -> tuple:
+            return (mul(mul(left, power(platform.check(spec.base))), right),)
+
+        def finish(peer: tuple) -> tuple[Element, Element]:
+            step3 = power(peer[0])
+            return step3, mul(mul(left, step3), right)
+
+        return _Party(sk, publish, finish)
+
+    return party
+
+
+def _draw_dh(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random):
+    hi = min(spec.policy.exponent_max, platform.modulus - 2)
+    fixed = (spec.k, spec.l)[role]
+    e = rng.randint(min(spec.policy.exponent_min, hi), hi) if fixed is None else fixed
+    return SecretKey(exponents=(e,)), platform.identity(), platform.identity()
+
+
+def _draw_group_dh(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random):
+    _, left = _word_secret(platform, (spec.a1_gens, spec.b1_gens)[role], spec.policy, rng)
+    _, right = _word_secret(platform, (spec.a2_gens, spec.b2_gens)[role], spec.policy, rng)
+    _warn_if_identity(platform, right, role)
+    return SecretKey(elements=(left, right)), left, right
+
+
+def _draw_ko_lee(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random):
+    _, x = _word_secret(platform, (spec.a1_gens, spec.b1_gens)[role], spec.policy, rng)
+    _warn_if_identity(platform, x, role)
+    inv_x = platform.inv(x)
+    return SecretKey(elements=(inv_x, x)), inv_x, x
+
+
+def _draw_str_kep(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random):
+    e = rng.randint(spec.policy.exponent_min, spec.policy.exponent_max)
+    _, x = _word_secret(platform, (spec.a1_gens, spec.b1_gens)[role], spec.policy, rng)
+    return SecretKey(elements=(x,), exponents=(e,)), platform.inv(x), x
+
+
+# -- shape 2: two-sided on the peer's generators -----------------------------
+
+
+def _two_sided(draw):
+    """Party of a two-sided scheme; ``draw`` gives (secret, x, extra, pi).
+
+    Alice publishes extra t x and keys on extra step3; Bob publishes x t extra
+    and keys on step3 extra, where step3 = pi(peer messages).
+    """
+
+    def party(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random) -> _Party:
+        sk, x, extra, pi = draw(spec, platform, role, rng)
+        mul = platform.mul
+        left, right = (extra, x) if role == ALICE else (x, extra)
+        peer_gens = _gens(spec, role)[1]
+
+        def publish() -> tuple:
+            return tuple(mul(mul(left, t), right) for t in peer_gens)
+
+        def finish(peer: tuple) -> tuple[Element, Element]:
+            step3 = pi(peer)
+            return step3, mul(left, step3) if role == ALICE else mul(step3, right)
+
+        return _Party(sk, publish, finish)
+
+    return party
+
+
+def _bullet_tree_secret(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random):
+    """A tree over x*y = x y^-1 x, its value, and its push-through."""
+    ops = (partial(apply_op, ldops.bullet_op(platform)),)
+    tree, x = _tree_secret(platform, _gens(spec, role)[0], ops, spec.policy, rng)
+    return tree, x, lambda peer: magma.push_through(tree, peer, ops)
+
+
+def _draw_simdcp(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random):
+    # a_l y a_r for Alice, b_l y b_r for Bob; the tree gives a_r and b_l
+    tree, x, pi = _bullet_tree_secret(spec, platform, role, rng)
+    free = _random_free_element(platform, spec.policy, rng)
+    return SecretKey(trees=(tree,), elements=(x, free)), x, free, pi
+
+
+def _draw_simdcp_alt(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random):
+    own = _gens(spec, role)[0]
+    pairs = rng.randint(0, (spec.policy.max_leaves - 1) // 2)
+    indices = tuple(rng.randrange(len(own)) for _ in range(2 * pairs + 1))
+    x = _alternating(platform, indices, own)
+    free = _random_free_element(platform, spec.policy, rng)
+    sk = SecretKey(elements=(x, free), indices=indices)
+    return sk, x, free, partial(_alternating, platform, indices)
+
+
+def _draw_symdp(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random):
+    # x^k y x for Alice, x y x^l for Bob
+    policy = spec.policy
+    tree, x, pi = _bullet_tree_secret(spec, platform, role, rng)
+    fixed = (spec.k, spec.l)[role]
+    e = 1 if fixed is None else fixed
+    if spec.secret_exponents:
+        # one of the two stays 1 so that both betas keep the one-sided-power
+        # form; a public coin on the seed says which, so each party draws
+        # its own exponent alone
+        coin = random.Random(("symdp", spec.seed).__repr__()).random()
+        powered = ALICE if coin < 0.5 else BOB
+        e = rng.randint(policy.exponent_min, policy.exponent_max) if role == powered else 1
+    sk = SecretKey(trees=(tree,), elements=(x,), exponents=(e,))
+    return sk, x, g_pow(platform, x, e), pi
+
+
+# -- shape 3: LD-operation commutator ----------------------------------------
+
+
+def _commutator_key(spec: ProtocolSpec, platform: Platform, role: int, x: Element, step3):
+    """(step3, gamma): a^-1 (b * a) and (a * b)^-1 b; in the rev variant
+    a^-1 (b^-1 * a) and (a^-1 *rev b) b^-1."""
+    mul, inv = platform.mul, platform.inv
+    if spec.variant == "rev":
+        return step3, mul(inv(x), step3) if role == ALICE else mul(step3, inv(x))
+    return step3, mul(inv(x), step3) if role == ALICE else mul(inv(step3), x)
+
+
+def _ld_commutator(ops):
+    """Party of an LD-operation commutator scheme.
+
+    ``ops(spec, platform, role)`` gives the node operations of the party's
+    own trees and the LD operation beta it applies to the peer's generators.
+    """
+
+    def party(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random) -> _Party:
+        tree_ops, beta = ops(spec, platform, role)
+        own, peer_gens = _gens(spec, role)
+        tree, x = _tree_secret(platform, own, tree_ops, spec.policy, rng)
+        _warn_if_identity(platform, x, role)
+
+        def publish() -> tuple:
+            y = platform.inv(x) if spec.variant == "rev" else x
+            return tuple(apply_op(beta, y, t) for t in peer_gens)
+
+        def finish(peer: tuple) -> tuple[Element, Element]:
+            step3 = magma.push_through(tree, peer, tree_ops)
+            return _commutator_key(spec, platform, role, x, step3)
+
+        return _Party(SecretKey(trees=(tree,), elements=(x,)), publish, finish)
+
+    return party
+
+
+def _f_ops(spec: ProtocolSpec, platform: Platform, role: int):
+    op = ldops.f_conj_op(spec.endo)
+    return (partial(apply_op, op),), op
+
+
+def _shifted_ops(spec: ProtocolSpec, platform: Platform, role: int):
+    """Trees over (*, bar*) for both parties, each applying its own side of
+    the bi-LD pair as beta; in the ``rev`` variant Alice builds over * and Bob
+    over *rev, and each applies the other's."""
+    p, a = spec.shift_p, spec.shift_a
+    star = ldops.shifted_op(p, a, platform)
+    if spec.variant == "rev":
+        rev = ldops.shifted_rev_op(p, a, platform)
+        return (partial(apply_op, (star, rev)[role]),), (rev, star)[role]
+    bar = ldops.shifted_bar_op(p, braid.invert(a), platform)
+    return (partial(apply_op, star), partial(apply_op, bar)), (bar, star)[role]
+
+
+# -- aag_commutator ----------------------------------------------------------
+
+
+def _aag_party(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random) -> _Party:
+    """Publishes a^-1 t a; pushes its word through the messages and their
+    inverses with the product alone."""
+    own, peer_gens = _gens(spec, role)
+    tree, x = _word_secret(platform, own, spec.policy, rng)
+    _warn_if_identity(platform, x, role)
+    mul, inv = platform.mul, platform.inv
+
+    def publish() -> tuple:
+        inv_x = inv(x)
+        return tuple(mul(mul(inv_x, t), x) for t in peer_gens)
+
+    def finish(peer: tuple) -> tuple[Element, Element]:
+        step3 = magma.push_through(tree, list(peer) + [inv(w) for w in peer], [mul])
+        return _commutator_key(spec, platform, role, x, step3)
+
+    return _Party(SecretKey(trees=(tree,), elements=(x,)), publish, finish)
 
 
 # -- the protocol engine -----------------------------------------------------
 
 
-def _setup(spec: ProtocolSpec):
-    """The work platform, Alice's and Bob's roles, and both parties' secrets.
+def _parties(spec: ProtocolSpec):
+    """The work platform and both parties after step 1.
 
     Alice's whole draw precedes Bob's, so a networked session and an
     in-process run agree.
     """
     platform = work_platform(spec)
-    alice, bob = _roles(spec, platform)
+    party = _SCHEMES[spec.tag].party
     rng = random.Random(spec.seed)
-    ska = _draw(spec, platform, alice, rng)
-    return platform, alice, bob, ska, _draw(spec, platform, bob, rng)
+    alice = party(spec, platform, ALICE, rng)
+    return platform, alice, party(spec, platform, BOB, rng)
 
 
 def generate_secrets(spec: ProtocolSpec) -> tuple[SecretKey, SecretKey]:
     """Deterministically derive both parties' secrets from the spec seed."""
-    return _setup(spec)[3:]
+    _, alice, bob = _parties(spec)
+    return alice.secret, bob.secret
 
 
 def run(spec: ProtocolSpec) -> Transcript:
     """Execute steps 1-4 and assert K_A = K_B under platform equality."""
-    platform, alice, bob, ska, skb = _setup(spec)
-    msg_a = _publish(spec, platform, alice, ska)
-    msg_b = _publish(spec, platform, bob, skb)
-    step3_a, key_a = _finish(spec, platform, alice, ska, msg_b)
-    step3_b, key_b = _finish(spec, platform, bob, skb, msg_a)
+    platform, alice, bob = _parties(spec)
+    msg_a = alice.publish()
+    msg_b = bob.publish()
+    step3_a, key_a = alice.finish(msg_b)
+    step3_b, key_b = bob.finish(msg_a)
 
     if not platform.eq(key_a, key_b):
         raise KeyMismatch(f"derived keys differ for tag {spec.tag!r}, seed {spec.seed}")
@@ -605,16 +710,7 @@ def run(spec: ProtocolSpec) -> Transcript:
     if key_extract(platform, key_b) != extracted:
         raise KeyMismatch("extracted keys differ despite equal elements")
 
-    return Transcript(
-        spec=spec,
-        alice_messages=msg_a,
-        bob_messages=msg_b,
-        alice_step3=step3_a,
-        bob_step3=step3_b,
-        key_a=key_a,
-        key_b=key_b,
-        extracted_key=extracted,
-    )
+    return Transcript(spec, msg_a, msg_b, step3_a, step3_b, key_a, key_b, extracted)
 
 
 # -- constructors ------------------------------------------------------------
@@ -824,12 +920,6 @@ def spec_to_obj(spec: ProtocolSpec) -> dict:
         "platform": _platform_obj(platform),
         "policy": dict(vars(spec.policy)),
         "seed": spec.seed,
-        "alice_gens": [_elem_hex(platform, g) for g in spec.alice_gens],
-        "bob_gens": [_elem_hex(platform, g) for g in spec.bob_gens],
-        "a1_gens": [_elem_hex(platform, g) for g in spec.a1_gens],
-        "a2_gens": [_elem_hex(platform, g) for g in spec.a2_gens],
-        "b1_gens": [_elem_hex(platform, g) for g in spec.b1_gens],
-        "b2_gens": [_elem_hex(platform, g) for g in spec.b2_gens],
         "base": None if spec.base is None else _elem_hex(platform, spec.base),
         "endo": _endo_obj(platform, spec.endo),
         "shift_p": spec.shift_p,
@@ -839,6 +929,8 @@ def spec_to_obj(spec: ProtocolSpec) -> dict:
         "l": spec.l,
         "secret_exponents": spec.secret_exponents,
     }
+    for name in _GEN_LISTS:
+        obj[name] = [_elem_hex(platform, g) for g in getattr(spec, name)]
     return obj
 
 
@@ -848,18 +940,13 @@ def spec_from_obj(obj: dict) -> ProtocolSpec:
     shift_a = None
     if obj.get("shift_a"):
         shift_a, _ = braid.decode_braid(bytes.fromhex(obj["shift_a"]))
+    gens = {name: tuple(_elem_from_hex(platform, s) for s in obj[name]) for name in _GEN_LISTS}
     return ProtocolSpec(
         tag=obj["tag"],
         platform=platform,
-        alice_gens=tuple(_elem_from_hex(platform, s) for s in obj["alice_gens"]),
-        bob_gens=tuple(_elem_from_hex(platform, s) for s in obj["bob_gens"]),
         policy=policy,
         seed=obj["seed"],
         base=None if obj["base"] is None else _elem_from_hex(platform, obj["base"]),
-        a1_gens=tuple(_elem_from_hex(platform, s) for s in obj["a1_gens"]),
-        a2_gens=tuple(_elem_from_hex(platform, s) for s in obj["a2_gens"]),
-        b1_gens=tuple(_elem_from_hex(platform, s) for s in obj["b1_gens"]),
-        b2_gens=tuple(_elem_from_hex(platform, s) for s in obj["b2_gens"]),
         endo=_endo_from_obj(platform, obj["endo"]),
         shift_p=obj["shift_p"],
         shift_a=shift_a,
@@ -867,6 +954,7 @@ def spec_from_obj(obj: dict) -> ProtocolSpec:
         k=obj["k"],
         l=obj["l"],
         secret_exponents=obj["secret_exponents"],
+        **gens,
     )
 
 
@@ -922,67 +1010,116 @@ def transcript_from_json(text: str) -> Transcript:
 # -- random desk-scale spec generation (keygen / acceptance sweeps) ----------
 
 
-def random_spec(tag: str, seed: int, scale: str = "small") -> ProtocolSpec:
-    """A seeded random desk-scale spec for the given instantiation."""
-    rng = random.Random(("spec", tag, seed, scale).__repr__())
-    run_seed = rng.randrange(2**32)
+def _finite(rng: random.Random) -> SymmetricPlatform:
+    """S_4 or S_5.  Every tag's sample but classic_dh's draws it first, also
+    where it goes unused, so that the seeded specs stay as they are."""
+    return SymmetricPlatform(rng.choice([4, 5]))
 
-    if tag == "classic_dh":
-        p = rng.choice([23, 101, 1009, 10007])
-        g = rng.randrange(2, p - 1)
-        return make_classic_dh(p, g, seed=run_seed)
 
-    finite: Platform = SymmetricPlatform(rng.choice([4, 5]))
+def _sample_dh(rng: random.Random, run_seed: int) -> ProtocolSpec:
+    p = rng.choice([23, 101, 1009, 10007])
+    return make_classic_dh(p, rng.randrange(2, p - 1), seed=run_seed)
 
-    if tag in ("group_dh", "ko_lee", "str_kep"):
-        # commuting subgroups of a braid group: generators with distant indices
+
+def _sample_commuting(make):
+    """Commuting subgroups of a braid group: generators with distant indices;
+    ``make(platform, a_gens, b_gens, x, seed=...)`` builds the spec."""
+
+    def sample(rng: random.Random, run_seed: int) -> ProtocolSpec:
+        _finite(rng)
         n = 7
-        platform = BraidPlatform(n)
         left = [BraidWord(n, (1,)), BraidWord(n, (2,))]
         right = [BraidWord(n, (4,)), BraidWord(n, (5,))]
-        x = braid.random_braid(n, 8, rng)
-        if tag == "group_dh":
-            return make_group_dh(platform, left, left, right, right, x, seed=run_seed)
-        if tag == "ko_lee":
-            return make_ko_lee(platform, left, right, x, seed=run_seed)
-        return make_str_kep(platform, left, right, x, seed=run_seed)
+        return make(BraidPlatform(n), left, right, braid.random_braid(n, 8, rng), seed=run_seed)
 
-    if tag in ("aag_commutator", "simdcp", "simdcp_alt", "symdp"):
-        m = rng.randint(2, 3)
-        n = rng.randint(2, 3)
+    return sample
+
+
+def _sample_words(make, extra=lambda rng: {}):
+    """Two or three random permutations a side; ``extra(rng)`` draws further
+    arguments for ``make(platform, s, t, seed=..., **extra)``."""
+
+    def sample(rng: random.Random, run_seed: int) -> ProtocolSpec:
+        finite = _finite(rng)
+        m, n = rng.randint(2, 3), rng.randint(2, 3)
         s = tuple(finite.random_element(rng) for _ in range(m))
         t = tuple(finite.random_element(rng) for _ in range(n))
-        if tag == "aag_commutator":
-            return make_aag_commutator(finite, s, t, seed=run_seed)
-        if tag == "simdcp":
-            return make_simdcp(finite, s, t, seed=run_seed)
-        if tag == "simdcp_alt":
-            return make_simdcp_alt(finite, s, t, seed=run_seed)
-        k, l = (rng.randint(2, 5), 1) if rng.random() < 0.5 else (1, rng.randint(2, 5))
-        return make_symdp(finite, s, t, k=k, l=l, seed=run_seed)
+        return make(finite, s, t, seed=run_seed, **extra(rng))
 
-    if tag == "f_commutator":
-        if rng.random() < 0.5:
-            f: Endomorphism = InnerEndo(finite, finite.random_element(rng))
-            s = tuple(finite.random_element(rng) for _ in range(2))
-            t = tuple(finite.random_element(rng) for _ in range(2))
-            return make_f_commutator(f, s, t, seed=run_seed)
-        n = 4
-        platform = BraidPlatform(n)
-        f = PowerShiftEndo(platform, 1)
-        # one conjugated square per generator keeps lengths <= 8
-        s = tuple(braid.random_pure_braid(n, rng, conj_len=3, blocks=1) for _ in range(2))
-        t = tuple(braid.random_pure_braid(n, rng, conj_len=3, blocks=1) for _ in range(2))
-        policy = KeyPolicy(max_leaves=4, max_depth=3)
-        return make_f_commutator(f, s, t, policy=policy, seed=run_seed)
+    return sample
 
-    if tag == "shifted_commutator":
-        n = rng.randint(3, 5)
-        m = rng.randint(1, 2)
-        s = tuple(braid.random_braid(n, 6, rng) for _ in range(m))
-        t = tuple(braid.random_braid(n, 6, rng) for _ in range(m))
-        variant = rng.choice(["bi_ld", "rev"])
-        policy = KeyPolicy(max_leaves=4, max_depth=3)
-        return make_shifted_commutator(s, t, variant=variant, policy=policy, seed=run_seed)
 
-    raise ValueError(f"unknown protocol tag {tag!r}")
+def _unit_exponent(rng: random.Random) -> dict:
+    """symdp's (k, l): one of them 1, the other in 2..5."""
+    k, l = (rng.randint(2, 5), 1) if rng.random() < 0.5 else (1, rng.randint(2, 5))
+    return {"k": k, "l": l}
+
+
+def _sample_f_commutator(rng: random.Random, run_seed: int) -> ProtocolSpec:
+    finite = _finite(rng)
+    if rng.random() < 0.5:
+        f: Endomorphism = InnerEndo(finite, finite.random_element(rng))
+        s = tuple(finite.random_element(rng) for _ in range(2))
+        t = tuple(finite.random_element(rng) for _ in range(2))
+        return make_f_commutator(f, s, t, seed=run_seed)
+    n = 4
+    f = PowerShiftEndo(BraidPlatform(n), 1)
+    # one conjugated square per generator keeps lengths <= 8
+    s = tuple(braid.random_pure_braid(n, rng, conj_len=3, blocks=1) for _ in range(2))
+    t = tuple(braid.random_pure_braid(n, rng, conj_len=3, blocks=1) for _ in range(2))
+    policy = KeyPolicy(max_leaves=4, max_depth=3)
+    return make_f_commutator(f, s, t, policy=policy, seed=run_seed)
+
+
+def _sample_shifted(rng: random.Random, run_seed: int) -> ProtocolSpec:
+    _finite(rng)
+    n = rng.randint(3, 5)
+    m = rng.randint(1, 2)
+    s = tuple(braid.random_braid(n, 6, rng) for _ in range(m))
+    t = tuple(braid.random_braid(n, 6, rng) for _ in range(m))
+    variant = rng.choice(["bi_ld", "rev"])
+    policy = KeyPolicy(max_leaves=4, max_depth=3)
+    return make_shifted_commutator(s, t, variant=variant, policy=policy, seed=run_seed)
+
+
+def random_spec(tag: str, seed: int) -> ProtocolSpec:
+    """A seeded random desk-scale spec for the given instantiation."""
+    scheme = _SCHEMES.get(tag)
+    if scheme is None:
+        raise ValueError(f"unknown protocol tag {tag!r}")
+    # "small" stays in the seed so that the drawn specs do not change
+    rng = random.Random(("spec", tag, seed, "small").__repr__())
+    return scheme.sample(rng, rng.randrange(2**32))
+
+
+# -- the instantiation table -------------------------------------------------
+
+_SUBGROUPS = ("a1_gens", "b1_gens")
+
+_SCHEMES = {
+    "classic_dh": _Scheme(_based(_draw_dh), _sample_dh, _check_dh, ()),
+    "group_dh": _Scheme(
+        _based(_draw_group_dh),
+        _sample_commuting(lambda p, a, b, x, seed: make_group_dh(p, a, a, b, b, x, seed=seed)),
+        _check_group_dh,
+        ("a1_gens", "a2_gens", "b1_gens", "b2_gens"),
+    ),
+    "ko_lee": _Scheme(
+        _based(_draw_ko_lee), _sample_commuting(make_ko_lee), _check_conjugation, _SUBGROUPS
+    ),
+    "str_kep": _Scheme(
+        _based(_draw_str_kep), _sample_commuting(make_str_kep), _check_conjugation, _SUBGROUPS
+    ),
+    "aag_commutator": _Scheme(_aag_party, _sample_words(make_aag_commutator)),
+    "simdcp": _Scheme(_two_sided(_draw_simdcp), _sample_words(make_simdcp)),
+    "simdcp_alt": _Scheme(_two_sided(_draw_simdcp_alt), _sample_words(make_simdcp_alt)),
+    "symdp": _Scheme(
+        _two_sided(_draw_symdp), _sample_words(make_symdp, _unit_exponent), _check_symdp
+    ),
+    "f_commutator": _Scheme(_ld_commutator(_f_ops), _sample_f_commutator, _check_f_commutator),
+    "shifted_commutator": _Scheme(
+        _ld_commutator(_shifted_ops), _sample_shifted, _check_shifted,
+        work_platform=_shifted_work_platform,
+    ),
+}
+PROTOCOL_TAGS = tuple(_SCHEMES)

@@ -155,6 +155,21 @@ def test_run_spec_with_huge_modulus_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "2^40" in err
 
 
+
+@pytest.mark.parametrize(
+    "tag, section, key, value",
+    [("ko_lee", "platform", "strands", 400), ("shifted_commutator", "policy", "max_depth", 10**7)],
+)
+def test_run_oversized_spec_exits_2(tmp_path, capsys, tag, section, key, value):
+    # B_400, and a tree depth that would size the work platform at B_20000004
+    obj = json.loads(P.spec_to_json(P.random_spec(tag, 0)))
+    obj[section][key] = value
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(obj))
+    assert main(["run", "--spec", str(spec_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "over 64 strands" in err
+
 # Small configs of all six experiments; the low bf_csp budget and the short
 # length-attack search also give budget_exceeded and not_found rows.
 GOLDEN_EXPERIMENTS = [

@@ -381,6 +381,175 @@ def test_spec_with_huge_modulus_is_refused_fast():
     assert time.perf_counter() - start < 1.0
 
 
+
+# B_400, and a tree depth that would size the work platform at B_20000004
+OVERSIZED = [
+    ("ko_lee", "platform", "strands", 400),
+    ("shifted_commutator", "policy", "max_depth", 10**7),
+]
+
+
+@pytest.mark.parametrize("tag, section, key, value", OVERSIZED)
+def test_oversized_spec_is_refused_fast(tag, section, key, value):
+    import time
+
+    obj = json.loads(P.spec_to_json(P.random_spec(tag, 0)))
+    obj[section][key] = value
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="over 64 strands"):
+        P.spec_from_json(json.dumps(obj))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_platform_size_cap_boundaries():
+    # B_3 generators, p = 1, sigma_1: the work platform is B_(3 + 2 max_depth + 1)
+    s, t = (BraidWord(3, (1, 2)),), (BraidWord(3, (2, -1)),)
+    spec = P.make_shifted_commutator(s, t, policy=P.KeyPolicy(max_leaves=1, max_depth=30))
+    assert P.work_platform(spec).strands == 64
+    with pytest.raises(ValueError, match="work platform B_66 has over 64 strands"):
+        replace(spec, policy=P.KeyPolicy(max_leaves=1, max_depth=31))
+    spec = P.random_spec("simdcp", 0)
+    with pytest.raises(ValueError, match="platform S_65 has degree over 64"):
+        replace(spec, platform=SymmetricPlatform(65))
+    with pytest.raises(ValueError, match="platform B_65 has over 64 strands"):
+        replace(P.random_spec("ko_lee", 0), platform=BraidPlatform(65))
+
+
+def test_shifted_work_platform_matches_level_by_level_sizing():
+    # each of the 2 max_depth + 1 levels adds p to the largest index, and the
+    # braid parameter's index enters at every level
+    rng = random.Random(5)
+    for _ in range(40):
+        p = rng.randint(1, 3)
+        n = rng.randint(2 * p, 2 * p + 3)
+        s = (B.random_braid(n, 5, rng),)
+        t = (B.random_braid(rng.randint(2, n), 5, rng),)
+        depth = rng.randint(0, 6)
+        policy = P.KeyPolicy(max_leaves=1, max_depth=depth)
+        spec = P.make_shifted_commutator(s, t, p=p, policy=policy)
+        idx = max(
+            [abs(e) for g in s + t for e in B.freely_reduced(g).letters] + [n - 1]
+        )
+        a_idx = max((abs(e) for e in B.freely_reduced(spec.shift_a).letters), default=0)
+        for _ in range(2 * depth + 1):
+            idx = max(idx + p, a_idx)
+        assert P.work_platform(spec).strands == idx + 1
+
+
+def test_protocol_tags_keep_their_order():
+    # the session_loopback workload cycles through the tags in this order,
+    # and `nakex keygen --tag` offers them as its choices
+    assert P.PROTOCOL_TAGS == (
+        "classic_dh",
+        "group_dh",
+        "ko_lee",
+        "str_kep",
+        "aag_commutator",
+        "simdcp",
+        "simdcp_alt",
+        "symdp",
+        "f_commutator",
+        "shifted_commutator",
+    )
+
+# Every field-level fault a spec can carry, applied to random_spec(tag, 3) of
+# every tag: case id -> "module.ExceptionName: message".  The other cases
+# (91 of 142) build a spec.
+SPEC_FAULT_ERRORS = {
+    "classic_dh/no_base": "builtins.ValueError: classic_dh needs a base element",
+    "classic_dh/misspelled": "builtins.ValueError: unknown protocol tag 'classic_dhx'",
+    "classic_dh/s4": "nakex.platforms.PlatformMismatch: expected Permutation of degree 4",
+    "group_dh/no_a1_gens": "builtins.ValueError: group_dh needs a nonempty a1_gens",
+    "group_dh/no_a2_gens": "builtins.ValueError: group_dh needs a nonempty a2_gens",
+    "group_dh/no_b1_gens": "builtins.ValueError: group_dh needs a nonempty b1_gens",
+    "group_dh/no_b2_gens": "builtins.ValueError: group_dh needs a nonempty b2_gens",
+    "group_dh/no_base": "builtins.ValueError: group_dh needs a base element",
+    "group_dh/misspelled": "builtins.ValueError: unknown protocol tag 'group_dhx'",
+    "group_dh/s4": "nakex.platforms.PlatformMismatch: expected Permutation of degree 4",
+    "group_dh/mod23": "nakex.platforms.PlatformMismatch: expected residue, got BraidWord",
+    "group_dh/a1_b1": "nakex.protocols.CommutationViolation: [A1, B1]: generators do not commute",
+    "group_dh/a2_b2": "nakex.protocols.CommutationViolation: [A2, B2]: generators do not commute",
+    "ko_lee/no_a1_gens": "builtins.ValueError: ko_lee needs a nonempty a1_gens",
+    "ko_lee/no_b1_gens": "builtins.ValueError: ko_lee needs a nonempty b1_gens",
+    "ko_lee/no_base": "builtins.ValueError: ko_lee needs a base element",
+    "ko_lee/misspelled": "builtins.ValueError: unknown protocol tag 'ko_leex'",
+    "ko_lee/s4": "nakex.platforms.PlatformMismatch: expected Permutation of degree 4",
+    "ko_lee/mod23": "nakex.platforms.PlatformMismatch: expected residue, got BraidWord",
+    "str_kep/no_a1_gens": "builtins.ValueError: str_kep needs a nonempty a1_gens",
+    "str_kep/no_b1_gens": "builtins.ValueError: str_kep needs a nonempty b1_gens",
+    "str_kep/no_base": "builtins.ValueError: str_kep needs a base element",
+    "str_kep/misspelled": "builtins.ValueError: unknown protocol tag 'str_kepx'",
+    "str_kep/s4": "nakex.platforms.PlatformMismatch: expected Permutation of degree 4",
+    "str_kep/mod23": "nakex.platforms.PlatformMismatch: expected residue, got BraidWord",
+    "aag_commutator/no_alice_gens":
+        "builtins.ValueError: aag_commutator needs a nonempty alice_gens",
+    "aag_commutator/no_bob_gens": "builtins.ValueError: aag_commutator needs a nonempty bob_gens",
+    "aag_commutator/misspelled": "builtins.ValueError: unknown protocol tag 'aag_commutatorx'",
+    "simdcp/no_alice_gens": "builtins.ValueError: simdcp needs a nonempty alice_gens",
+    "simdcp/no_bob_gens": "builtins.ValueError: simdcp needs a nonempty bob_gens",
+    "simdcp/misspelled": "builtins.ValueError: unknown protocol tag 'simdcpx'",
+    "simdcp_alt/no_alice_gens": "builtins.ValueError: simdcp_alt needs a nonempty alice_gens",
+    "simdcp_alt/no_bob_gens": "builtins.ValueError: simdcp_alt needs a nonempty bob_gens",
+    "simdcp_alt/misspelled": "builtins.ValueError: unknown protocol tag 'simdcp_altx'",
+    "symdp/no_alice_gens": "builtins.ValueError: symdp needs a nonempty alice_gens",
+    "symdp/no_bob_gens": "builtins.ValueError: symdp needs a nonempty bob_gens",
+    "symdp/misspelled": "builtins.ValueError: unknown protocol tag 'symdpx'",
+    "symdp/k2_l3": "builtins.ValueError: symdp needs k = 1 or l = 1",
+    "f_commutator/no_alice_gens": "builtins.ValueError: f_commutator needs a nonempty alice_gens",
+    "f_commutator/no_bob_gens": "builtins.ValueError: f_commutator needs a nonempty bob_gens",
+    "f_commutator/misspelled": "builtins.ValueError: unknown protocol tag 'f_commutatorx'",
+    "f_commutator/s4": "builtins.ValueError: f_commutator needs an endomorphism of its platform",
+    "f_commutator/mod23": "builtins.ValueError: f_commutator needs an endomorphism of its platform",
+    "f_commutator/no_endo":
+        "builtins.ValueError: f_commutator needs an endomorphism of its platform",
+    "shifted_commutator/no_alice_gens":
+        "builtins.ValueError: shifted_commutator needs a nonempty alice_gens",
+    "shifted_commutator/no_bob_gens":
+        "builtins.ValueError: shifted_commutator needs a nonempty bob_gens",
+    "shifted_commutator/misspelled":
+        "builtins.ValueError: unknown protocol tag 'shifted_commutatorx'",
+    "shifted_commutator/s4":
+        "nakex.platforms.PlatformMismatch: shifted_commutator needs a braid platform",
+    "shifted_commutator/mod23":
+        "nakex.platforms.PlatformMismatch: shifted_commutator needs a braid platform",
+    "shifted_commutator/variant": "builtins.ValueError: variant must be 'bi_ld' or 'rev'",
+    "shifted_commutator/bad_shift_a":
+        "nakex.ldops.ConditionViolation: braid parameter fails the shifted-conjugacy conditions",
+}
+
+
+def _spec_faults():
+    """(case id, fields to replace) for every fault of every tag's spec."""
+    for tag in P.PROTOCOL_TAGS:
+        spec = P.random_spec(tag, 3)
+        for name in ("alice_gens", "bob_gens", "a1_gens", "a2_gens", "b1_gens", "b2_gens"):
+            yield f"{tag}/no_{name}", spec, {name: ()}
+        yield f"{tag}/no_base", spec, {"base": None}
+        yield f"{tag}/misspelled", spec, {"tag": tag + "x"}
+        yield f"{tag}/s4", spec, {"platform": S4}
+        yield f"{tag}/mod23", spec, {"platform": MultModPlatform(23)}
+        yield f"{tag}/variant", spec, {"variant": "zzz"}
+        yield f"{tag}/k2_l3", spec, {"k": 2, "l": 3}
+        yield f"{tag}/no_endo", spec, {"endo": None}
+        yield f"{tag}/bad_shift_a", spec, {"shift_a": BraidWord(3, (1, 2))}
+    # sigma_2 commutes with neither sigma_1 nor sigma_2
+    spec = P.random_spec("group_dh", 3)
+    yield "group_dh/a1_b1", spec, {"b1_gens": (BraidWord(7, (2,)),)}
+    yield "group_dh/a2_b2", spec, {"b2_gens": (BraidWord(7, (2,)),)}
+
+
+def test_spec_faults_raise_pinned_typed_errors():
+    outcomes = {}
+    for case, spec, fields in _spec_faults():
+        try:
+            replace(spec, **fields)
+            outcomes[case] = "ok"
+        except Exception as exc:
+            outcomes[case] = f"{type(exc).__module__}.{type(exc).__name__}: {exc}"
+    assert len(outcomes) == 142
+    assert {c: o for c, o in outcomes.items() if o != "ok"} == SPEC_FAULT_ERRORS
+
+
 # -- engine-level properties ------------------------------------------------------------
 
 
