@@ -158,17 +158,20 @@ def word_to_nf(letters, n):
       right-divides it, so a run of inverse letters cancels into it.
 
     So a run of letters that keeps the tail simple costs one sweep, not one
-    per letter.  The sweep (also run at the end) is the right-multiplication
-    step of the reference: F_1 ... F_(r-1) times the simple F_r.  It
-    left-weights pairs from the tail leftward and stops at the first pair
-    that does not change; pairs to its right stay left-weighted although
-    their left factors gave up a head to the left.  When a pair turns its
-    left factor into Delta, that factor is deleted, tau is applied to the
-    factors on its right (Delta passes them on its way to the head),
-    d += 1, p ^= 1, and the sweep stops: carried to the head, the Delta
-    would only apply tau to each factor on its left, and the pair that
-    closes over the gap is left-weighted already.  At the end tau^p is
-    applied to every factor.
+    per letter.  The word need not be freely reduced: the second letter of an
+    adjacent inverse pair always fits the tail the first one left, and
+    cancels or extends it in place.
+
+    The sweep (also run at the end) is the right-multiplication step of the
+    reference: F_1 ... F_(r-1) times the simple F_r.  It left-weights pairs
+    from the tail leftward and stops at the first pair that does not change;
+    pairs to its right stay left-weighted although their left factors gave up
+    a head to the left.  When a pair turns its left factor into Delta, that
+    factor is deleted, tau is applied to the factors on its right (Delta
+    passes them on its way to the head), d += 1, p ^= 1, and the sweep stops:
+    carried to the head, the Delta would only apply tau to each factor on its
+    left, and the pair that closes over the gap is left-weighted already.  At
+    the end tau^p is applied to every factor.
 
     The number of pairs per letter is bounded rather than growing with the
     word: 1.8, 2.5 and 2.7 on random B_8 words of 120, 400 and 1200 letters
@@ -191,7 +194,6 @@ def word_to_nf(letters, n):
       and added 23,884 factors, and ten B_11 words 2.6 s against 0.09 s,
       adding 197,047.
     """
-    letters = free_reduce(letters)
     if not letters or n < 2:
         return 0, []
     if n == 2:
@@ -202,7 +204,7 @@ def word_to_nf(letters, n):
 
 
 def _nf_lists(letters, n):
-    """:func:`word_to_nf` of a freely reduced nonempty word, n >= 3, on lists."""
+    """:func:`word_to_nf` of a nonempty word, n >= 3, on lists."""
     identity = list(range(n))
     w0 = identity[::-1]
     top = n - 2  # tau(sigma_j) = sigma_(top - j), 0-based
@@ -395,7 +397,7 @@ def _factor_table(n):
 
 
 def _nf_table(letters, n):
-    """:func:`word_to_nf` of a freely reduced nonempty word, 3 <= n <= 7, on ids."""
+    """:func:`word_to_nf` of a nonempty word, 3 <= n <= 7, on ids."""
     table = _factor_table(n)
     finish = table.finish
     vswap = table.vswap

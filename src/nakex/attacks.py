@@ -434,16 +434,9 @@ def subgroup_closure(
 
 def submagma_closure(op: OpDescriptor, gens: Sequence[Element]) -> list[Element]:
     """Fixpoint closure of gens under a binary operation with finite carrier."""
+    key_of = op.platform.canon
     elements = list(gens)
-    keys = set()
-
-    def key_of(x):
-        if op.kind == "laver":
-            return x
-        return op.platform.canon(x)
-
-    for g in gens:
-        keys.add(key_of(g))
+    keys = {key_of(g) for g in gens}
     changed = True
     while changed:
         changed = False
@@ -922,7 +915,7 @@ def _laver_membership(config: dict, rng) -> list[Trial]:
     level = _count(config, "level", 3)
     max_leaves = _count(config, "max_leaves", 6)
     op = ldops.laver_op(level)
-    elements = range(1, ldops.laver_table(level).size + 1)
+    elements = op.platform.elements()
     closures = {g: submagma_closure(op, [g]) for g in elements}
 
     def trial(g, target):

@@ -4,7 +4,8 @@ Conjugacy x*y = x^-1 y x is the classical left-selfdistributive (LD) operation
 on a group.  This module collects its generalizations (f-conjugacy, symmetric
 conjugacy, twisted conjugacy, shifted conjugacy on braid groups with its
 generalized and split parameter families, the x^k y x^l decomposition ops) and
-the Laver tables, all behind one :class:`OpDescriptor` value, together with
+the Laver tables, all behind one :class:`OpDescriptor` value over a carrier
+(a group platform, or the :class:`LaverTable` itself), together with
 randomized and exhaustive verifiers for the LD / multi-LD / distributivity
 laws and for the algebraic parameter conditions that are equivalent to them.
 
@@ -17,6 +18,7 @@ counterexamples.  The ``make_*`` constructors are the validating entry points.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -92,10 +94,16 @@ class ConditionViolation(ValueError):
 
 @dataclass(frozen=True)
 class LaverTable:
-    """The unique LD operation on {1..2^n} with p*1 = p+1 cyclically."""
+    """The unique LD operation on {1..2^n} with p*1 = p+1 cyclically.
+
+    It is also the carrier of its op: like a finite platform it enumerates,
+    samples, compares and keys its elements, the integers 1..2^n.
+    """
 
     n: int
     rows: tuple[tuple[int, ...], ...]
+
+    finite = True
 
     @property
     def size(self) -> int:
@@ -103,6 +111,18 @@ class LaverTable:
 
     def value(self, p: int, q: int) -> int:
         return self.rows[p - 1][q - 1]
+
+    def eq(self, x: int, y: int) -> bool:
+        return x == y
+
+    def canon(self, x: int) -> int:
+        return x
+
+    def elements(self) -> range:
+        return range(1, self.size + 1)
+
+    def random_element(self, rng: random.Random) -> int:
+        return rng.randrange(1, self.size + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,16 +150,17 @@ def laver_table(n: int) -> LaverTable:
 
 @dataclass(frozen=True)
 class OpDescriptor:
-    """A parameterized binary operation over a platform.
+    """A parameterized binary operation over a carrier.
 
-    ``kind`` selects the formula; ``platform`` is None only for Laver tables,
-    whose carrier is {1..2^n}.  Endomorphism parameters live in ``f`` (and
-    ``g``, ``h`` for the general Ansatz forms), braid parameters in ``a`` and
-    ``p``, exponents in ``k`` and ``l``, the Laver level in ``level``.
+    ``kind`` selects the formula; ``platform`` is the carrier: a group
+    platform, or for ``laver`` the :class:`LaverTable` itself, on {1..2^n}.
+    Endomorphism parameters live in ``f`` (and ``g``, ``h`` for the general
+    Ansatz forms), braid parameters in ``a`` and ``p``, exponents in ``k`` and
+    ``l``.
     """
 
     kind: str
-    platform: Optional[Platform] = None
+    platform: Platform | LaverTable
     f: Optional[Endomorphism] = None
     g: Optional[Endomorphism] = None
     h: Optional[Endomorphism] = None
@@ -147,16 +168,16 @@ class OpDescriptor:
     p: int = 1
     k: int = 1
     l: int = 1
-    level: int = 0
 
     def __post_init__(self):
         if self.kind in _SHIFTED_KINDS:
-            if self.platform is not None and not isinstance(self.platform, BraidPlatform):
+            if not isinstance(self.platform, BraidPlatform):
                 raise ValueError(f"{self.kind} requires a braid platform")
             if self.a is None or self.p < 1:
                 raise ValueError(f"{self.kind} requires a braid parameter and p >= 1")
         elif self.kind == "laver":
-            laver_table(self.level)
+            if not isinstance(self.platform, LaverTable):
+                raise ValueError("laver requires a Laver table")
         elif self.kind in _GROUP_KINDS:
             if self.platform is None:
                 raise ValueError(f"{self.kind} requires a platform")
@@ -170,7 +191,7 @@ def apply_op(op: OpDescriptor, x: Element, y: Element) -> Element:
     """Apply the operation's defining formula."""
     kind = op.kind
     if kind == "laver":
-        return laver_table(op.level).value(x, y)
+        return op.platform.value(x, y)
     if kind in _SHIFTED_KINDS:
         xw, yw, a = x, y, op.a
         if kind == "shifted_rev":
@@ -206,8 +227,6 @@ def apply_op(op: OpDescriptor, x: Element, y: Element) -> Element:
 
 
 def op_eq(op: OpDescriptor, x: Element, y: Element) -> bool:
-    if op.kind == "laver":
-        return x == y
     if isinstance(op.platform, BraidPlatform):
         # Shifted ops outgrow the base strand count; compare at a common one.
         return braid.braids_equal(x, y)
@@ -215,8 +234,6 @@ def op_eq(op: OpDescriptor, x: Element, y: Element) -> bool:
 
 
 def op_sample(op: OpDescriptor, rng: random.Random, braid_len: int = 5) -> Element:
-    if op.kind == "laver":
-        return rng.randrange(1, laver_table(op.level).size + 1)
     platform = op.platform
     if isinstance(platform, BraidPlatform):
         needs_pure = any(
@@ -229,8 +246,6 @@ def op_sample(op: OpDescriptor, rng: random.Random, braid_len: int = 5) -> Eleme
 
 
 def op_domain(op: OpDescriptor):
-    if op.kind == "laver":
-        return range(1, laver_table(op.level).size + 1)
     if not op.platform.finite:
         raise ValueError("exhaustive domain needs a finite platform or Laver table")
     return op.platform.elements()
@@ -315,7 +330,7 @@ def shifted_rev_op(p: int = 1, a: BraidWord | None = None, platform: BraidPlatfo
 
 
 def laver_op(n: int) -> OpDescriptor:
-    return OpDescriptor("laver", level=n)
+    return OpDescriptor("laver", laver_table(n))
 
 
 # -- law verifiers -----------------------------------------------------------
@@ -334,29 +349,31 @@ class LawVerdict:
         return self.passed
 
 
-def _sampled_law(
+def _law(
     op1: OpDescriptor,
     op2: OpDescriptor,
-    samples: int,
-    rng: random.Random,
-    braid_len: int,
+    triples,
     law: str,
     f: Optional[Endomorphism] = None,
 ) -> LawVerdict:
-    """Check x *1 (y *2 z) = (x *1 y) *2 (f(x) *1 z) on random triples from op1.
+    """Check x *1 (y *2 z) = (x *1 y) *2 (f(x) *1 z) on each triple in turn.
 
     ``f`` defaults to the identity; the first violating triple is returned.
     """
-    for i in range(samples):
-        x = op_sample(op1, rng, braid_len)
-        y = op_sample(op1, rng, braid_len)
-        z = op_sample(op1, rng, braid_len)
+    checked = 0
+    for checked, (x, y, z) in enumerate(triples, 1):
         fx = x if f is None else f.apply(x)
         lhs = apply_op(op1, x, apply_op(op2, y, z))
         rhs = apply_op(op2, apply_op(op1, x, y), apply_op(op1, fx, z))
         if not op_eq(op1, lhs, rhs):
-            return LawVerdict(False, i + 1, (x, y, z), law)
-    return LawVerdict(True, samples, law=law)
+            return LawVerdict(False, checked, (x, y, z), law)
+    return LawVerdict(True, checked, law=law)
+
+
+def _samples(op: OpDescriptor, samples: int, rng: random.Random, braid_len: int):
+    """``samples`` random triples (x, y, z) from op's carrier, drawn as they are needed."""
+    for _ in range(samples):
+        yield tuple(op_sample(op, rng, braid_len) for _ in range(3))
 
 
 def verify_ld(
@@ -369,22 +386,12 @@ def verify_ld(
 
     Returns the first violating triple if one is found.
     """
-    return _sampled_law(op, op, samples, rng, braid_len, "ld")
+    return _law(op, op, _samples(op, samples, rng, braid_len), "ld")
 
 
 def verify_ld_exhaustive(op: OpDescriptor) -> LawVerdict:
     """Exhaustive LD check over a finite carrier."""
-    elements = list(op_domain(op))
-    checked = 0
-    for x in elements:
-        for y in elements:
-            for z in elements:
-                checked += 1
-                lhs = apply_op(op, x, apply_op(op, y, z))
-                rhs = apply_op(op, apply_op(op, x, y), apply_op(op, x, z))
-                if not op_eq(op, lhs, rhs):
-                    return LawVerdict(False, checked, (x, y, z))
-    return LawVerdict(True, checked)
+    return _law(op, op, itertools.product(op_domain(op), repeat=3), "ld")
 
 
 def verify_multi_ld(
@@ -397,7 +404,7 @@ def verify_multi_ld(
     checked = 0
     for i, opi in enumerate(family):
         for j, opj in enumerate(family):
-            verdict = _sampled_law(opi, opj, samples, rng, braid_len, "multi_ld")
+            verdict = _law(opi, opj, _samples(opi, samples, rng, braid_len), "multi_ld")
             checked += verdict.checked
             if not verdict.passed:
                 return LawVerdict(False, checked, (i, j, *verdict.counterexample), "multi_ld")
@@ -412,7 +419,7 @@ def verify_near_ld(
     braid_len: int = 5,
 ) -> LawVerdict:
     """The near-LD law of twisted conjugacy: x*(y*z) = (x*y)*(f(x)*z)."""
-    return _sampled_law(op, op, samples, rng, braid_len, "near_ld", f)
+    return _law(op, op, _samples(op, samples, rng, braid_len), "near_ld", f)
 
 
 def check_distributivity(
@@ -423,7 +430,7 @@ def check_distributivity(
     braid_len: int = 5,
 ) -> LawVerdict:
     """Check op1 distributes over op2: x *1 (y *2 z) = (x *1 y) *2 (x *1 z)."""
-    return _sampled_law(op1, op2, samples, rng, braid_len, "distributivity")
+    return _law(op1, op2, _samples(op1, samples, rng, braid_len), "distributivity")
 
 
 # -- parameter condition checkers -------------------------------------------
@@ -498,17 +505,25 @@ def _commute(x: BraidWord, y: BraidWord) -> bool:
     return braid.braids_equal(braid.concat(x, y), braid.concat(y, x))
 
 
+def _require(members, commutators) -> None:
+    """Raise ConditionViolation at the first (name, w, n) of ``members`` with
+    w outside B_n, else at the first (name, u, v) of ``commutators`` with
+    [u, v] != 1."""
+    for name, w, n in members:
+        if not _in_b(w, n):
+            raise ConditionViolation(f"{name} must lie in B_{n}")
+    for name, u, v in commutators:
+        if not _commute(u, v):
+            raise ConditionViolation(f"{name} != 1")
+
+
 def make_generalized_shifted(p: int, a1: BraidWord, a2: BraidWord) -> OpDescriptor:
     """Shifted op with parameter a = a1 tau(p,p) a2 for a1, a2 in B_p.
 
     Valid (and LD) exactly when [a1, a2] = 1; rejected otherwise with the
     failing commutator.
     """
-    for name, w in (("a1", a1), ("a2", a2)):
-        if not _in_b(w, p):
-            raise ConditionViolation(f"{name} must lie in B_{p}")
-    if not _commute(a1, a2):
-        raise ConditionViolation(f"[a1, a2] != 1 for a1={a1.letters}, a2={a2.letters}")
+    _require((("a1", a1, p), ("a2", a2, p)), (("[a1, a2]", a1, a2),))
     a = braid.concat_all(a1, braid.tau(p, p), a2)
     return shifted_op(p, a)
 
@@ -521,15 +536,16 @@ def make_generalized_shifted_family(
     Requires [a_i', a_j'] = [a_i', a_j''] = 1 for all i, j (the a_i'' need not
     commute with each other).
     """
-    for idx, (a1, a2) in enumerate(pairs):
-        if not (_in_b(a1, p) and _in_b(a2, p)):
-            raise ConditionViolation(f"family member {idx} not in B_{p}")
-    for i, (ai1, _) in enumerate(pairs):
-        for j, (aj1, aj2) in enumerate(pairs):
-            if not _commute(ai1, aj1):
-                raise ConditionViolation(f"[a{i}', a{j}'] != 1")
-            if not _commute(ai1, aj2):
-                raise ConditionViolation(f"[a{i}', a{j}''] != 1")
+    marks = ("'", "''")
+    _require(
+        [(f"a{i}{m}", w, p) for i, pair in enumerate(pairs) for m, w in zip(marks, pair)],
+        [
+            (f"[a{i}', a{j}{m}]", ai1, w)
+            for i, (ai1, _) in enumerate(pairs)
+            for j, pair in enumerate(pairs)
+            for m, w in zip(marks, pair)
+        ],
+    )
     return tuple(
         shifted_op(p, braid.concat_all(a1, braid.tau(p, p), a2)) for a1, a2 in pairs
     )
@@ -545,18 +561,16 @@ def make_generalized_shifted_bi(
     Requires [a1',a1''] = [a2',a2''] = [a1',a2''] = [a2',a1''] = [a1',a2'] = 1.
     """
     (x1, x2), (y1, y2) = a1, a2
-    for name, w in (("a1'", x1), ("a1''", x2), ("a2'", y1), ("a2''", y2)):
-        if not _in_b(w, p):
-            raise ConditionViolation(f"{name} must lie in B_{p}")
-    for name, u, v in (
-        ("[a1',a1'']", x1, x2),
-        ("[a2',a2'']", y1, y2),
-        ("[a1',a2'']", x1, y2),
-        ("[a2',a1'']", y1, x2),
-        ("[a1',a2']", x1, y1),
-    ):
-        if not _commute(u, v):
-            raise ConditionViolation(f"{name} != 1")
+    _require(
+        (("a1'", x1, p), ("a1''", x2, p), ("a2'", y1, p), ("a2''", y2, p)),
+        (
+            ("[a1', a1'']", x1, x2),
+            ("[a2', a2'']", y1, y2),
+            ("[a1', a2'']", x1, y2),
+            ("[a2', a1'']", y1, x2),
+            ("[a1', a2']", x1, y1),
+        ),
+    )
     t = braid.tau(p, p)
     op1 = shifted_op(p, braid.concat_all(x1, t, x2))
     op2 = shifted_bar_op(p, braid.concat_all(y1, braid.invert(t), y2))
@@ -579,18 +593,10 @@ def make_split_shifted(
     [a1', a1''] = [a2', a2''] = 1.
     """
     p = p1 + p2
-    for name, w, bound in (
-        ("a1'", a1p, p1),
-        ("a1''", a1pp, p1),
-        ("a2'", a2p, p2),
-        ("a2''", a2pp, p2),
-    ):
-        if not _in_b(w, bound):
-            raise ConditionViolation(f"{name} must lie in B_{bound}")
-    if not _commute(a1p, a1pp):
-        raise ConditionViolation("[a1', a1''] != 1")
-    if not _commute(a2p, a2pp):
-        raise ConditionViolation("[a2', a2''] != 1")
+    _require(
+        (("a1'", a1p, p1), ("a1''", a1pp, p1), ("a2'", a2p, p2), ("a2''", a2pp, p2)),
+        (("[a1', a1'']", a1p, a1pp), ("[a2', a2'']", a2p, a2pp)),
+    )
     a = braid.concat_all(
         a1p,
         braid.shift(a2p, p1),

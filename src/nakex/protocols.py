@@ -170,6 +170,10 @@ class KeyPolicy:
             raise PolicyViolation("need max_leaves <= max_depth + 1")
         if not 0.0 <= self.comb_bias <= 1.0:
             raise PolicyViolation("comb_bias must lie in [0, 1]")
+        if self.gen_length < 0:
+            raise PolicyViolation("gen_length must be >= 0")
+        if self.exponent_min > self.exponent_max:
+            raise PolicyViolation("need exponent_min <= exponent_max")
 
 
 FINITE_POLICY = KeyPolicy(max_leaves=8, max_depth=7, comb_bias=0.5)
@@ -599,11 +603,11 @@ def _draw_symdp(spec: ProtocolSpec, platform: Platform, role: int, rng: random.R
 # -- shape 3: LD-operation commutator ----------------------------------------
 
 
-def _commutator_key(spec: ProtocolSpec, platform: Platform, role: int, x: Element, step3):
+def _commutator_key(platform: Platform, role: int, x: Element, step3, rev: bool):
     """(step3, gamma): a^-1 (b * a) and (a * b)^-1 b; in the rev variant
     a^-1 (b^-1 * a) and (a^-1 *rev b) b^-1."""
     mul, inv = platform.mul, platform.inv
-    if spec.variant == "rev":
+    if rev:
         return step3, mul(inv(x), step3) if role == ALICE else mul(step3, inv(x))
     return step3, mul(inv(x), step3) if role == ALICE else mul(inv(step3), x)
 
@@ -612,22 +616,23 @@ def _ld_commutator(ops):
     """Party of an LD-operation commutator scheme.
 
     ``ops(spec, platform, role)`` gives the node operations of the party's
-    own trees and the LD operation beta it applies to the peer's generators.
+    own trees, the LD operation beta it applies to the peer's generators, and
+    whether the scheme is the rev variant.
     """
 
     def party(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random) -> _Party:
-        tree_ops, beta = ops(spec, platform, role)
+        tree_ops, beta, rev = ops(spec, platform, role)
         own, peer_gens = _gens(spec, role)
         tree, x = _tree_secret(platform, own, tree_ops, spec.policy, rng)
         _warn_if_identity(platform, x, role)
 
         def publish() -> tuple:
-            y = platform.inv(x) if spec.variant == "rev" else x
+            y = platform.inv(x) if rev else x
             return tuple(apply_op(beta, y, t) for t in peer_gens)
 
         def finish(peer: tuple) -> tuple[Element, Element]:
             step3 = magma.push_through(tree, peer, tree_ops)
-            return _commutator_key(spec, platform, role, x, step3)
+            return _commutator_key(platform, role, x, step3, rev)
 
         return _Party(SecretKey(trees=(tree,), elements=(x,)), publish, finish)
 
@@ -636,7 +641,7 @@ def _ld_commutator(ops):
 
 def _f_ops(spec: ProtocolSpec, platform: Platform, role: int):
     op = ldops.f_conj_op(spec.endo)
-    return (partial(apply_op, op),), op
+    return (partial(apply_op, op),), op, False
 
 
 def _shifted_ops(spec: ProtocolSpec, platform: Platform, role: int):
@@ -647,9 +652,9 @@ def _shifted_ops(spec: ProtocolSpec, platform: Platform, role: int):
     star = ldops.shifted_op(p, a, platform)
     if spec.variant == "rev":
         rev = ldops.shifted_rev_op(p, a, platform)
-        return (partial(apply_op, (star, rev)[role]),), (rev, star)[role]
+        return (partial(apply_op, (star, rev)[role]),), (rev, star)[role], True
     bar = ldops.shifted_bar_op(p, braid.invert(a), platform)
-    return (partial(apply_op, star), partial(apply_op, bar)), (bar, star)[role]
+    return (partial(apply_op, star), partial(apply_op, bar)), (bar, star)[role], False
 
 
 # -- aag_commutator ----------------------------------------------------------
@@ -669,7 +674,7 @@ def _aag_party(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Ra
 
     def finish(peer: tuple) -> tuple[Element, Element]:
         step3 = magma.push_through(tree, list(peer) + [inv(w) for w in peer], [mul])
-        return _commutator_key(spec, platform, role, x, step3)
+        return _commutator_key(platform, role, x, step3, False)
 
     return _Party(SecretKey(trees=(tree,), elements=(x,)), publish, finish)
 

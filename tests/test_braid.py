@@ -410,6 +410,34 @@ def test_factor_table_path_matches_list_path():
             assert _kernels._nf_table(w.letters, w.strands) == _kernels._nf_lists(w.letters, w.strands)
 
 
+def test_word_to_nf_takes_unreduced_words():
+    # the incremental form cancels adjacent inverse pairs itself, on the
+    # table path (B_3..B_7) and on the list path (B_8 and up)
+    import itertools
+
+    from nakex import _kernels
+
+    words = []
+    for n, max_len in ((3, 6), (4, 4), (8, 3)):
+        generators = [e for i in range(1, n) for e in (i, -i)]
+        for k in range(max_len + 1):
+            words += [(n, w) for w in itertools.product(generators, repeat=k)]
+    rng = random.Random(13)
+    for _ in range(600):
+        n = rng.randrange(3, 13)
+        w = []
+        for _ in range(rng.randrange(1, 40)):
+            e = rng.choice((1, -1)) * rng.randrange(1, n)
+            w += [e, -e] if rng.random() < 0.3 else [e]
+        words.append((n, tuple(w)))
+    unreduced = 0
+    for n, w in words:
+        reduced = _kernels.free_reduce(w)
+        unreduced += reduced != w
+        assert _kernels.word_to_nf(w, n) == _kernels.word_to_nf(reduced, n)
+    assert unreduced > 3000
+
+
 def test_factor_tables_fill_safely_from_two_threads(monkeypatch):
     # two threads normalize the same words on empty tables, so both fill the
     # same entries at once; a fill that is not atomic misplaces fields

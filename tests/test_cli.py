@@ -9,7 +9,7 @@ import pytest
 from nakex import protocols as P
 from nakex.braid import BraidWord
 from nakex.cli import main
-from nakex.platforms import encode_element
+from nakex.platforms import BraidPlatform, encode_element
 
 
 def test_run_dh_vector(tmp_path, capsys):
@@ -154,6 +154,26 @@ def test_run_spec_with_huge_modulus_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "2^40" in err
 
+
+@pytest.mark.parametrize(
+    "spec, fields",
+    [
+        (P.random_spec("str_kep", 0), {"exponent_min": 9, "exponent_max": 8}),
+        (
+            P.make_simdcp(BraidPlatform(4), [BraidWord(4, (1,))], [BraidWord(4, (3,))]),
+            {"gen_length": -1},
+        ),
+    ],
+)
+def test_run_contradictory_policy_exits_2(tmp_path, capsys, spec, fields):
+    # refused at load, not at the first draw from an empty range
+    obj = json.loads(P.spec_to_json(spec))
+    obj["policy"].update(fields)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(obj))
+    assert main(["run", "--spec", str(spec_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "PolicyViolation" in err
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,14 @@ def test_laver_exhaustive_ld(n):
     assert L.verify_ld_exhaustive(L.laver_op(n)).passed
 
 
+def test_laver_sampled_ld():
+    # the Laver table is its op's carrier, so it is sampled like a finite group
+    op = L.laver_op(3)
+    verdict = L.verify_ld(op, 200, random.Random(8))
+    assert verdict.passed and verdict.checked == 200 and verdict.law == "ld"
+    assert L.op_sample(op, random.Random(8)) == random.Random(8).randrange(1, 9)
+
+
 def test_laver_range():
     with pytest.raises(ValueError):
         L.laver_table(6)

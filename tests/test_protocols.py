@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from endo_utils import inner_point_map
 from nakex import braid as B
 from nakex import ldops as L
 from nakex import protocols as P
@@ -572,6 +573,55 @@ def test_spec_json_roundtrip(tag):
     again = P.spec_from_json(text)
     assert P.spec_to_json(again) == text
     assert P.spec_digest(again) == P.spec_digest(spec)
+
+
+@pytest.mark.parametrize("endo", ["identity", "point_map"])
+def test_f_commutator_spec_roundtrip_keeps_its_endomorphism(endo):
+    # the two endomorphism kinds that random_spec never draws
+    rng = random.Random(4)
+    f = IdentityEndo(S4) if endo == "identity" else inner_point_map(S4, S4.random_element(rng))
+    s_gens, t_gens = ([S4.random_element(rng) for _ in range(2)] for _ in range(2))
+    spec = P.make_f_commutator(f, s_gens, t_gens, seed=7)
+    text = P.spec_to_json(spec)
+    again = P.spec_from_json(text)
+    assert P.spec_to_json(again) == text
+    assert again.endo == f
+    assert run_quiet(again).extracted_key == run_quiet(spec).extracted_key
+
+
+@pytest.mark.parametrize("tag", ["aag_commutator", "f_commutator"])
+def test_variant_is_read_only_by_shifted_commutator(tag):
+    for seed in range(20):
+        spec = P.random_spec(tag, seed)
+        key = run_quiet(spec).extracted_key
+        for variant in ("rev", "zzz", "bi_ld"):
+            assert run_quiet(replace(spec, variant=variant)).extracted_key == key
+
+
+# specs whose policy contradicts itself, each of which used to load and then
+# fail inside its first draw
+CONTRADICTORY_POLICIES = {
+    "str_kep": (lambda: P.random_spec("str_kep", 0), {"exponent_min": 9, "exponent_max": 8}),
+    "symdp": (
+        lambda: replace(P.random_spec("symdp", 0), secret_exponents=True),
+        {"exponent_min": 9, "exponent_max": 8},
+    ),
+    "braid_simdcp": (
+        lambda: P.make_simdcp(BraidPlatform(4), [BraidWord(4, (1,))], [BraidWord(4, (3,))]),
+        {"gen_length": -1},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CONTRADICTORY_POLICIES)
+def test_contradictory_policy_fails_at_load(case):
+    make_spec, fields = CONTRADICTORY_POLICIES[case]
+    with pytest.raises(P.PolicyViolation):
+        P.KeyPolicy(**fields)
+    obj = json.loads(P.spec_to_json(make_spec()))
+    obj["policy"].update(fields)
+    with pytest.raises(P.PolicyViolation):
+        P.spec_from_json(json.dumps(obj))
 
 
 def test_step3_matches_whitebox_beta():
