@@ -32,6 +32,7 @@ __all__ = [
     "concat",
     "concat_all",
     "freely_reduced",
+    "max_index",
     "invert",
     "shift",
     "with_strands",
@@ -313,6 +314,11 @@ def random_pure_braid(n: int, rng: random.Random, conj_len: int = 4, blocks: int
 
 def freely_reduced(w: BraidWord) -> BraidWord:
     return _word(w.strands, _kernels.free_reduce(w.letters))
+
+
+def max_index(w: BraidWord) -> int:
+    """The largest generator index in the freely reduced word; 0 if it is empty."""
+    return max(map(abs, _kernels.free_reduce(w.letters)), default=0)
 
 
 def canonical_word(w: BraidWord) -> BraidWord:

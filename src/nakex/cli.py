@@ -15,8 +15,9 @@ Exit codes: 0 success, 1 verified failure (a law counterexample, a key
 mismatch, an attack record whose witness did not verify) or a failed
 session, 2 usage errors, each reported in one line on stderr: an argument
 argparse rejects (among them an ``--address`` or ``NAKEX_LISTEN`` that is
-not host:port with a port in 1..65535, or a ``--timeout`` that is not a
-positive finite number of seconds), a spec or experiment file that does not
+not host:port with a port in 1..65535, a ``--timeout`` that is not a
+positive finite number of seconds, or a ``verify-laws`` size over
+``protocols.MAX_PLATFORM_SIZE``), a spec or experiment file that does not
 load or build, an output path that cannot be written, law parameters the
 operation rejects, or a spec whose secrets break its key policy.
 """
@@ -164,12 +165,28 @@ def _cmd_keygen(args) -> int:
 # -- verify-laws --------------------------------------------------------------
 
 
+# verify-laws takes no size a spec may not use: a symmetric degree or a braid
+# parameter over MAX_PLATFORM_SIZE, or a shift p over half of it (the op's
+# carrier is B_2p).  Law checks slow down steeply with size.
+_MAX_SIZE = protocols.MAX_PLATFORM_SIZE
+
+
 def _law_platform(name: str):
     if name.startswith("s"):
-        return SymmetricPlatform(int(name[1:]))
+        degree = int(name[1:])
+        if degree > _MAX_SIZE:
+            raise argparse.ArgumentTypeError(f"degree {degree} is over {_MAX_SIZE}")
+        return SymmetricPlatform(degree)
     if name.startswith("mod"):
         return MultModPlatform(int(name[3:]))
     raise argparse.ArgumentTypeError(f"unknown platform {name!r} (use s4, s5, mod23, ...)")
+
+
+def _shift_p(value: str) -> int:
+    p = int(value)
+    if p > _MAX_SIZE // 2:
+        raise argparse.ArgumentTypeError(f"p = {p} is over {_MAX_SIZE // 2}: the op acts on B_2p")
+    return p
 
 
 def _inner_endo(args, rng) -> InnerEndo:
@@ -301,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_laws = sub.add_parser("verify-laws", help="run law verifiers for an operation")
     p_laws.add_argument("--op", required=True, choices=list(_LAWS))
-    p_laws.add_argument("--p", type=int, default=1)
+    p_laws.add_argument("--p", type=_shift_p, default=1)
     p_laws.add_argument("--a", type=_parse_braid, default=None, help="braid letters, e.g. '1,2,-1'")
     p_laws.add_argument("--samples", type=int, default=200)
     p_laws.add_argument("--seed", type=int, default=0)
@@ -320,6 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_braid(text: str) -> BraidWord:
     letters = tuple(int(piece) for piece in text.split(",") if piece.strip())
     strands = max((abs(e) for e in letters), default=1) + 1
+    if strands > _MAX_SIZE:
+        raise argparse.ArgumentTypeError(f"braid needs {strands} strands, over {_MAX_SIZE}")
     return BraidWord(strands, letters)
 
 

@@ -307,26 +307,26 @@ def fgh_sym_op(f: Endomorphism, g: Endomorphism, h: Endomorphism) -> OpDescripto
     return OpDescriptor("fgh_sym", f.platform, f=f, g=g, h=h)
 
 
-def shifted_op(p: int = 1, a: BraidWord | None = None, platform: BraidPlatform | None = None) -> OpDescriptor:
+def shifted_op(p: int = 1, a: BraidWord | None = None) -> OpDescriptor:
     """x*y = shift^p(x^-1) a shift^p(y) x; the p=1, a=sigma_1 default is the
     original shifted conjugacy."""
     if a is None:
         a = braid.tau(p, p)
-    return OpDescriptor("shifted", platform or BraidPlatform(max(2 * p, 2)), a=a, p=p)
+    return OpDescriptor("shifted", BraidPlatform(max(2 * p, 2)), a=a, p=p)
 
 
-def shifted_bar_op(p: int = 1, a: BraidWord | None = None, platform: BraidPlatform | None = None) -> OpDescriptor:
+def shifted_bar_op(p: int = 1, a: BraidWord | None = None) -> OpDescriptor:
     """The companion operation of the bi-LD pair; default a = sigma_1^-1."""
     if a is None:
         a = braid.invert(braid.tau(p, p))
-    return OpDescriptor("shifted_bar", platform or BraidPlatform(max(2 * p, 2)), a=a, p=p)
+    return OpDescriptor("shifted_bar", BraidPlatform(max(2 * p, 2)), a=a, p=p)
 
 
-def shifted_rev_op(p: int = 1, a: BraidWord | None = None, platform: BraidPlatform | None = None) -> OpDescriptor:
+def shifted_rev_op(p: int = 1, a: BraidWord | None = None) -> OpDescriptor:
     """x*y = x shift^p(y) a shift^p(x^-1), the reverse of the shifted op."""
     if a is None:
         a = braid.tau(p, p)
-    return OpDescriptor("shifted_rev", platform or BraidPlatform(max(2 * p, 2)), a=a, p=p)
+    return OpDescriptor("shifted_rev", BraidPlatform(max(2 * p, 2)), a=a, p=p)
 
 
 def laver_op(n: int) -> OpDescriptor:
@@ -481,12 +481,6 @@ def check_symconj_conditions(
     )
 
 
-def _in_b(word: BraidWord, n: int) -> bool:
-    """Does the freely reduced word use only generators of B_n?"""
-    reduced = braid.freely_reduced(word)
-    return all(abs(e) <= n - 1 for e in reduced.letters)
-
-
 def check_shifted_conditions(p: int, a: BraidWord) -> bool:
     """Sufficient conditions for shift^p(x^-1) a shift^p(y) x to be LD:
 
@@ -495,7 +489,7 @@ def check_shifted_conditions(p: int, a: BraidWord) -> bool:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if not _in_b(a, 2 * p):
+    if braid.max_index(a) >= 2 * p:
         return False
     da = braid.shift(a, p)
     return braid.braids_equal(braid.concat_all(a, da, a), braid.concat_all(da, a, da))
@@ -510,7 +504,7 @@ def _require(members, commutators) -> None:
     w outside B_n, else at the first (name, u, v) of ``commutators`` with
     [u, v] != 1."""
     for name, w, n in members:
-        if not _in_b(w, n):
+        if braid.max_index(w) >= n:
             raise ConditionViolation(f"{name} must lie in B_{n}")
     for name, u, v in commutators:
         if not _commute(u, v):

@@ -247,8 +247,6 @@ class Transcript:
 
 ALICE, BOB = 0, 1
 _ROLE_NAMES = ("Alice", "Bob")
-# A spec's six generator lists, which the JSON codec writes and reads by name.
-_GEN_LISTS = ("alice_gens", "bob_gens", "a1_gens", "a2_gens", "b1_gens", "b2_gens")
 
 
 class _Party(NamedTuple):
@@ -283,11 +281,6 @@ class _Scheme(NamedTuple):
 # -- platform sizing ---------------------------------------------------------
 
 
-def _max_index(w: BraidWord) -> int:
-    reduced = braid.freely_reduced(w)
-    return max((abs(e) for e in reduced.letters), default=0)
-
-
 def _shifted_work_platform(spec: ProtocolSpec) -> Platform:
     """B_n sized up front for shifted conjugacy.
 
@@ -300,8 +293,8 @@ def _shifted_work_platform(spec: ProtocolSpec) -> Platform:
     """
     p, levels = spec.shift_p, 2 * spec.policy.max_depth + 1
     gens = spec.alice_gens + spec.bob_gens
-    start = max([spec.platform.strands - 1] + [_max_index(g) for g in gens])
-    last = max(start + levels * p, _max_index(spec.shift_a) + (levels - 1) * p)
+    start = max([spec.platform.strands - 1] + [braid.max_index(g) for g in gens])
+    last = max(start + levels * p, braid.max_index(spec.shift_a) + (levels - 1) * p)
     return BraidPlatform(last + 1)
 
 
@@ -615,13 +608,13 @@ def _commutator_key(platform: Platform, role: int, x: Element, step3, rev: bool)
 def _ld_commutator(ops):
     """Party of an LD-operation commutator scheme.
 
-    ``ops(spec, platform, role)`` gives the node operations of the party's
-    own trees, the LD operation beta it applies to the peer's generators, and
-    whether the scheme is the rev variant.
+    ``ops(spec, role)`` gives the node operations of the party's own trees,
+    the LD operation beta it applies to the peer's generators, and whether
+    the scheme is the rev variant.
     """
 
     def party(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random) -> _Party:
-        tree_ops, beta, rev = ops(spec, platform, role)
+        tree_ops, beta, rev = ops(spec, role)
         own, peer_gens = _gens(spec, role)
         tree, x = _tree_secret(platform, own, tree_ops, spec.policy, rng)
         _warn_if_identity(platform, x, role)
@@ -639,21 +632,21 @@ def _ld_commutator(ops):
     return party
 
 
-def _f_ops(spec: ProtocolSpec, platform: Platform, role: int):
+def _f_ops(spec: ProtocolSpec, role: int):
     op = ldops.f_conj_op(spec.endo)
     return (partial(apply_op, op),), op, False
 
 
-def _shifted_ops(spec: ProtocolSpec, platform: Platform, role: int):
+def _shifted_ops(spec: ProtocolSpec, role: int):
     """Trees over (*, bar*) for both parties, each applying its own side of
     the bi-LD pair as beta; in the ``rev`` variant Alice builds over * and Bob
     over *rev, and each applies the other's."""
     p, a = spec.shift_p, spec.shift_a
-    star = ldops.shifted_op(p, a, platform)
+    star = ldops.shifted_op(p, a)
     if spec.variant == "rev":
-        rev = ldops.shifted_rev_op(p, a, platform)
+        rev = ldops.shifted_rev_op(p, a)
         return (partial(apply_op, (star, rev)[role]),), (rev, star)[role], True
-    bar = ldops.shifted_bar_op(p, braid.invert(a), platform)
+    bar = ldops.shifted_bar_op(p, braid.invert(a))
     return (partial(apply_op, star), partial(apply_op, bar)), (bar, star)[role], False
 
 
@@ -746,54 +739,36 @@ def make_group_dh(
     )
 
 
-def make_ko_lee(
-    platform: Platform, a_gens, b_gens, x: Element,
+def _make_conjugation(
+    tag: str, platform: Platform, a_gens, b_gens, x: Element,
     policy: KeyPolicy | None = None, seed: int = 0,
 ) -> ProtocolSpec:
+    """The spec of ``make_ko_lee`` and ``make_str_kep``: subgroups A = <a_gens>
+    and B = <b_gens> that must commute, and the public base x."""
     return ProtocolSpec(
-        tag="ko_lee", platform=platform, base=x,
+        tag=tag, platform=platform, base=x,
         a1_gens=tuple(a_gens), b1_gens=tuple(b_gens),
         policy=policy or _default_policy(platform), seed=seed,
     )
 
 
-def make_str_kep(
-    platform: Platform, a_gens, b_gens, x: Element,
+def _make_on_generators(
+    tag: str, platform: Platform, s_gens, t_gens,
     policy: KeyPolicy | None = None, seed: int = 0,
 ) -> ProtocolSpec:
+    """The spec of ``make_aag_commutator``, ``make_simdcp`` and
+    ``make_simdcp_alt``: Alice's generators s_gens and Bob's t_gens alone."""
     return ProtocolSpec(
-        tag="str_kep", platform=platform, base=x,
-        a1_gens=tuple(a_gens), b1_gens=tuple(b_gens),
+        tag=tag, platform=platform, alice_gens=tuple(s_gens), bob_gens=tuple(t_gens),
         policy=policy or _default_policy(platform), seed=seed,
     )
 
 
-def make_aag_commutator(
-    platform: Platform, s_gens, t_gens,
-    policy: KeyPolicy | None = None, seed: int = 0,
-) -> ProtocolSpec:
-    return ProtocolSpec(
-        tag="aag_commutator", platform=platform,
-        alice_gens=tuple(s_gens), bob_gens=tuple(t_gens),
-        policy=policy or _default_policy(platform), seed=seed,
-    )
-
-
-def make_simdcp(
-    platform: Platform, s_gens, t_gens,
-    policy: KeyPolicy | None = None, seed: int = 0,
-) -> ProtocolSpec:
-    return ProtocolSpec(
-        tag="simdcp", platform=platform, alice_gens=tuple(s_gens), bob_gens=tuple(t_gens),
-        policy=policy or _default_policy(platform), seed=seed,
-    )
-
-
-def make_simdcp_alt(platform, s_gens, t_gens, policy=None, seed: int = 0) -> ProtocolSpec:
-    return ProtocolSpec(
-        tag="simdcp_alt", platform=platform, alice_gens=tuple(s_gens), bob_gens=tuple(t_gens),
-        policy=policy or _default_policy(platform), seed=seed,
-    )
+make_ko_lee = partial(_make_conjugation, "ko_lee")
+make_str_kep = partial(_make_conjugation, "str_kep")
+make_aag_commutator = partial(_make_on_generators, "aag_commutator")
+make_simdcp = partial(_make_on_generators, "simdcp")
+make_simdcp_alt = partial(_make_on_generators, "simdcp_alt")
 
 
 def make_symdp(
@@ -853,23 +828,34 @@ def _default_policy(platform: Platform) -> KeyPolicy:
 
 # -- JSON codecs -------------------------------------------------------------
 
+# The spec fields that JSON holds as they are, and its six generator lists,
+# each written and read by name.
+_PLAIN_FIELDS = ("tag", "seed", "shift_p", "variant", "k", "l", "secret_exponents")
+_GEN_LISTS = ("alice_gens", "bob_gens", "a1_gens", "a2_gens", "b1_gens", "b2_gens")
+# A transcript's one-element JSON keys and the Transcript fields they hold.
+_TRANSCRIPT_ELEMENTS = {
+    "alice_step3": "alice_step3", "bob_step3": "bob_step3", "kA": "key_a", "kB": "key_b",
+}
+# JSON platform kind -> (platform class, the one parameter it is built from).
+_PLATFORM_KINDS = {
+    "braid": (BraidPlatform, "strands"),
+    "symmetric": (SymmetricPlatform, "degree"),
+    "mult_mod": (MultModPlatform, "modulus"),
+}
+
 
 def _platform_obj(p: Platform) -> dict:
-    if isinstance(p, BraidPlatform):
-        return {"kind": "braid", "strands": p.strands}
-    if isinstance(p, SymmetricPlatform):
-        return {"kind": "symmetric", "degree": p.degree}
-    return {"kind": "mult_mod", "modulus": p.modulus}
+    for kind, (cls, param) in _PLATFORM_KINDS.items():
+        if isinstance(p, cls):
+            return {"kind": kind, param: getattr(p, param)}
+    raise TypeError(f"no JSON kind for platform {p!r}")
 
 
 def _platform_from_obj(obj: dict) -> Platform:
     kind = obj["kind"]
-    if kind == "braid":
-        return BraidPlatform(obj["strands"])
-    if kind == "symmetric":
-        return SymmetricPlatform(obj["degree"])
-    if kind == "mult_mod":
-        return MultModPlatform(obj["modulus"])
+    for name, (cls, param) in _PLATFORM_KINDS.items():
+        if kind == name:
+            return cls(obj[param])
     raise ValueError(f"unknown platform kind {kind!r}")
 
 
@@ -920,20 +906,14 @@ def _endo_from_obj(platform: Platform, obj: Optional[dict]) -> Optional[Endomorp
 
 def spec_to_obj(spec: ProtocolSpec) -> dict:
     platform = spec.platform
-    obj = {
-        "tag": spec.tag,
-        "platform": _platform_obj(platform),
-        "policy": dict(vars(spec.policy)),
-        "seed": spec.seed,
-        "base": None if spec.base is None else _elem_hex(platform, spec.base),
-        "endo": _endo_obj(platform, spec.endo),
-        "shift_p": spec.shift_p,
-        "shift_a": None if spec.shift_a is None else braid.encode_braid(spec.shift_a).hex(),
-        "variant": spec.variant,
-        "k": spec.k,
-        "l": spec.l,
-        "secret_exponents": spec.secret_exponents,
-    }
+    obj = {name: getattr(spec, name) for name in _PLAIN_FIELDS}
+    obj.update(
+        platform=_platform_obj(platform),
+        policy=dict(vars(spec.policy)),
+        base=None if spec.base is None else _elem_hex(platform, spec.base),
+        endo=_endo_obj(platform, spec.endo),
+        shift_a=None if spec.shift_a is None else braid.encode_braid(spec.shift_a).hex(),
+    )
     for name in _GEN_LISTS:
         obj[name] = [_elem_hex(platform, g) for g in getattr(spec, name)]
     return obj
@@ -945,21 +925,15 @@ def spec_from_obj(obj: dict) -> ProtocolSpec:
     shift_a = None
     if obj.get("shift_a"):
         shift_a, _ = braid.decode_braid(bytes.fromhex(obj["shift_a"]))
-    gens = {name: tuple(_elem_from_hex(platform, s) for s in obj[name]) for name in _GEN_LISTS}
+    fields = {name: tuple(_elem_from_hex(platform, s) for s in obj[name]) for name in _GEN_LISTS}
+    fields.update((name, obj[name]) for name in _PLAIN_FIELDS)
     return ProtocolSpec(
-        tag=obj["tag"],
         platform=platform,
         policy=policy,
-        seed=obj["seed"],
         base=None if obj["base"] is None else _elem_from_hex(platform, obj["base"]),
         endo=_endo_from_obj(platform, obj["endo"]),
-        shift_p=obj["shift_p"],
         shift_a=shift_a,
-        variant=obj["variant"],
-        k=obj["k"],
-        l=obj["l"],
-        secret_exponents=obj["secret_exponents"],
-        **gens,
+        **fields,
     )
 
 
@@ -987,12 +961,10 @@ def transcript_to_json(t: Transcript) -> str:
         "seed": t.spec.seed,
         "alice_messages": [_elem_hex(platform, x) for x in t.alice_messages],
         "bob_messages": [_elem_hex(platform, x) for x in t.bob_messages],
-        "alice_step3": _elem_hex(platform, t.alice_step3),
-        "bob_step3": _elem_hex(platform, t.bob_step3),
-        "kA": _elem_hex(platform, t.key_a),
-        "kB": _elem_hex(platform, t.key_b),
         "extracted_key": t.extracted_key.hex(),
     }
+    for key, name in _TRANSCRIPT_ELEMENTS.items():
+        obj[key] = _elem_hex(platform, getattr(t, name))
     return _canonical_json(obj)
 
 
@@ -1004,11 +976,8 @@ def transcript_from_json(text: str) -> Transcript:
         spec=spec,
         alice_messages=tuple(_elem_from_hex(platform, s) for s in obj["alice_messages"]),
         bob_messages=tuple(_elem_from_hex(platform, s) for s in obj["bob_messages"]),
-        alice_step3=_elem_from_hex(platform, obj["alice_step3"]),
-        bob_step3=_elem_from_hex(platform, obj["bob_step3"]),
-        key_a=_elem_from_hex(platform, obj["kA"]),
-        key_b=_elem_from_hex(platform, obj["kB"]),
         extracted_key=bytes.fromhex(obj["extracted_key"]),
+        **{name: _elem_from_hex(platform, obj[key]) for key, name in _TRANSCRIPT_ELEMENTS.items()},
     )
 
 

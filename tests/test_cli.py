@@ -60,6 +60,21 @@ def test_verify_laws_pass_and_fail():
     ]) == 1
 
 
+@pytest.mark.parametrize("platform", ["mod23", "s5", "s64"])
+def test_verify_laws_named_platforms(platform, capsys):
+    # s64 is the largest degree a spec may use
+    assert main(["verify-laws", "--op", "conj", "--platform", platform, "--samples", "20"]) == 0
+    assert capsys.readouterr().out == "conj LD: pass (20 checks)\n"
+
+
+def test_run_without_out_prints_transcript(tmp_path, capsys):
+    spec = P.random_spec("symdp", 4)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(P.spec_to_json(spec))
+    assert main(["run", "--spec", str(spec_path)]) == 0
+    assert capsys.readouterr().out == P.transcript_to_json(P.run(spec)) + "\n"
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
@@ -263,6 +278,9 @@ SPEC_ARGV = ["--spec", "{tmp}/instance.json"]
         (DH_SPEC, ["connect", *SPEC_ARGV, "--timeout", "0"]),
         (DH_SPEC, ["serve", *SPEC_ARGV, "--timeout", "nan"]),
         (DH_SPEC, ["serve", *SPEC_ARGV, "--timeout", "inf"]),
+        (None, ["verify-laws", "--op", "conj", "--platform", "s65"]),
+        (None, ["verify-laws", "--op", "shifted", "--p", "33"]),
+        (None, ["verify-laws", "--op", "shifted", "--a", "1,64"]),
     ],
     ids=[
         "missing_instance", "invalid_json", "json_list", "no_experiment", "trials_str",
@@ -272,6 +290,7 @@ SPEC_ARGV = ["--spec", "{tmp}/instance.json"]
         "degree_bool", "level_bool", "run_out_dir_missing", "keygen_out_dir_missing",
         "keygen_secrets_dir_missing", "address_no_port", "listen_env_bad", "serve_port_99999",
         "connect_port_99999", "timeout_neg", "timeout_0", "timeout_nan", "timeout_inf",
+        "laws_degree_65", "laws_p_33", "laws_a_65_strands",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, instance, argv):

@@ -3,6 +3,7 @@ import json
 import random
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -573,6 +574,33 @@ def test_spec_json_roundtrip(tag):
     again = P.spec_from_json(text)
     assert P.spec_to_json(again) == text
     assert P.spec_digest(again) == P.spec_digest(spec)
+
+
+BRAID_WORD_SCHEMES = {
+    "simdcp": P.make_simdcp,
+    "simdcp_alt": P.make_simdcp_alt,
+    "symdp_k2": partial(P.make_symdp, k=2, l=1),
+    "symdp_secret_exponents": partial(P.make_symdp, secret_exponents=True),
+}
+
+
+@pytest.mark.parametrize("scheme", list(BRAID_WORD_SCHEMES))
+def test_two_sided_schemes_on_braids_agree_and_roundtrip(scheme):
+    # random_spec draws these tags on S_n only; on B_5 the free secret factor
+    # is a random braid word
+    platform = BraidPlatform(5)
+    for seed in range(20):
+        rng = random.Random(seed)
+        s, t = ([B.random_braid(5, 4, rng) for _ in range(2)] for _ in range(2))
+        spec = BRAID_WORD_SCHEMES[scheme](platform, s, t, seed=seed)
+        text = P.spec_to_json(spec)
+        assert P.spec_to_json(P.spec_from_json(text)) == text
+        transcript = P.transcript_to_json(run_quiet(spec))
+        assert P.transcript_to_json(P.transcript_from_json(transcript)) == transcript
+        if not scheme.startswith("symdp"):
+            alice, bob = P.generate_secrets(spec)
+            assert isinstance(alice.elements[1], BraidWord)
+            assert isinstance(bob.elements[1], BraidWord)
 
 
 @pytest.mark.parametrize("endo", ["identity", "point_map"])

@@ -208,6 +208,50 @@ def test_wrong_public_key_list_is_refused(forgery):
     assert isinstance(errors.get("responder"), S.ConfirmMismatch)
 
 
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        ("wrong_confirm", S.ConfirmMismatch, "peer key confirmation does not match"),
+        ("error_frame", S.SessionError, "peer error: no keys for you"),
+        ("confirm_for_keys", S.MalformedFrame, "expected frame 0x2, got 0x3"),
+    ],
+)
+def test_peer_fault_is_refused(fault, error, message):
+    # a peer with the right Hello that then sends a wrong KeyConfirm, an Error
+    # frame, or a KeyConfirm where its PublicKeyList is due
+    server, port = _bound_server()
+    spec = P.random_spec("aag_commutator", 11)
+    platform = P.work_platform(spec)
+    payload = b"".join(encode_element(platform, x) for x in P.run(spec).alice_messages)
+    errors = {}
+
+    def responder():
+        cfg = S.SessionConfig("responder", spec, port=port, timeout=5)
+        try:
+            S.serve_once(cfg, server)
+        except S.SessionError as exc:
+            errors["responder"] = exc
+
+    thread = threading.Thread(target=responder)
+    thread.start()
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(S.encode_frame(S.FRAME_HELLO, bytes.fromhex(P.spec_digest(spec))))
+        assert S.read_frame(sock)[0] == S.FRAME_HELLO
+        if fault == "wrong_confirm":
+            sock.sendall(S.encode_frame(S.FRAME_PUBLIC_KEYS, payload))
+            assert S.read_frame(sock)[0] == S.FRAME_PUBLIC_KEYS
+            sock.sendall(S.encode_frame(S.FRAME_KEY_CONFIRM, bytes(32)))
+            assert S.read_frame(sock)[0] == S.FRAME_KEY_CONFIRM
+        elif fault == "error_frame":
+            sock.sendall(S.encode_frame(S.FRAME_ERROR, b"no keys for you"))
+        else:
+            sock.sendall(S.encode_frame(S.FRAME_KEY_CONFIRM, bytes(32)))
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert type(errors.get("responder")) is error
+    assert str(errors["responder"]) == message
+
+
 def test_session_config_validation():
     spec = P.random_spec("classic_dh", 0)
     with pytest.raises(ValueError):
