@@ -67,6 +67,29 @@ def test_concat_examples():
     assert B.concat(BraidWord(3, (1,)), BraidWord(4, (3,))).strands == 4
 
 
+def test_concat_all_equals_iterated_concat():
+    rng = random.Random(15)
+    for count in range(6):
+        for _ in range(40):
+            ws = []
+            for _ in range(count):
+                n = rng.randrange(1, 7)
+                # letters drawn from a small alphabet, so not freely reduced
+                letters = tuple(
+                    rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(rng.randrange(0, 9))
+                ) if n > 1 else ()
+                ws.append(BraidWord(n, letters))
+            expected = BraidWord(1)
+            for w in ws:
+                expected = B.concat(expected, w)
+            got = B.concat_all(*ws)
+            assert (got.strands, got.letters) == (expected.strands, expected.letters)
+    assert B.concat_all() == BraidWord(1)
+    w = BraidWord(3, (1, 2, -2, -1, 2))
+    assert B.concat_all(w, B.invert(w), BraidWord(5)).letters == ()
+    assert B.concat_all(w, B.invert(w), BraidWord(5)).strands == 5
+
+
 def test_invert_examples():
     assert B.invert(BraidWord(3, (1, 2))).letters == (-2, -1)
     assert B.invert(BraidWord(2)).letters == ()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -75,6 +76,110 @@ def test_laver_range():
     with pytest.raises(ValueError):
         L.laver_table(6)
     L.laver_table(5)  # 32x32 is fine
+
+
+# -- the op catalog, pinned -----------------------------------------------------
+
+# sha256 over the raw output of every op constructor on seeded inputs and the
+# exact message of every refused descriptor; LD verdicts alone would not see a
+# swapped formula that is still LD.
+GOLDEN_OP_CATALOG_DIGEST = "e3f3cdf0a5e6d85bdb9de8143243a42fe6a543e47df013cf70b3c74e70bac592"
+
+
+def _raw(z):
+    if isinstance(z, BraidWord):
+        return ("braid", z.strands, z.letters)
+    if isinstance(z, Permutation):
+        return ("perm", z.images)
+    return ("value", z)
+
+
+def _catalog():
+    """(name, op, input pairs) for every op constructor."""
+    rng = random.Random(2012)
+    f = InnerEndo(S4, Permutation((2, 3, 1, 4)))
+    g = InnerEndo(S4, Permutation((1, 2, 4, 3)))
+    e = sign_endo(S4, Permutation((2, 1, 3, 4)))
+    b4 = BraidPlatform(4)
+    fb = InnerEndo(b4, BraidWord(4, (1, -3, 2)))
+    gb = InnerEndo(b4, BraidWord(4, (-2, 3)))
+    idb = IdentityEndo(b4)
+    s4_pairs = [(S4.random_element(rng), S4.random_element(rng)) for _ in range(8)]
+    b4_pairs = [(B.random_braid(4, 7, rng), B.random_braid(4, 7, rng)) for _ in range(4)]
+    b5_pairs = [(B.random_braid(5, 7, rng), B.random_braid(5, 7, rng)) for _ in range(4)]
+    # words that are not freely reduced
+    b5_pairs.append((BraidWord(5, (1, -1, 2, 4, -4)), BraidWord(4, (3, -3, -1, 1, 2))))
+    empty = BraidWord(1)
+    s2 = BraidWord(2, (1,))
+    group = [
+        ("conj", lambda p, f, g, h: L.conj_op(p)),
+        ("f_conj", lambda p, f, g, h: L.f_conj_op(f)),
+        ("f_conj_rev", lambda p, f, g, h: L.f_conj_rev_op(f)),
+        ("twisted_conj", lambda p, f, g, h: L.twisted_conj_op(f)),
+        ("sym_conj", lambda p, f, g, h: L.sym_conj_op(p)),
+        ("bullet", lambda p, f, g, h: L.bullet_op(p)),
+        ("beta_kl", lambda p, f, g, h: L.beta_kl_op(p, 3, -2)),
+        ("fgh_conj", lambda p, f, g, h: L.fgh_conj_op(f, g, h)),
+        ("fgh_sym", lambda p, f, g, h: L.fgh_sym_op(f, g, h)),
+    ]
+    out = []
+    for name, build in group:
+        out.append((name + "/S4", build(S4, f, g, e), s4_pairs))
+        out.append((name + "/B4", build(b4, fb, gb, idb), b4_pairs))
+    for name, build in (("f_sym_conj", L.f_sym_conj_op), ("f_sym_conj_rev", L.f_sym_conj_rev_op)):
+        out.append((name + "/S4", build(e), s4_pairs))
+        out.append((name + "/B4", build(idb), b4_pairs))
+    for name, build in (
+        ("shifted", L.shifted_op),
+        ("shifted_bar", L.shifted_bar_op),
+        ("shifted_rev", L.shifted_rev_op),
+    ):
+        out.append((name + "/default", build(), b4_pairs))
+        out.append((name + "/p2", build(2), b5_pairs))
+        out.append((name + "/p2a", build(2, BraidWord(4, (1, 3, -2))), b5_pairs))
+    out.append(("make_generalized_shifted", L.make_generalized_shifted(2, s2, s2), b5_pairs))
+    for i, op in enumerate(L.make_generalized_shifted_family(2, [(s2, s2), (BraidWord(2, (1, 1)), empty)])):
+        out.append((f"make_generalized_shifted_family/{i}", op, b5_pairs))
+    bi = L.make_generalized_shifted_bi(2, (s2, s2), (s2, BraidWord(2, (-1,))))
+    for i, op in enumerate(bi):
+        out.append((f"make_generalized_shifted_bi/{i}", op, b5_pairs))
+    split = L.make_split_shifted(1, 2, empty, empty, s2, BraidWord(2, (1, 1)))
+    out.append(("make_split_shifted", split, b5_pairs))
+    out.append(("laver/3", L.laver_op(3), list(itertools.product(range(1, 9), repeat=2))))
+    return out
+
+
+def _refusals():
+    """(name, thunk) for every descriptor the catalog refuses."""
+    b2 = BraidPlatform(2)
+    return [
+        ("shifted on S4", lambda: L.OpDescriptor("shifted", S4, a=SIGMA1)),
+        ("shifted_bar on S4 without a", lambda: L.OpDescriptor("shifted_bar", S4)),
+        ("shifted_rev on laver", lambda: L.OpDescriptor("shifted_rev", L.laver_table(2), a=SIGMA1)),
+        ("laver on S4", lambda: L.OpDescriptor("laver", S4)),
+        ("laver on B2", lambda: L.OpDescriptor("laver", b2)),
+        ("unknown kind", lambda: L.OpDescriptor("nonsense", S4)),
+        ("conj without platform", lambda: L.OpDescriptor("conj", None)),
+        ("f_sym_conj not idempotent", lambda: L.f_sym_conj_op(InnerEndo(S3, Permutation((2, 3, 1))))),
+        ("f_sym_conj_rev not idempotent", lambda: L.f_sym_conj_rev_op(InnerEndo(S4, Permutation((2, 1, 3, 4))))),
+        ("shifted without a", lambda: L.OpDescriptor("shifted", b2)),
+        ("shifted_bar without a", lambda: L.OpDescriptor("shifted_bar", b2, p=2)),
+        ("shifted_rev with p 0", lambda: L.OpDescriptor("shifted_rev", b2, a=SIGMA1, p=0)),
+        ("shifted with p -1", lambda: L.OpDescriptor("shifted", b2, a=SIGMA1, p=-1)),
+        ("shifted_op with p 0", lambda: L.shifted_op(0, SIGMA1)),
+    ]
+
+
+def test_op_catalog_golden_digest():
+    h = hashlib.sha256()
+    for name, op, pairs in _catalog():
+        for x, y in pairs:
+            h.update(repr((name, _raw(x), _raw(y), _raw(L.apply_op(op, x, y)))).encode())
+    for name, thunk in _refusals():
+        with pytest.raises(ValueError) as info:
+            thunk()
+        h.update(repr((name, type(info.value).__name__, str(info.value))).encode())
+    assert h.hexdigest() == GOLDEN_OP_CATALOG_DIGEST
 
 
 # -- LD law verdicts -----------------------------------------------------------
