@@ -181,10 +181,11 @@ def concat(w1: BraidWord, w2: BraidWord) -> BraidWord:
 
 
 def concat_all(*words: BraidWord) -> BraidWord:
-    out = _word(1, ())
-    for w in words:
-        out = concat(out, w)
-    return out
+    """Product of any number of words (the identity of B_1 for none), freely
+    reduced once over all their letters; free reduction is confluent, so this
+    is the word that iterated :func:`concat` gives."""
+    n = max((w.strands for w in words), default=1)
+    return _word(n, _kernels.free_reduce([e for w in words for e in w.letters]))
 
 
 def invert(w: BraidWord) -> BraidWord:

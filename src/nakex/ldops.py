@@ -9,6 +9,12 @@ the Laver tables, all behind one :class:`OpDescriptor` value over a carrier
 randomized and exhaustive verifiers for the LD / multi-LD / distributivity
 laws and for the algebraic parameter conditions that are equivalent to them.
 
+An op kind is one row of ``_KINDS``: its formula ``formula(carrier, op, x, y)``
+and, for the kinds that need one, its carrier class; :func:`apply_op` is one
+lookup and :class:`OpDescriptor` reads the known kinds from the same table.
+The endomorphism conditions are identities of composition words in the
+paper's notation ("fh=f" means f(h(x)) = f(x) for every x).
+
 Descriptors are deliberately permissive: an op with invalid parameters (say a
 shifted conjugacy whose braid parameter breaks the required relation) can
 still be built and applied, so that the law verifiers can hunt the resulting
@@ -21,7 +27,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import braid
 from .braid import BraidWord
@@ -71,22 +77,6 @@ __all__ = [
     "make_generalized_shifted_bi",
     "make_split_shifted",
 ]
-
-_GROUP_KINDS = {
-    "conj",
-    "f_conj",
-    "f_conj_rev",
-    "twisted_conj",
-    "sym_conj",
-    "f_sym_conj",
-    "f_sym_conj_rev",
-    "bullet",
-    "beta_kl",
-    "fgh_conj",
-    "fgh_sym",
-}
-_SHIFTED_KINDS = {"shifted", "shifted_bar", "shifted_rev"}
-
 
 class ConditionViolation(ValueError):
     """A validated constructor's algebraic precondition failed."""
@@ -170,60 +160,76 @@ class OpDescriptor:
     l: int = 1
 
     def __post_init__(self):
-        if self.kind in _SHIFTED_KINDS:
-            if not isinstance(self.platform, BraidPlatform):
-                raise ValueError(f"{self.kind} requires a braid platform")
-            if self.a is None or self.p < 1:
-                raise ValueError(f"{self.kind} requires a braid parameter and p >= 1")
-        elif self.kind == "laver":
-            if not isinstance(self.platform, LaverTable):
-                raise ValueError("laver requires a Laver table")
-        elif self.kind in _GROUP_KINDS:
-            if self.platform is None:
-                raise ValueError(f"{self.kind} requires a platform")
-            if self.kind in ("f_sym_conj", "f_sym_conj_rev") and not endo_is_idempotent(self.f):
-                raise ValueError(f"{self.kind} requires an idempotent endomorphism")
-        else:
+        row = _KINDS.get(self.kind)
+        if row is None:
             raise ValueError(f"unknown op kind {self.kind!r}")
+        if self.platform is None or not isinstance(self.platform, row.carrier or object):
+            raise ValueError(f"{self.kind} requires {_CARRIER_NAMES[row.carrier]}")
+        if row.carrier is BraidPlatform and (self.a is None or self.p < 1):
+            raise ValueError(f"{self.kind} requires a braid parameter and p >= 1")
+        if row.idempotent_f and not endo_is_idempotent(self.f):
+            raise ValueError(f"{self.kind} requires an idempotent endomorphism")
+
+
+class _Kind(NamedTuple):
+    """One op kind: its ``formula(carrier, op, x, y)``, the carrier class it
+    needs (None: any group platform) and whether ``f`` must be idempotent."""
+
+    formula: Callable
+    carrier: Optional[type] = None
+    idempotent_f: bool = False
+
+
+_CARRIER_NAMES = {
+    None: "a platform", BraidPlatform: "a braid platform", LaverTable: "a Laver table",
+}
+
+
+def _sym_conj(G, op, x, y):
+    return G.mul(G.mul(x, G.inv(y)), x)
+
+
+def _shifted(_, op, x, y):
+    # shift^p(x^-1) a shift^p(y) x
+    return braid.concat_all(braid.shift(braid.invert(x), op.p), op.a, braid.shift(y, op.p), x)
+
+
+def _shifted_rev(_, op, x, y):
+    # x shift^p(y) a shift^p(x^-1)
+    return braid.concat_all(x, braid.shift(y, op.p), op.a, braid.shift(braid.invert(x), op.p))
+
+
+# The op catalog: one row per kind.  ``G`` is the group platform.
+_KINDS = {
+    "conj": _Kind(lambda G, op, x, y: G.mul(G.mul(G.inv(x), y), x)),
+    "f_conj": _Kind(lambda G, op, x, y: G.mul(op.f.apply(G.mul(G.inv(x), y)), x)),
+    "f_conj_rev": _Kind(lambda G, op, x, y: G.mul(x, op.f.apply(G.mul(y, G.inv(x))))),
+    "twisted_conj": _Kind(lambda G, op, x, y: G.mul(G.mul(op.f.apply(G.inv(x)), y), x)),
+    "sym_conj": _Kind(_sym_conj),
+    "bullet": _Kind(_sym_conj),
+    "f_sym_conj": _Kind(
+        lambda G, op, x, y: G.mul(op.f.apply(G.mul(x, G.inv(y))), x), idempotent_f=True
+    ),
+    "f_sym_conj_rev": _Kind(
+        lambda G, op, x, y: G.mul(x, op.f.apply(G.mul(G.inv(y), x))), idempotent_f=True
+    ),
+    "beta_kl": _Kind(lambda G, op, x, y: G.mul(G.mul(g_pow(G, x, op.k), y), g_pow(G, x, op.l))),
+    "fgh_conj": _Kind(
+        lambda G, op, x, y: G.mul(G.mul(op.f.apply(G.inv(x)), op.g.apply(y)), op.h.apply(x))
+    ),
+    "fgh_sym": _Kind(
+        lambda G, op, x, y: G.mul(G.mul(op.f.apply(x), op.g.apply(G.inv(y))), op.h.apply(x))
+    ),
+    "shifted": _Kind(_shifted, BraidPlatform),
+    "shifted_bar": _Kind(_shifted, BraidPlatform),
+    "shifted_rev": _Kind(_shifted_rev, BraidPlatform),
+    "laver": _Kind(lambda table, op, x, y: table.value(x, y), LaverTable),
+}
 
 
 def apply_op(op: OpDescriptor, x: Element, y: Element) -> Element:
     """Apply the operation's defining formula."""
-    kind = op.kind
-    if kind == "laver":
-        return op.platform.value(x, y)
-    if kind in _SHIFTED_KINDS:
-        xw, yw, a = x, y, op.a
-        if kind == "shifted_rev":
-            # x shift^p(y) a shift^p(x^-1)
-            return braid.concat_all(xw, braid.shift(yw, op.p), a, braid.shift(braid.invert(xw), op.p))
-        # shift^p(x^-1) a shift^p(y) x
-        return braid.concat_all(braid.shift(braid.invert(xw), op.p), a, braid.shift(yw, op.p), xw)
-
-    g = op.platform
-    inv = g.inv
-    mul = g.mul
-    if kind == "conj":
-        return mul(mul(inv(x), y), x)
-    if kind == "f_conj":
-        return mul(op.f.apply(mul(inv(x), y)), x)
-    if kind == "f_conj_rev":
-        return mul(x, op.f.apply(mul(y, inv(x))))
-    if kind == "twisted_conj":
-        return mul(mul(op.f.apply(inv(x)), y), x)
-    if kind in ("sym_conj", "bullet"):
-        return mul(mul(x, inv(y)), x)
-    if kind == "f_sym_conj":
-        return mul(op.f.apply(mul(x, inv(y))), x)
-    if kind == "f_sym_conj_rev":
-        return mul(x, op.f.apply(mul(inv(y), x)))
-    if kind == "beta_kl":
-        return mul(mul(g_pow(g, x, op.k), y), g_pow(g, x, op.l))
-    if kind == "fgh_conj":
-        return mul(mul(op.f.apply(inv(x)), op.g.apply(y)), op.h.apply(x))
-    if kind == "fgh_sym":
-        return mul(mul(op.f.apply(x), op.g.apply(inv(y))), op.h.apply(x))
-    raise AssertionError(kind)
+    return _KINDS[op.kind].formula(op.platform, op, x, y)
 
 
 def op_eq(op: OpDescriptor, x: Element, y: Element) -> bool:
@@ -307,26 +313,27 @@ def fgh_sym_op(f: Endomorphism, g: Endomorphism, h: Endomorphism) -> OpDescripto
     return OpDescriptor("fgh_sym", f.platform, f=f, g=g, h=h)
 
 
-def shifted_op(p: int = 1, a: BraidWord | None = None) -> OpDescriptor:
-    """x*y = shift^p(x^-1) a shift^p(y) x; the p=1, a=sigma_1 default is the
-    original shifted conjugacy."""
+def _shifted_family_op(
+    kind: str, inverse: bool, p: int = 1, a: BraidWord | None = None
+) -> OpDescriptor:
+    """The op of ``kind`` over B_max(2p, 2) with braid parameter ``a``,
+    by default tau(p, p), or its inverse when ``inverse`` is set.
+
+    ``shifted_op``: x*y = shift^p(x^-1) a shift^p(y) x; the p=1, a=sigma_1
+    default is the original shifted conjugacy.  ``shifted_bar_op``: the same
+    formula, the companion of the bi-LD pair; default a = sigma_1^-1.
+    ``shifted_rev_op``: x*y = x shift^p(y) a shift^p(x^-1), the reverse.
+    """
     if a is None:
         a = braid.tau(p, p)
-    return OpDescriptor("shifted", BraidPlatform(max(2 * p, 2)), a=a, p=p)
+        if inverse:
+            a = braid.invert(a)
+    return OpDescriptor(kind, BraidPlatform(max(2 * p, 2)), a=a, p=p)
 
 
-def shifted_bar_op(p: int = 1, a: BraidWord | None = None) -> OpDescriptor:
-    """The companion operation of the bi-LD pair; default a = sigma_1^-1."""
-    if a is None:
-        a = braid.invert(braid.tau(p, p))
-    return OpDescriptor("shifted_bar", BraidPlatform(max(2 * p, 2)), a=a, p=p)
-
-
-def shifted_rev_op(p: int = 1, a: BraidWord | None = None) -> OpDescriptor:
-    """x*y = x shift^p(y) a shift^p(x^-1), the reverse of the shifted op."""
-    if a is None:
-        a = braid.tau(p, p)
-    return OpDescriptor("shifted_rev", BraidPlatform(max(2 * p, 2)), a=a, p=p)
+shifted_op = functools.partial(_shifted_family_op, "shifted", False)
+shifted_bar_op = functools.partial(_shifted_family_op, "shifted_bar", True)
+shifted_rev_op = functools.partial(_shifted_family_op, "shifted_rev", False)
 
 
 def laver_op(n: int) -> OpDescriptor:
@@ -436,8 +443,26 @@ def check_distributivity(
 # -- parameter condition checkers -------------------------------------------
 
 
-def _pointwise_equal(platform: Platform, fn1, fn2) -> bool:
-    return all(platform.eq(fn1(x), fn2(x)) for x in platform.elements())
+def _identities_hold(
+    identities: str, f: Endomorphism, g: Endomorphism, h: Endomorphism, platform: Platform
+) -> bool:
+    """Check each ``left=right`` identity of composition words pointwise on a
+    finite platform, in order, stopping at the first that fails; the word
+    "fh" is the map x -> f(h(x))."""
+    if not platform.finite:
+        raise ValueError("exhaustive composition check needs a finite platform")
+    maps = {"f": f.apply, "g": g.apply, "h": h.apply}
+
+    def compose(word, x):
+        for name in reversed(word):
+            x = maps[name](x)
+        return x
+
+    for identity in identities.split():
+        lhs, rhs = identity.split("=")
+        if not all(platform.eq(compose(lhs, x), compose(rhs, x)) for x in platform.elements()):
+            return False
+    return True
 
 
 def check_fconj_conditions(
@@ -448,17 +473,7 @@ def check_fconj_conditions(
     fh = f,  gh = hg = hf,  fg = gf = f^2,  h^2 = h   (composition f∘h etc.),
     checked pointwise on a finite platform.
     """
-    if not platform.finite:
-        raise ValueError("exhaustive composition check needs a finite platform")
-    F, G, H = f.apply, g.apply, h.apply
-    return (
-        _pointwise_equal(platform, lambda x: F(H(x)), F)
-        and _pointwise_equal(platform, lambda x: G(H(x)), lambda x: H(G(x)))
-        and _pointwise_equal(platform, lambda x: G(H(x)), lambda x: H(F(x)))
-        and _pointwise_equal(platform, lambda x: F(G(x)), lambda x: G(F(x)))
-        and _pointwise_equal(platform, lambda x: F(G(x)), lambda x: F(F(x)))
-        and _pointwise_equal(platform, lambda x: H(H(x)), H)
-    )
+    return _identities_hold("fh=f gh=hg gh=hf fg=gf fg=ff hh=h", f, g, h, platform)
 
 
 def check_symconj_conditions(
@@ -468,17 +483,7 @@ def check_symconj_conditions(
 
     f^2 = f,  fh = gh = fg,  hg = gf = hf,  h^2 = h.
     """
-    if not platform.finite:
-        raise ValueError("exhaustive composition check needs a finite platform")
-    F, G, H = f.apply, g.apply, h.apply
-    return (
-        _pointwise_equal(platform, lambda x: F(F(x)), F)
-        and _pointwise_equal(platform, lambda x: F(H(x)), lambda x: G(H(x)))
-        and _pointwise_equal(platform, lambda x: F(H(x)), lambda x: F(G(x)))
-        and _pointwise_equal(platform, lambda x: H(G(x)), lambda x: G(F(x)))
-        and _pointwise_equal(platform, lambda x: H(G(x)), lambda x: H(F(x)))
-        and _pointwise_equal(platform, lambda x: H(H(x)), H)
-    )
+    return _identities_hold("ff=f fh=gh fh=fg hg=gf hg=hf hh=h", f, g, h, platform)
 
 
 def check_shifted_conditions(p: int, a: BraidWord) -> bool:

@@ -336,10 +336,16 @@ def _check_size(platform: Platform, what: str) -> None:
 def _validate(spec: ProtocolSpec) -> None:
     """Check the conditions K_A = K_B rests on; a typed ValueError if one fails.
 
-    The spec's own platform is sized before the row's checks, which may
-    normalize braids on it; the work platform after them, since it is
-    computed from the parameters they check.
+    The plain fields' types are checked first, so that no later check
+    compares a string or a list.  The spec's own platform is sized before the
+    row's checks, which may normalize braids on it; the work platform after
+    them, since it is computed from the parameters they check.
     """
+    for name, types in _PLAIN_FIELDS.items():
+        value = getattr(spec, name)
+        if type(value) not in types:  # exact, so that a bool is not an int
+            kinds = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ValueError(f"{name} must be {kinds}, got {value!r}")
     scheme = _SCHEMES.get(spec.tag)
     if scheme is None:
         raise ValueError(f"unknown protocol tag {spec.tag!r}")
@@ -828,9 +834,12 @@ def _default_policy(platform: Platform) -> KeyPolicy:
 
 # -- JSON codecs -------------------------------------------------------------
 
-# The spec fields that JSON holds as they are, and its six generator lists,
-# each written and read by name.
-_PLAIN_FIELDS = ("tag", "seed", "shift_p", "variant", "k", "l", "secret_exponents")
+# The spec fields that JSON holds as they are, with the types that validation
+# allows each, and its six generator lists, each written and read by name.
+_PLAIN_FIELDS = {
+    "tag": (str,), "seed": (int,), "shift_p": (int,), "variant": (str,),
+    "k": (int, type(None)), "l": (int, type(None)), "secret_exponents": (bool,),
+}
 _GEN_LISTS = ("alice_gens", "bob_gens", "a1_gens", "a2_gens", "b1_gens", "b2_gens")
 # A transcript's one-element JSON keys and the Transcript fields they hold.
 _TRANSCRIPT_ELEMENTS = {

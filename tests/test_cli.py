@@ -281,6 +281,12 @@ SPEC_ARGV = ["--spec", "{tmp}/instance.json"]
         (None, ["verify-laws", "--op", "conj", "--platform", "s65"]),
         (None, ["verify-laws", "--op", "shifted", "--p", "33"]),
         (None, ["verify-laws", "--op", "shifted", "--a", "1,64"]),
+        *((DH_SPEC.replace('"seed":1', f'"seed":{v}'), ["run", *SPEC_ARGV]) for v in ("[1]", "true")),
+        *((DH_SPEC.replace('"k":null', f'"k":{v}'), ["run", *SPEC_ARGV]) for v in ('"3"', "2.5", "false")),
+        (DH_SPEC.replace('"shift_p":1', '"shift_p":"2"'), ["run", *SPEC_ARGV]),
+        (DH_SPEC.replace('"tag":"classic_dh"', '"tag":["classic_dh"]'), ["run", *SPEC_ARGV]),
+        (DH_SPEC.replace('"variant":""', '"variant":0'), ["run", *SPEC_ARGV]),
+        (DH_SPEC.replace('"secret_exponents":false', '"secret_exponents":0'), ["run", *SPEC_ARGV]),
     ],
     ids=[
         "missing_instance", "invalid_json", "json_list", "no_experiment", "trials_str",
@@ -291,6 +297,8 @@ SPEC_ARGV = ["--spec", "{tmp}/instance.json"]
         "keygen_secrets_dir_missing", "address_no_port", "listen_env_bad", "serve_port_99999",
         "connect_port_99999", "timeout_neg", "timeout_0", "timeout_nan", "timeout_inf",
         "laws_degree_65", "laws_p_33", "laws_a_65_strands",
+        "spec_seed_list", "spec_seed_bool", "spec_k_str", "spec_k_float", "spec_k_bool",
+        "spec_shift_p_str", "spec_tag_list", "spec_variant_int", "spec_secret_exponents_int",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, instance, argv):
