@@ -10,8 +10,9 @@ randomized and exhaustive verifiers for the LD / multi-LD / distributivity
 laws and for the algebraic parameter conditions that are equivalent to them.
 
 An op kind is one row of ``_KINDS``: its formula ``formula(carrier, op, x, y)``
-and, for the kinds that need one, its carrier class; :func:`apply_op` is one
-lookup and :class:`OpDescriptor` reads the known kinds from the same table.
+and its carrier class (the three group platforms, a braid platform, or the
+Laver table); :func:`apply_op` is one lookup and :class:`OpDescriptor` reads
+the known kinds, and refuses a wrong carrier, from the same table.
 The endomorphism conditions are identities of composition words in the
 paper's notation ("fh=f" means f(h(x)) = f(x) for every x).
 
@@ -35,7 +36,9 @@ from .platforms import (
     BraidPlatform,
     Element,
     Endomorphism,
+    MultModPlatform,
     Platform,
+    SymmetricPlatform,
     endo_is_idempotent,
     g_pow,
 )
@@ -163,7 +166,7 @@ class OpDescriptor:
         row = _KINDS.get(self.kind)
         if row is None:
             raise ValueError(f"unknown op kind {self.kind!r}")
-        if self.platform is None or not isinstance(self.platform, row.carrier or object):
+        if not isinstance(self.platform, row.carrier):
             raise ValueError(f"{self.kind} requires {_CARRIER_NAMES[row.carrier]}")
         if row.carrier is BraidPlatform and (self.a is None or self.p < 1):
             raise ValueError(f"{self.kind} requires a braid parameter and p >= 1")
@@ -171,17 +174,21 @@ class OpDescriptor:
             raise ValueError(f"{self.kind} requires an idempotent endomorphism")
 
 
+_GROUP_PLATFORMS = (BraidPlatform, SymmetricPlatform, MultModPlatform)
+
+
 class _Kind(NamedTuple):
     """One op kind: its ``formula(carrier, op, x, y)``, the carrier class it
-    needs (None: any group platform) and whether ``f`` must be idempotent."""
+    needs (by default any group platform) and whether ``f`` must be
+    idempotent."""
 
     formula: Callable
-    carrier: Optional[type] = None
+    carrier: type | tuple[type, ...] = _GROUP_PLATFORMS
     idempotent_f: bool = False
 
 
 _CARRIER_NAMES = {
-    None: "a platform", BraidPlatform: "a braid platform", LaverTable: "a Laver table",
+    _GROUP_PLATFORMS: "a platform", BraidPlatform: "a braid platform", LaverTable: "a Laver table",
 }
 
 

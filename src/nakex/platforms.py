@@ -6,6 +6,11 @@ group.  Three platforms are provided: braid groups B_n (elements are
 groups S_n (elements are :class:`~nakex.braid.Permutation`), and the
 multiplicative group mod a prime p (elements are residues 1..p-1).
 
+S_n of degree up to ``SYM_TABLE_MAX_DEGREE`` (5) multiplies and inverts from
+one lazily filled table per degree, shared by all its platforms; larger
+degrees compute every product.  ``mul`` and ``inv`` check each operand's
+type and degree on every call, table or not.
+
 Endomorphisms are restricted to a closed catalog: identity, inner
 automorphisms, the pure-braid strand-removal map, and (for finite platforms)
 explicit point maps that are verified homomorphic at construction.
@@ -14,9 +19,11 @@ explicit point maps that are verified homomorphic at construction.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
+import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from . import braid
 from .braid import BraidWord, Permutation, _perm
@@ -112,11 +119,100 @@ class BraidPlatform:
         return self.check(word), offset
 
 
+# -- S_n arithmetic from per-degree tables, for degrees <= 5 -------------------
+
+SYM_TABLE_MAX_DEGREE = 5  # S_5: 120 elements, 14,400 product slots; S_6 would take 518,400
+_SYM_TABLES = {}  # degree -> _PermTable, made on first use
+_SYM_TABLE_LOCK = threading.Lock()  # held while any table entry is filled
+
+
+class _PermTable:
+    """The elements of S_n reached so far, as ids 0, 1, 2, ...
+
+    ``ids`` maps an element's images to its id and ``perms[id]`` is the one
+    Permutation the table hands out for it.  The product of ids i and j sits
+    in slot ``i * order + j`` of ``products`` and the inverse of i in slot i
+    of ``inverses``; every slot is None until first asked for, then filled
+    from :func:`braid.perm_compose` or :func:`braid.perm_inverse`.  Session
+    endpoints run in two threads, so every fill holds ``_SYM_TABLE_LOCK``, and
+    an element is appended to ``perms`` before its id is stored in ``ids``.
+    The table does not check degrees: its platform checks every operand.
+    """
+
+    __slots__ = ("ids", "perms", "order", "products", "inverses")
+
+    def __init__(self, degree):
+        self.order = math.factorial(degree)
+        self.ids = {}
+        self.perms = []
+        self.products = [None] * (self.order * self.order)
+        self.inverses = [None] * self.order
+
+    def _intern(self, x):
+        """The id of ``x``, added if new (lock held)."""
+        k = self.ids.get(x.images)
+        if k is None:
+            k = len(self.perms)
+            self.perms.append(x)
+            self.ids[x.images] = k
+        return k
+
+    def _add(self, x):
+        with _SYM_TABLE_LOCK:
+            return self._intern(x)
+
+    def product(self, x, y):
+        ids = self.ids
+        i = ids.get(x.images)
+        if i is None:
+            i = self._add(x)
+        j = ids.get(y.images)
+        if j is None:
+            j = self._add(y)
+        slot = i * self.order + j
+        z = self.products[slot]
+        if z is None:
+            with _SYM_TABLE_LOCK:
+                z = self.perms[self._intern(braid.perm_compose(x, y))]
+                self.products[slot] = z
+        return z
+
+    def inverse(self, x):
+        slot = self.ids.get(x.images)
+        if slot is None:
+            slot = self._add(x)
+        z = self.inverses[slot]
+        if z is None:
+            with _SYM_TABLE_LOCK:
+                z = self.perms[self._intern(braid.perm_inverse(x))]
+                self.inverses[slot] = z
+        return z
+
+
+def _perm_table(degree):
+    table = _SYM_TABLES.get(degree)
+    if table is None:
+        with _SYM_TABLE_LOCK:
+            table = _SYM_TABLES.get(degree)
+            if table is None:
+                table = _SYM_TABLES[degree] = _PermTable(degree)
+    return table
+
+
 @dataclass(frozen=True)
 class SymmetricPlatform:
-    """S_n under composition (apply left factor first)."""
+    """S_n under composition (apply left factor first).
+
+    Up to degree ``SYM_TABLE_MAX_DEGREE``, products and inverses come from
+    the degree's :class:`_PermTable`, shared by every platform of that
+    degree; larger degrees compute each one.  Either way ``mul`` and ``inv``
+    check every operand on every call, so a table never answers for an
+    element of another degree.
+    """
 
     degree: int
+    _mul: Callable = field(init=False, repr=False, compare=False)
+    _inv: Callable = field(init=False, repr=False, compare=False)
 
     tag = 0x02
     finite = True
@@ -124,6 +220,13 @@ class SymmetricPlatform:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be positive")
+        if self.degree <= SYM_TABLE_MAX_DEGREE:
+            table = _perm_table(self.degree)
+            mul, inv = table.product, table.inverse
+        else:
+            mul, inv = braid.perm_compose, braid.perm_inverse
+        object.__setattr__(self, "_mul", mul)
+        object.__setattr__(self, "_inv", inv)
 
     def check(self, x: Element) -> Permutation:
         if not isinstance(x, Permutation) or len(x.images) != self.degree:
@@ -131,10 +234,10 @@ class SymmetricPlatform:
         return x
 
     def mul(self, x: Element, y: Element) -> Element:
-        return braid.perm_compose(self.check(x), self.check(y))
+        return self._mul(self.check(x), self.check(y))
 
     def inv(self, x: Element) -> Element:
-        return braid.perm_inverse(self.check(x))
+        return self._inv(self.check(x))
 
     def identity(self) -> Element:
         return braid.perm_identity(self.degree)

@@ -182,6 +182,21 @@ def test_op_catalog_golden_digest():
     assert h.hexdigest() == GOLDEN_OP_CATALOG_DIGEST
 
 
+GROUP_KINDS = (
+    "conj", "f_conj", "f_conj_rev", "twisted_conj", "sym_conj", "bullet",
+    "f_sym_conj", "f_sym_conj_rev", "beta_kl", "fgh_conj", "fgh_sym",
+)
+
+
+@pytest.mark.parametrize("kind", GROUP_KINDS)
+def test_group_kinds_refuse_a_laver_table(kind):
+    # a group formula needs mul and inv; a Laver table is refused when the op
+    # is built, not when apply_op first reaches for them
+    assert set(L._KINDS) == {*GROUP_KINDS, "shifted", "shifted_bar", "shifted_rev", "laver"}
+    with pytest.raises(ValueError, match=f"^{kind} requires a platform$"):
+        L.OpDescriptor(kind, L.laver_table(2))
+
+
 # -- LD law verdicts -----------------------------------------------------------
 
 

@@ -69,6 +69,101 @@ def test_platform_validation():
         BraidPlatform(3).check(BraidWord(5, (4,)))
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_tables_agree_with_direct_arithmetic(degree):
+    # every product and inverse of S_n, n <= 5, as the table gives it, against
+    # perm_compose / perm_inverse; operands both as enumerated and as a
+    # decoder builds them (new Permutation objects the table has not seen)
+    sym = SymmetricPlatform(degree)
+    elements = list(sym.elements())
+    built = [Permutation(x.images) for x in elements]
+    for x, x_built in zip(elements, built):
+        expected = B.perm_inverse(x)
+        assert sym.inv(x) == expected
+        assert type(sym.inv(x_built)) is Permutation
+        assert sym.inv(x_built) == expected
+        for y, y_built in zip(elements, built):
+            expected = B.perm_compose(x, y)
+            assert sym.mul(x, y) == expected
+            assert sym.mul(x_built, y_built) == expected
+            assert hash(sym.mul(x_built, y)) == hash(expected)
+
+
+def test_degrees_past_the_tables_compute_directly():
+    from nakex import platforms
+
+    sym = SymmetricPlatform(platforms.SYM_TABLE_MAX_DEGREE + 1)
+    rng = random.Random(21)
+    for _ in range(300):
+        x, y = sym.random_element(rng), Permutation(sym.random_element(rng).images)
+        assert sym.mul(x, y) == B.perm_compose(x, y)
+        assert sym.inv(y) == B.perm_inverse(y)
+    assert sym.degree not in platforms._SYM_TABLES
+
+
+def test_warm_table_keeps_the_degree_check():
+    # a filled S_4 table must not answer for S_3 (or S_5) on S_4 elements
+    s4 = SymmetricPlatform(4)
+    elements = list(s4.elements())
+    for x in elements:
+        s4.inv(x)
+        for y in elements:
+            s4.mul(x, y)
+    x, y = elements[5], elements[7]
+    s3 = SymmetricPlatform(3)
+    for platform in (s3, SymmetricPlatform(5)):
+        with pytest.raises(PlatformMismatch):
+            platform.mul(x, y)
+        with pytest.raises(PlatformMismatch):
+            platform.inv(x)
+        with pytest.raises(PlatformMismatch):
+            platform.mul(platform.identity(), y)
+    with pytest.raises(PlatformMismatch):
+        s4.mul(x, s3.identity())
+
+
+def test_tables_fill_safely_from_two_threads(monkeypatch):
+    # two threads sweep S_5 from an empty table, so both intern the same
+    # elements and fill the same slots at once; a fill that is not atomic
+    # gives an element two ids or a slot a wrong product
+    import sys
+    import threading
+
+    from nakex import platforms
+
+    elements = [Permutation(x.images) for x in SymmetricPlatform(5).elements()]
+    expected = [B.perm_compose(x, y) for x in elements for y in elements]
+    expected += [B.perm_inverse(x) for x in elements]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(platforms, "_SYM_TABLES", {})
+            barrier = threading.Barrier(2, timeout=30)
+            results = [None, None]
+
+            def sweep(slot):
+                barrier.wait()
+                sym = SymmetricPlatform(5)
+                out = [sym.mul(x, y) for x in elements for y in elements]
+                results[slot] = out + [sym.inv(x) for x in elements]
+
+            threads = [threading.Thread(target=sweep, args=(slot,)) for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected, expected]
+            table = platforms._SYM_TABLES[5]
+            assert len(table.perms) == len({x.images for x in table.perms}) == 120
+            assert table.ids == {x.images: k for k, x in enumerate(table.perms)}
+            assert all(z is table.perms[table.ids[z.images]] for z in table.products)
+            assert all(z is table.perms[table.ids[z.images]] for z in table.inverses)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_g_pow():
     modp = MultModPlatform(23)
     assert g_pow(modp, 5, 6) == pow(5, 6, 23)
