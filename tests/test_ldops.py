@@ -12,12 +12,15 @@ from nakex.platforms import (
     BraidPlatform,
     IdentityEndo,
     InnerEndo,
+    MultModPlatform,
+    PointMapEndo,
     PowerShiftEndo,
     SymmetricPlatform,
 )
 
 S3 = SymmetricPlatform(3)
 S4 = SymmetricPlatform(4)
+S5 = SymmetricPlatform(5)
 SIGMA1 = BraidWord(2, (1,))
 
 
@@ -180,6 +183,118 @@ def test_op_catalog_golden_digest():
             thunk()
         h.update(repr((name, type(info.value).__name__, str(info.value))).encode())
     assert h.hexdigest() == GOLDEN_OP_CATALOG_DIGEST
+
+
+# -- law verdicts, pinned --------------------------------------------------------
+
+# sha256 over (case, law, passed, checked, counterexample) of every verifier on
+# fixed seeds, failing laws included, so that how a verifier runs its law can
+# change neither a verdict nor where a check stops nor the triple it reports.
+GOLDEN_LAW_VERDICT_DIGEST = "9b7face6515902d1a63ab1b5ee9b58cf2ec73cbc270cb7cedb6f8b771b9f87ad"
+
+
+def _power_map(platform, e):
+    """x -> x^e on MultModPlatform, as an explicit table."""
+    return PointMapEndo(platform, tuple((x, pow(x, e, platform.modulus)) for x in platform.elements()))
+
+
+def _group_ops(G, f, g, e):
+    """(name, op) for every group kind on G; f and g are automorphisms, e an
+    idempotent endomorphism."""
+    ident = IdentityEndo(G)
+    return [
+        ("conj", L.conj_op(G)),
+        ("f_conj", L.f_conj_op(f)),
+        ("f_conj_rev", L.f_conj_rev_op(f)),
+        ("twisted_conj", L.twisted_conj_op(f)),
+        ("sym_conj", L.sym_conj_op(G)),
+        ("bullet", L.bullet_op(G)),
+        ("f_sym_conj", L.f_sym_conj_op(e)),
+        ("f_sym_conj_rev", L.f_sym_conj_rev_op(e)),
+        ("beta_kl/1,1", L.beta_kl_op(G, 1, 1)),
+        ("beta_kl/2,-1", L.beta_kl_op(G, 2, -1)),
+        ("fgh_conj/ffi", L.fgh_conj_op(f, f, ident)),
+        ("fgh_conj/fgi", L.fgh_conj_op(f, g, ident)),
+        ("fgh_sym/eei", L.fgh_sym_op(e, e, ident)),
+        ("fgh_sym/ffi", L.fgh_sym_op(f, f, ident)),
+    ]
+
+
+def _verdict_cases():
+    """(name, check) for each law check; ``check(rng)`` gives its verdict."""
+    m13 = MultModPlatform(13)
+    groups = [
+        ("S4", S4, InnerEndo(S4, Permutation((2, 3, 1, 4))), InnerEndo(S4, Permutation((1, 2, 4, 3))),
+         sign_endo(S4, Permutation((2, 1, 3, 4))), sign_endo(S4, Permutation((1, 2, 4, 3)))),
+        ("S5", S5, InnerEndo(S5, Permutation((2, 3, 4, 5, 1))), InnerEndo(S5, Permutation((2, 1, 3, 5, 4))),
+         sign_endo(S5, Permutation((1, 3, 2, 4, 5))), sign_endo(S5, Permutation((2, 1, 3, 4, 5)))),
+        # x -> x^5 and x -> x^7 are automorphisms mod 13; x^4 and x^9 idempotent
+        ("M13", m13, _power_map(m13, 5), _power_map(m13, 7), _power_map(m13, 4), _power_map(m13, 9)),
+    ]
+    cases = []
+    for gname, G, f, g, e, e2 in groups:
+        ops = _group_ops(G, f, g, e)
+        for name, op in ops:
+            cases.append((f"{gname}/{name}/ld", lambda rng, op=op: L.verify_ld(op, 60, rng)))
+            if G is not S5:
+                cases.append((f"{gname}/{name}/exhaustive", lambda rng, op=op: L.verify_ld_exhaustive(op)))
+        twisted = L.twisted_conj_op(f)
+        cases += [
+            (f"{gname}/twisted/near_ld", lambda rng, op=twisted, f=f: L.verify_near_ld(op, f, 60, rng)),
+            (f"{gname}/twisted/near_ld_wrong_f", lambda rng, op=twisted, g=g: L.verify_near_ld(op, g, 60, rng)),
+            (f"{gname}/f_conj over sym_conj", lambda rng, G=G, f=f: L.check_distributivity(
+                L.f_conj_op(f), L.sym_conj_op(G), 60, rng)),
+            (f"{gname}/f_sym_conj over f_sym_conj", lambda rng, e=e, e2=e2: L.check_distributivity(
+                L.f_sym_conj_op(e), L.f_sym_conj_op(e2), 60, rng)),
+            (f"{gname}/twisted over conj", lambda rng, op=twisted, G=G: L.check_distributivity(
+                op, L.conj_op(G), 60, rng)),
+            (f"{gname}/multi conj sym_conj", lambda rng, G=G: L.verify_multi_ld(
+                [L.conj_op(G), L.sym_conj_op(G)], 20, rng)),
+            (f"{gname}/multi f_conj twisted", lambda rng, f=f, op=twisted: L.verify_multi_ld(
+                [L.f_conj_op(f), op], 20, rng)),
+        ]
+    t = B.tau(2, 2)
+    shifted = [
+        ("shifted", L.shifted_op(2)),
+        ("shifted_bar", L.shifted_bar_op(2)),
+        ("shifted_rev", L.shifted_rev_op(2)),
+        ("shifted/bad", L.shifted_op(2, BraidWord(4, (1, 3, -2)))),
+        ("shifted_rev/bad", L.shifted_rev_op(2, BraidWord(4, (1, 2)))),
+    ]
+    for name, op in shifted:
+        cases.append((f"B4/{name}/ld", lambda rng, op=op: L.verify_ld(op, 8, rng, braid_len=3)))
+    a1 = B.concat_all(BraidWord(2, (1,)), t)
+    a2 = B.concat_all(t, BraidWord(2, (-1,)))
+    cases += [
+        ("B4/bi_ld", lambda rng: L.verify_multi_ld([L.shifted_op(2), L.shifted_bar_op(2)], 3, rng, braid_len=3)),
+        ("B4/multi/bad", lambda rng: L.verify_multi_ld(
+            [L.shifted_op(2, a1), L.shifted_op(2, BraidWord(4, (1, 3, -2)))], 4, rng, braid_len=2)),
+        ("B4/shifted over shifted_bar", lambda rng: L.check_distributivity(
+            L.shifted_op(2, a2), L.shifted_bar_op(2), 4, rng, braid_len=3)),
+        ("B4/shifted_rev over shifted", lambda rng: L.check_distributivity(
+            L.shifted_rev_op(2), L.shifted_op(2), 4, rng, braid_len=3)),
+    ]
+    for n in (1, 2, 3, 4):
+        op = L.laver_op(n)
+        cases += [
+            (f"A{n}/exhaustive", lambda rng, op=op: L.verify_ld_exhaustive(op)),
+            (f"A{n}/ld", lambda rng, op=op: L.verify_ld(op, 50, rng)),
+            (f"A{n}/multi", lambda rng, op=op: L.verify_multi_ld([op, op], 10, rng)),
+            (f"A{n}/distributivity", lambda rng, op=op: L.check_distributivity(op, op, 20, rng)),
+        ]
+    return cases
+
+
+def test_law_verdict_golden_digest():
+    h = hashlib.sha256()
+    outcomes = set()
+    for seed, (name, check) in enumerate(_verdict_cases()):
+        v = check(random.Random(seed))
+        ce = None if v.counterexample is None else tuple(_raw(c) for c in v.counterexample)
+        h.update(repr((name, v.law, v.passed, v.checked, ce)).encode())
+        outcomes.add(v.passed)
+    assert outcomes == {True, False}
+    assert h.hexdigest() == GOLDEN_LAW_VERDICT_DIGEST
 
 
 GROUP_KINDS = (
