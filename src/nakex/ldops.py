@@ -11,8 +11,9 @@ laws and for the algebraic parameter conditions that are equivalent to them.
 
 An op kind is one row of ``_KINDS``: its formula ``formula(carrier, op, x, y)``
 and its carrier class (the three group platforms, a braid platform, or the
-Laver table); :func:`apply_op` is one lookup and :class:`OpDescriptor` reads
-the known kinds, and refuses a wrong carrier, from the same table.
+Laver table); :func:`apply_op` is one lookup, the law loop looks each
+formula up once per check, and :class:`OpDescriptor` reads the known kinds,
+and refuses a wrong carrier, from the same table.
 The endomorphism conditions are identities of composition words in the
 paper's notation ("fh=f" means f(h(x)) = f(x) for every x).
 
@@ -230,7 +231,8 @@ _KINDS = {
     "shifted": _Kind(_shifted, BraidPlatform),
     "shifted_bar": _Kind(_shifted, BraidPlatform),
     "shifted_rev": _Kind(_shifted_rev, BraidPlatform),
-    "laver": _Kind(lambda table, op, x, y: table.value(x, y), LaverTable),
+    # LaverTable.value, read in place: the law checks call it most
+    "laver": _Kind(lambda table, op, x, y: table.rows[x - 1][y - 1], LaverTable),
 }
 
 
@@ -239,11 +241,15 @@ def apply_op(op: OpDescriptor, x: Element, y: Element) -> Element:
     return _KINDS[op.kind].formula(op.platform, op, x, y)
 
 
-def op_eq(op: OpDescriptor, x: Element, y: Element) -> bool:
+def _equality(op: OpDescriptor) -> Callable:
     if isinstance(op.platform, BraidPlatform):
         # Shifted ops outgrow the base strand count; compare at a common one.
-        return braid.braids_equal(x, y)
-    return op.platform.eq(x, y)
+        return braid.braids_equal
+    return op.platform.eq
+
+
+def op_eq(op: OpDescriptor, x: Element, y: Element) -> bool:
+    return _equality(op)(x, y)
 
 
 def op_sample(op: OpDescriptor, rng: random.Random, braid_len: int = 5) -> Element:
@@ -373,13 +379,18 @@ def _law(
     """Check x *1 (y *2 z) = (x *1 y) *2 (f(x) *1 z) on each triple in turn.
 
     ``f`` defaults to the identity; the first violating triple is returned.
+    Each formula, its carrier and op1's equality are looked up once, not
+    per triple; ``form(G, op, x, y)`` is ``apply_op(op, x, y)``.
     """
+    form1, G1 = _KINDS[op1.kind].formula, op1.platform
+    form2, G2 = _KINDS[op2.kind].formula, op2.platform
+    eq = _equality(op1)
     checked = 0
     for checked, (x, y, z) in enumerate(triples, 1):
         fx = x if f is None else f.apply(x)
-        lhs = apply_op(op1, x, apply_op(op2, y, z))
-        rhs = apply_op(op2, apply_op(op1, x, y), apply_op(op1, fx, z))
-        if not op_eq(op1, lhs, rhs):
+        lhs = form1(G1, op1, x, form2(G2, op2, y, z))
+        rhs = form2(G2, op2, form1(G1, op1, x, y), form1(G1, op1, fx, z))
+        if not eq(lhs, rhs):
             return LawVerdict(False, checked, (x, y, z), law)
     return LawVerdict(True, checked, law=law)
 

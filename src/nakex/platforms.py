@@ -6,10 +6,12 @@ group.  Three platforms are provided: braid groups B_n (elements are
 groups S_n (elements are :class:`~nakex.braid.Permutation`), and the
 multiplicative group mod a prime p (elements are residues 1..p-1).
 
-S_n of degree up to ``SYM_TABLE_MAX_DEGREE`` (5) multiplies and inverts from
-one lazily filled table per degree, shared by all its platforms; larger
-degrees compute every product.  ``mul`` and ``inv`` check each operand's
-type and degree on every call, table or not.
+S_n of degree up to ``SYM_TABLE_MAX_DEGREE`` (5) multiplies, inverts and
+compares from one lazily filled table per degree, shared by all its
+platforms; larger degrees compute every product.  ``mul``, ``inv`` and
+``eq`` check each operand's type and degree on every call, table or not:
+a table holds only elements of its degree, so finding an operand there is
+that check.
 
 Endomorphisms are restricted to a closed catalog: identity, inner
 automorphisms, the pure-braid strand-removal map, and (for finite platforms)
@@ -23,7 +25,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import braid
 from .braid import BraidWord, Permutation, _perm
@@ -136,10 +138,16 @@ class _PermTable:
     from :func:`braid.perm_compose` or :func:`braid.perm_inverse`.  Session
     endpoints run in two threads, so every fill holds ``_SYM_TABLE_LOCK``, and
     an element is appended to ``perms`` before its id is stored in ``ids``.
-    The table does not check degrees: its platform checks every operand.
+    The identity is interned when the table is made.
+
+    Only elements of the table's degree are interned, so an operand whose
+    images are in ``ids`` has that degree.  :class:`SymmetricPlatform` reads
+    a filled slot directly when both operands are plain Permutations found
+    in ``ids``; any other operand it checks (type and degree) before it
+    calls :meth:`product` or :meth:`inverse`, which do not check.
     """
 
-    __slots__ = ("ids", "perms", "order", "products", "inverses")
+    __slots__ = ("ids", "perms", "order", "products", "inverses", "identity")
 
     def __init__(self, degree):
         self.order = math.factorial(degree)
@@ -147,6 +155,8 @@ class _PermTable:
         self.perms = []
         self.products = [None] * (self.order * self.order)
         self.inverses = [None] * self.order
+        # not yet shared: made by _perm_table, which holds the lock
+        self.identity = self.perms[self._intern(braid.perm_identity(degree))]
 
     def _intern(self, x):
         """The id of ``x``, added if new (lock held)."""
@@ -203,16 +213,23 @@ def _perm_table(degree):
 class SymmetricPlatform:
     """S_n under composition (apply left factor first).
 
-    Up to degree ``SYM_TABLE_MAX_DEGREE``, products and inverses come from
-    the degree's :class:`_PermTable`, shared by every platform of that
-    degree; larger degrees compute each one.  Either way ``mul`` and ``inv``
-    check every operand on every call, so a table never answers for an
-    element of another degree.
+    Up to degree ``SYM_TABLE_MAX_DEGREE``, products, inverses and the
+    identity come from the degree's :class:`_PermTable`, shared by every
+    platform of that degree; larger degrees compute each one.
+
+    ``mul``, ``inv`` and ``eq`` check every operand on every call, so a table
+    never answers for an element of another degree.  On a table they take
+    one of two paths.  When every operand is a plain :class:`Permutation`
+    (not a subclass) whose images are in the table's ``ids``, and the slot
+    asked for is filled, the answer is read from the table: ``ids`` holds
+    only images of the platform's degree, so the lookup is the check.  Any
+    other operand, or an empty slot, goes through :meth:`check`, which
+    raises :class:`PlatformMismatch` for a foreign operand, and then the
+    table's locked fill.
     """
 
     degree: int
-    _mul: Callable = field(init=False, repr=False, compare=False)
-    _inv: Callable = field(init=False, repr=False, compare=False)
+    _table: Optional[_PermTable] = field(init=False, repr=False, compare=False)
 
     tag = 0x02
     finite = True
@@ -220,13 +237,8 @@ class SymmetricPlatform:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be positive")
-        if self.degree <= SYM_TABLE_MAX_DEGREE:
-            table = _perm_table(self.degree)
-            mul, inv = table.product, table.inverse
-        else:
-            mul, inv = braid.perm_compose, braid.perm_inverse
-        object.__setattr__(self, "_mul", mul)
-        object.__setattr__(self, "_inv", inv)
+        table = _perm_table(self.degree) if self.degree <= SYM_TABLE_MAX_DEGREE else None
+        object.__setattr__(self, "_table", table)
 
     def check(self, x: Element) -> Permutation:
         if not isinstance(x, Permutation) or len(x.images) != self.degree:
@@ -234,15 +246,40 @@ class SymmetricPlatform:
         return x
 
     def mul(self, x: Element, y: Element) -> Element:
-        return self._mul(self.check(x), self.check(y))
+        t = self._table
+        if t is not None and x.__class__ is Permutation is y.__class__:
+            try:
+                z = t.products[t.ids[x.images] * t.order + t.ids[y.images]]
+            except KeyError:  # an operand of another degree, or not yet interned
+                z = None
+            if z is not None:
+                return z
+        x, y = self.check(x), self.check(y)
+        return braid.perm_compose(x, y) if t is None else t.product(x, y)
 
     def inv(self, x: Element) -> Element:
-        return self._inv(self.check(x))
+        t = self._table
+        if t is not None and x.__class__ is Permutation:
+            try:
+                z = t.inverses[t.ids[x.images]]
+            except KeyError:
+                z = None
+            if z is not None:
+                return z
+        x = self.check(x)
+        return braid.perm_inverse(x) if t is None else t.inverse(x)
 
     def identity(self) -> Element:
-        return braid.perm_identity(self.degree)
+        t = self._table
+        return braid.perm_identity(self.degree) if t is None else t.identity
 
     def eq(self, x: Element, y: Element) -> bool:
+        t = self._table
+        if t is not None and x.__class__ is Permutation is y.__class__:
+            try:
+                return t.ids[x.images] == t.ids[y.images]
+            except KeyError:
+                pass
         return self.check(x) == self.check(y)
 
     def canon(self, x: Element):
@@ -258,8 +295,7 @@ class SymmetricPlatform:
         return _perm(tuple(images))
 
     def encode(self, x: Element) -> bytes:
-        perm = self.check(x)
-        return b"".join(struct.pack(">H", v) for v in perm.images)
+        return struct.pack(f">{self.degree}H", *self.check(x).images)
 
     def decode(self, data: bytes, offset: int) -> tuple[Element, int]:
         end = offset + 2 * self.degree

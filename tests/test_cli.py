@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import pathlib
+import re
 import threading
 from dataclasses import replace
 
@@ -128,6 +130,15 @@ def test_attack_experiments_all_verified(tmp_path, experiment):
 )
 def test_verify_laws_catalog(op_args):
     assert main(["verify-laws", *op_args]) == 0
+
+
+def test_ci_runs_the_console_script_for_every_law_op():
+    # the CI step that runs the installed `nakex verify-laws` names each --op
+    from nakex.cli import _LAWS
+
+    workflow = pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    ops = re.search(r"for op in ([\w ]+); do\s+nakex verify-laws --op ", workflow.read_text())
+    assert ops is not None and ops.group(1).split() == list(_LAWS)
 
 
 def test_keygen_all_tags_runnable(tmp_path):

@@ -122,6 +122,89 @@ def test_warm_table_keeps_the_degree_check():
         s4.mul(x, s3.identity())
 
 
+def _warm_s5():
+    s5 = SymmetricPlatform(5)
+    elements = list(s5.elements())
+    for x in elements:
+        s5.inv(x)
+        for y in elements:
+            s5.mul(x, y)
+    return s5, elements
+
+
+class _SubPermutation(Permutation):
+    pass
+
+
+class _ImagesOnly:
+    """Has a Permutation's images of degree 5 but is not one."""
+
+    images = (2, 1, 3, 4, 5)
+
+
+BAD_OPERANDS = {
+    "S4 element": Permutation((2, 1, 4, 3)),
+    "braid word": BraidWord(3, (1,)),
+    "int": 3,
+    "None": None,
+    "tuple": (1, 2, 3, 4, 5),
+    "images only": _ImagesOnly(),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_OPERANDS))
+def test_warm_table_refuses_foreign_operands(name):
+    # every slot of S_5 is filled, so only the operand check stands between
+    # a foreign operand and a table answer
+    s5, elements = _warm_s5()
+    x, bad = elements[41], BAD_OPERANDS[name]
+    calls = [
+        lambda: s5.mul(x, bad),
+        lambda: s5.mul(bad, x),
+        lambda: s5.inv(bad),
+        lambda: s5.eq(x, bad),
+        lambda: s5.eq(bad, x),
+    ]
+    for call in calls:
+        with pytest.raises(PlatformMismatch, match="^expected Permutation of degree 5$"):
+            call()
+
+
+def test_warm_table_accepts_a_permutation_subclass():
+    s5, elements = _warm_s5()
+    x, y = elements[17], elements[88]
+    sx, sy = _SubPermutation(x.images), _SubPermutation(y.images)
+    assert s5.mul(sx, sy) == s5.mul(sx, y) == s5.mul(x, sy) == B.perm_compose(x, y)
+    assert type(s5.mul(sx, sy)) is Permutation
+    assert s5.inv(sx) == B.perm_inverse(x)
+    assert s5.eq(sx, sx) and not s5.eq(sx, sy)
+
+
+def test_identity_is_the_tables_own():
+    from nakex import platforms
+
+    for degree in range(1, platforms.SYM_TABLE_MAX_DEGREE + 1):
+        sym = SymmetricPlatform(degree)
+        e = sym.identity()
+        assert e is sym.identity() is SymmetricPlatform(degree).identity()
+        assert type(e) is Permutation and e == B.perm_identity(degree)
+    big = SymmetricPlatform(platforms.SYM_TABLE_MAX_DEGREE + 1)
+    assert big.identity() == B.perm_identity(big.degree)
+    assert big.identity() is not big.identity()
+
+
+def test_symmetric_encoding_is_the_packed_images():
+    # one struct.pack over all images gives the bytes of one pack per image
+    rng = random.Random(17)
+    s4, s7 = SymmetricPlatform(4), SymmetricPlatform(7)
+    perms = [(s4, x) for x in s4.elements()]
+    perms += [(s7, s7.random_element(rng)) for _ in range(50)]
+    for sym, x in perms:
+        expected = b"".join(struct.pack(">H", v) for v in x.images)
+        assert sym.encode(x) == expected
+        assert sym.decode(expected, 0) == (x, 2 * sym.degree)
+
+
 def test_tables_fill_safely_from_two_threads(monkeypatch):
     # two threads sweep S_5 from an empty table, so both intern the same
     # elements and fill the same slots at once; a fill that is not atomic
