@@ -252,16 +252,24 @@ def op_eq(op: OpDescriptor, x: Element, y: Element) -> bool:
     return _equality(op)(x, y)
 
 
-def op_sample(op: OpDescriptor, rng: random.Random, braid_len: int = 5) -> Element:
+def _sampler(op: OpDescriptor, braid_len: int) -> Callable:
+    """``draw(rng)``, one random element of op's carrier, looked up once.
+
+    A braid carrier draws pure braids when a power-shift endomorphism is in
+    play, words of ``braid_len`` letters otherwise; any other carrier draws
+    with its own ``random_element``.
+    """
     platform = op.platform
-    if isinstance(platform, BraidPlatform):
-        needs_pure = any(
-            e is not None and e.kind == "power_shift" for e in (op.f, op.g, op.h)
-        )
-        if needs_pure:
-            return braid.random_pure_braid(platform.strands, rng, braid_len)
-        return braid.random_braid(platform.strands, braid_len, rng)
-    return platform.random_element(rng)
+    if not isinstance(platform, BraidPlatform):
+        return platform.random_element
+    n = platform.strands
+    if any(e is not None and e.kind == "power_shift" for e in (op.f, op.g, op.h)):
+        return lambda rng: braid.random_pure_braid(n, rng, braid_len)
+    return lambda rng: braid.random_braid(n, braid_len, rng)
+
+
+def op_sample(op: OpDescriptor, rng: random.Random, braid_len: int = 5) -> Element:
+    return _sampler(op, braid_len)(rng)
 
 
 def op_domain(op: OpDescriptor):
@@ -396,9 +404,14 @@ def _law(
 
 
 def _samples(op: OpDescriptor, samples: int, rng: random.Random, braid_len: int):
-    """``samples`` random triples (x, y, z) from op's carrier, drawn as they are needed."""
-    for _ in range(samples):
-        yield tuple(op_sample(op, rng, braid_len) for _ in range(3))
+    """``samples`` random triples (x, y, z) from op's carrier, drawn as they are needed.
+
+    Raises ValueError for ``samples < 1``: a check of no triples proves nothing.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    draw = _sampler(op, braid_len)
+    return ((draw(rng), draw(rng), draw(rng)) for _ in range(samples))
 
 
 def verify_ld(

@@ -6,9 +6,10 @@ group.  Three platforms are provided: braid groups B_n (elements are
 groups S_n (elements are :class:`~nakex.braid.Permutation`), and the
 multiplicative group mod a prime p (elements are residues 1..p-1).
 
-S_n of degree up to ``SYM_TABLE_MAX_DEGREE`` (5) multiplies, inverts and
-compares from one lazily filled table per degree, shared by all its
-platforms; larger degrees compute every product.  ``mul``, ``inv`` and
+S_n of degree up to ``SYM_TABLE_MAX_DEGREE`` (5) multiplies, inverts,
+compares and draws at random from one table per degree, shared by all its
+platforms, whose products and inverses are filled as they are first asked
+for; larger degrees compute every product.  ``mul``, ``inv`` and
 ``eq`` check each operand's type and degree on every call, table or not:
 a table holds only elements of its degree, so finding an operand there is
 that check.
@@ -21,7 +22,7 @@ explicit point maps that are verified homomorphic at construction.
 from __future__ import annotations
 
 import itertools
-import math
+import random
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -125,78 +126,82 @@ class BraidPlatform:
 
 SYM_TABLE_MAX_DEGREE = 5  # S_5: 120 elements, 14,400 product slots; S_6 would take 518,400
 _SYM_TABLES = {}  # degree -> _PermTable, made on first use
-_SYM_TABLE_LOCK = threading.Lock()  # held while any table entry is filled
+_SYM_TABLE_LOCK = threading.Lock()  # held while a table is made
 
 
 class _PermTable:
-    """The elements of S_n reached so far, as ids 0, 1, 2, ...
+    """All n! elements of S_n, as ids 0 .. n! - 1, and their arithmetic.
 
-    ``ids`` maps an element's images to its id and ``perms[id]`` is the one
-    Permutation the table hands out for it.  The product of ids i and j sits
-    in slot ``i * order + j`` of ``products`` and the inverse of i in slot i
-    of ``inverses``; every slot is None until first asked for, then filled
-    from :func:`braid.perm_compose` or :func:`braid.perm_inverse`.  Session
-    endpoints run in two threads, so every fill holds ``_SYM_TABLE_LOCK``, and
-    an element is appended to ``perms`` before its id is stored in ``ids``.
-    The identity is interned when the table is made.
+    ``perms[id]`` is the one Permutation the table hands out for an element
+    and ``ids`` maps its images back to its id; both are filled when the
+    table is made, the identity first.  The product of ids i and j sits in
+    slot ``i * order + j`` of ``products`` and the inverse of i in slot i of
+    ``inverses``; every slot is None until first asked for, then filled from
+    :func:`braid.perm_compose` or :func:`braid.perm_inverse`.  Session
+    endpoints run in two threads, which may fill one slot at once; both
+    store the same interned object, so a fill needs no lock.
 
-    Only elements of the table's degree are interned, so an operand whose
-    images are in ``ids`` has that degree.  :class:`SymmetricPlatform` reads
-    a filled slot directly when both operands are plain Permutations found
-    in ``ids``; any other operand it checks (type and degree) before it
-    calls :meth:`product` or :meth:`inverse`, which do not check.
+    Random draws come from the table too, with the stream of ``rng.shuffle``
+    on [1..n]: shuffle swaps item i with item j_i = ``_randbelow(i + 1)`` for
+    i = n - 1 .. 1.  Read as one mixed-radix number (radices n, n - 1, .., 2,
+    in ``radices`` with the bit count of each), the j_i are an index into
+    ``draws``, whose entry is the interned element that shuffle would build.
+
+    Only elements of the table's degree are in ``ids``, so an operand whose
+    images are there has that degree.  :class:`SymmetricPlatform` reads a
+    filled slot directly when both operands are plain Permutations found in
+    ``ids``; any other operand it checks (type and degree) before it calls
+    :meth:`product` or :meth:`inverse`, which do not check.
     """
 
-    __slots__ = ("ids", "perms", "order", "products", "inverses", "identity")
+    __slots__ = ("ids", "perms", "order", "products", "inverses", "identity",
+                 "radices", "draws")
 
     def __init__(self, degree):
-        self.order = math.factorial(degree)
-        self.ids = {}
-        self.perms = []
+        self.perms = [_perm(images) for images in itertools.permutations(range(1, degree + 1))]
+        self.ids = {x.images: k for k, x in enumerate(self.perms)}
+        self.identity = self.perms[0]
+        self.order = len(self.perms)
         self.products = [None] * (self.order * self.order)
         self.inverses = [None] * self.order
-        # not yet shared: made by _perm_table, which holds the lock
-        self.identity = self.perms[self._intern(braid.perm_identity(degree))]
-
-    def _intern(self, x):
-        """The id of ``x``, added if new (lock held)."""
-        k = self.ids.get(x.images)
-        if k is None:
-            k = len(self.perms)
-            self.perms.append(x)
-            self.ids[x.images] = k
-        return k
-
-    def _add(self, x):
-        with _SYM_TABLE_LOCK:
-            return self._intern(x)
+        self.radices = tuple((i + 1, (i + 1).bit_length()) for i in range(degree - 1, 0, -1))
+        self.draws = []
+        for js in itertools.product(*(range(n) for n, _ in self.radices)):
+            images = list(range(1, degree + 1))
+            for i, j in zip(range(degree - 1, 0, -1), js):
+                images[i], images[j] = images[j], images[i]
+            self.draws.append(self.perms[self.ids[tuple(images)]])
 
     def product(self, x, y):
-        ids = self.ids
-        i = ids.get(x.images)
-        if i is None:
-            i = self._add(x)
-        j = ids.get(y.images)
-        if j is None:
-            j = self._add(y)
-        slot = i * self.order + j
+        slot = self.ids[x.images] * self.order + self.ids[y.images]
         z = self.products[slot]
         if z is None:
-            with _SYM_TABLE_LOCK:
-                z = self.perms[self._intern(braid.perm_compose(x, y))]
-                self.products[slot] = z
+            z = self.products[slot] = self.perms[self.ids[braid.perm_compose(x, y).images]]
         return z
 
     def inverse(self, x):
-        slot = self.ids.get(x.images)
-        if slot is None:
-            slot = self._add(x)
+        slot = self.ids[x.images]
         z = self.inverses[slot]
         if z is None:
-            with _SYM_TABLE_LOCK:
-                z = self.perms[self._intern(braid.perm_inverse(x))]
-                self.inverses[slot] = z
+            z = self.inverses[slot] = self.perms[self.ids[braid.perm_inverse(x).images]]
         return z
+
+    def draw(self, rng):
+        """The element ``rng.shuffle`` makes of [1..n], from the same calls.
+
+        ``rng`` must be a plain :class:`random.Random`, whose ``_randbelow``
+        is CPython's ``_randbelow_with_getrandbits``; each digit repeats its
+        calls: ``getrandbits(k)`` with k the radix's bit length, again until
+        the result is below the radix.
+        """
+        getrandbits = rng.getrandbits
+        number = 0
+        for n, k in self.radices:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            number = number * n + r
+        return self.draws[number]
 
 
 def _perm_table(degree):
@@ -213,9 +218,12 @@ def _perm_table(degree):
 class SymmetricPlatform:
     """S_n under composition (apply left factor first).
 
-    Up to degree ``SYM_TABLE_MAX_DEGREE``, products, inverses and the
-    identity come from the degree's :class:`_PermTable`, shared by every
-    platform of that degree; larger degrees compute each one.
+    Up to degree ``SYM_TABLE_MAX_DEGREE``, products, inverses, the identity
+    and the random draws of a plain :class:`random.Random` come from the
+    degree's :class:`_PermTable`, shared by every platform of that degree;
+    a draw reads the table with the random stream of ``rng.shuffle``, so it
+    returns the element shuffle would have.  Larger degrees, and other
+    generators, compute each one.
 
     ``mul``, ``inv`` and ``eq`` check every operand on every call, so a table
     never answers for an element of another degree.  On a table they take
@@ -250,7 +258,7 @@ class SymmetricPlatform:
         if t is not None and x.__class__ is Permutation is y.__class__:
             try:
                 z = t.products[t.ids[x.images] * t.order + t.ids[y.images]]
-            except KeyError:  # an operand of another degree, or not yet interned
+            except KeyError:  # an operand of another degree
                 z = None
             if z is not None:
                 return z
@@ -290,6 +298,9 @@ class SymmetricPlatform:
             yield _perm(images)
 
     def random_element(self, rng) -> Element:
+        t = self._table
+        if t is not None and type(rng) is random.Random:  # a subclass may have its own _randbelow
+            return t.draw(rng)
         images = list(range(1, self.degree + 1))
         rng.shuffle(images)
         return _perm(tuple(images))

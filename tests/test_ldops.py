@@ -537,3 +537,22 @@ def test_distributivity_counterexample():
     assert not gf_eq_f
     verdict = L.check_distributivity(L.f_sym_conj_op(f), L.f_sym_conj_op(g), 2000, rng)
     assert not verdict.passed
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda samples, rng: L.verify_ld(L.conj_op(S4), samples, rng),
+        lambda samples, rng: L.verify_near_ld(
+            L.twisted_conj_op(IdentityEndo(S4)), IdentityEndo(S4), samples, rng
+        ),
+        lambda samples, rng: L.verify_multi_ld([L.conj_op(S4), L.sym_conj_op(S4)], samples, rng),
+        lambda samples, rng: L.check_distributivity(L.conj_op(S4), L.sym_conj_op(S4), samples, rng),
+    ],
+    ids=["verify_ld", "verify_near_ld", "verify_multi_ld", "check_distributivity"],
+)
+def test_sampled_verifiers_refuse_no_samples(verify, samples):
+    # a check of no triples would pass vacuously with checked=0
+    with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+        verify(samples, random.Random(0))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import struct
@@ -205,10 +206,74 @@ def test_symmetric_encoding_is_the_packed_images():
         assert sym.decode(expected, 0) == (x, 2 * sym.degree)
 
 
+def _shuffled(degree, rng):
+    """The reference draw: ``rng.shuffle`` on [1..degree]."""
+    images = list(range(1, degree + 1))
+    rng.shuffle(images)
+    return Permutation(tuple(images))
+
+
+class _FloatRandom(random.Random):
+    """Overrides only random(), so its _randbelow draws floats, not getrandbits."""
+
+    def random(self):
+        return super().random()
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_random_element_is_the_shuffle_draw(degree):
+    # element by element and in the generator's state afterwards, a draw is
+    # rng.shuffle on [1..n]; up to degree 5 it is the table's interned object
+    sym = SymmetricPlatform(degree)
+    table = sym._table
+    for seed in range(500):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            x = sym.random_element(rng)
+            assert x == _shuffled(degree, reference)
+            if table is not None:
+                assert x is table.perms[table.ids[x.images]]
+        assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("degree", [3, 5, 7])
+def test_random_element_of_a_subclass_is_its_shuffle(degree):
+    # a subclass's _randbelow may not be getrandbits: it must get its own shuffle
+    sym = SymmetricPlatform(degree)
+    assert any(_shuffled(degree, _FloatRandom(s)) != _shuffled(degree, random.Random(s))
+               for s in range(50))
+    for seed in range(50):
+        rng, reference = _FloatRandom(seed), _FloatRandom(seed)
+        for _ in range(20):
+            assert sym.random_element(rng) == _shuffled(degree, reference)
+        assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_new_table_holds_every_element_and_draw(degree):
+    from nakex import platforms
+
+    table = platforms._PermTable(degree)
+    every = set(itertools.permutations(range(1, degree + 1)))
+    assert set(table.ids) == every and len(table.perms) == len(every)
+    assert table.ids == {x.images: k for k, x in enumerate(table.perms)}
+    assert sorted(map(id, table.draws)) == sorted(map(id, table.perms))
+    assert table.identity is table.perms[0] == B.perm_identity(degree)
+
+
 def test_tables_fill_safely_from_two_threads(monkeypatch):
-    # two threads sweep S_5 from an empty table, so both intern the same
-    # elements and fill the same slots at once; a fill that is not atomic
-    # gives an element two ids or a slot a wrong product
+    _sweep_from_two_threads(monkeypatch, draw_first=False)
+
+
+def test_tables_fill_safely_when_threads_draw_first(monkeypatch):
+    _sweep_from_two_threads(monkeypatch, draw_first=True)
+
+
+def _sweep_from_two_threads(monkeypatch, draw_first):
+    # two threads sweep S_5 from no table at all, so both make the table
+    # and fill the same slots at once; a table made twice or a fill that is
+    # not atomic gives an element two ids or a slot a wrong product.  With
+    # draw_first, each thread draws before it multiplies.
     import sys
     import threading
 
@@ -217,6 +282,8 @@ def test_tables_fill_safely_from_two_threads(monkeypatch):
     elements = [Permutation(x.images) for x in SymmetricPlatform(5).elements()]
     expected = [B.perm_compose(x, y) for x in elements for y in elements]
     expected += [B.perm_inverse(x) for x in elements]
+    reference = random.Random(5)
+    drawn = [_shuffled(5, reference) for _ in range(50)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -228,7 +295,11 @@ def test_tables_fill_safely_from_two_threads(monkeypatch):
             def sweep(slot):
                 barrier.wait()
                 sym = SymmetricPlatform(5)
-                out = [sym.mul(x, y) for x in elements for y in elements]
+                out = []
+                if draw_first:
+                    rng = random.Random(5)
+                    out += [sym.random_element(rng) for _ in range(50)]
+                out += [sym.mul(x, y) for x in elements for y in elements]
                 results[slot] = out + [sym.inv(x) for x in elements]
 
             threads = [threading.Thread(target=sweep, args=(slot,)) for slot in (0, 1)]
@@ -237,8 +308,10 @@ def test_tables_fill_safely_from_two_threads(monkeypatch):
             for thread in threads:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
-            assert results == [expected, expected]
+            want = (drawn if draw_first else []) + expected
+            assert results == [want, want]
             table = platforms._SYM_TABLES[5]
+            assert all(z is table.perms[table.ids[z.images]] for out in results for z in out)
             assert len(table.perms) == len({x.images for x in table.perms}) == 120
             assert table.ids == {x.images: k for k, x in enumerate(table.perms)}
             assert all(z is table.perms[table.ids[z.images]] for z in table.products)
