@@ -433,7 +433,12 @@ def subgroup_closure(
 
 
 def submagma_closure(op: OpDescriptor, gens: Sequence[Element]) -> list[Element]:
-    """Fixpoint closure of gens under a binary operation with finite carrier."""
+    """Fixpoint closure of gens under a binary operation with finite carrier.
+
+    Raises ValueError for an infinite carrier, where the fixpoint may never come.
+    """
+    if not op.platform.finite:
+        raise ValueError("submagma closure needs a finite carrier")
     key_of = op.platform.canon
     elements = list(gens)
     keys = {key_of(g) for g in gens}

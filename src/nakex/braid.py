@@ -68,12 +68,14 @@ class BraidWord:
     or compare normal forms for the latter.
 
     ``BraidWord(strands, letters)`` checks the strand count and every letter
-    and raises ValueError otherwise.  It is the constructor for words from
-    outside the program: :func:`decode_braid`, spec and transcript JSON, and
-    callers.  The words this package derives from checked words (products,
-    inverses, shifts, a lift to more strands, handle and free reductions,
-    strand removal, canonical words and random draws) are valid by
-    construction, so they are built by ``_word``, which skips the check.
+    and raises ValueError otherwise; it keeps the letters as a tuple, so a
+    word given a list hashes like the same word given a tuple.  It is the
+    constructor for words from outside the program: :func:`decode_braid`,
+    spec and transcript JSON, and callers.  The words this package derives
+    from checked words (products, inverses, shifts, a lift to more strands,
+    handle and free reductions, strand removal, canonical words and random
+    draws) are valid by construction, so they are built by ``_word``, which
+    skips the check.
     """
 
     strands: int
@@ -82,6 +84,7 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise ValueError(f"strand count must be positive, got {self.strands}")
+        object.__setattr__(self, "letters", tuple(self.letters))
         for e in self.letters:
             if e == 0 or abs(e) > self.strands - 1:
                 raise ValueError(
@@ -97,17 +100,20 @@ class Permutation:
     """A permutation of {1..n} given by its image sequence (1-based).
 
     ``Permutation(images)`` checks that the images are 1..n in some order and
-    raises ValueError otherwise.  It is the constructor for images from
-    outside the program (decoders, spec and transcript JSON, callers).  The
-    results this package computes itself (products, inverses, identities,
-    braid projections, normal-form factors, enumerations and random draws)
-    are permutations by construction, so they are built by ``_perm``, which
-    skips the check: it would cost more than the arithmetic it guards.
+    raises ValueError otherwise; it keeps the images as a tuple, so a
+    permutation given a list hashes like the same one given a tuple.  It is
+    the constructor for images from outside the program (decoders, spec and
+    transcript JSON, callers).  The results this package computes itself
+    (products, inverses, identities, braid projections, normal-form factors,
+    enumerations and random draws) are permutations by construction, so they
+    are built by ``_perm``, which skips the check: it would cost more than
+    the arithmetic it guards.
     """
 
     images: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "images", tuple(self.images))
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")

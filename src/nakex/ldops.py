@@ -438,7 +438,12 @@ def verify_multi_ld(
     rng: random.Random,
     braid_len: int = 5,
 ) -> LawVerdict:
-    """Check x*_i(y*_j z) = (x*_i y)*_j (x*_i z) for every ordered pair (i, j)."""
+    """Check x*_i(y*_j z) = (x*_i y)*_j (x*_i z) for every ordered pair (i, j).
+
+    Raises ValueError for an empty family: a check of no laws proves nothing.
+    """
+    if not family:
+        raise ValueError(f"family must hold at least 1 op, got {len(family)}")
     checked = 0
     for i, opi in enumerate(family):
         for j, opj in enumerate(family):

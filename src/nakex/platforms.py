@@ -8,8 +8,8 @@ multiplicative group mod a prime p (elements are residues 1..p-1).
 
 S_n of degree up to ``SYM_TABLE_MAX_DEGREE`` (5) multiplies, inverts,
 compares and draws at random from one table per degree, shared by all its
-platforms, whose products and inverses are filled as they are first asked
-for; larger degrees compute every product.  ``mul``, ``inv`` and
+platforms and complete when it is made: every element, product and inverse
+is in it; larger degrees compute every product.  ``mul``, ``inv`` and
 ``eq`` check each operand's type and degree on every call, table or not:
 a table holds only elements of its degree, so finding an operand there is
 that check.
@@ -22,6 +22,7 @@ explicit point maps that are verified homomorphic at construction.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import struct
 import threading
@@ -130,16 +131,15 @@ _SYM_TABLE_LOCK = threading.Lock()  # held while a table is made
 
 
 class _PermTable:
-    """All n! elements of S_n, as ids 0 .. n! - 1, and their arithmetic.
+    """All n! elements of S_n, as ids 0 .. n! - 1, and all their arithmetic.
 
     ``perms[id]`` is the one Permutation the table hands out for an element
-    and ``ids`` maps its images back to its id; both are filled when the
-    table is made, the identity first.  The product of ids i and j sits in
-    slot ``i * order + j`` of ``products`` and the inverse of i in slot i of
-    ``inverses``; every slot is None until first asked for, then filled from
-    :func:`braid.perm_compose` or :func:`braid.perm_inverse`.  Session
-    endpoints run in two threads, which may fill one slot at once; both
-    store the same interned object, so a fill needs no lock.
+    and ``ids`` maps its images back to its id; the identity is id 0.  The
+    product of ids i and j sits in slot ``i * order + j`` of ``products`` and
+    the inverse of i in slot i of ``inverses``, each the interned object.
+    Every slot is filled when the table is made, under ``_SYM_TABLE_LOCK``,
+    and nothing writes to a table after that, so the session endpoints' two
+    threads read it without a lock.
 
     Random draws come from the table too, with the stream of ``rng.shuffle``
     on [1..n]: shuffle swaps item i with item j_i = ``_randbelow(i + 1)`` for
@@ -148,43 +148,33 @@ class _PermTable:
     ``draws``, whose entry is the interned element that shuffle would build.
 
     Only elements of the table's degree are in ``ids``, so an operand whose
-    images are there has that degree.  :class:`SymmetricPlatform` reads a
-    filled slot directly when both operands are plain Permutations found in
-    ``ids``; any other operand it checks (type and degree) before it calls
-    :meth:`product` or :meth:`inverse`, which do not check.
+    images are there has that degree; the table itself checks nothing.
     """
 
     __slots__ = ("ids", "perms", "order", "products", "inverses", "identity",
                  "radices", "draws")
 
     def __init__(self, degree):
-        self.perms = [_perm(images) for images in itertools.permutations(range(1, degree + 1))]
-        self.ids = {x.images: k for k, x in enumerate(self.perms)}
-        self.identity = self.perms[0]
-        self.order = len(self.perms)
-        self.products = [None] * (self.order * self.order)
-        self.inverses = [None] * self.order
+        perms = [_perm(images) for images in itertools.permutations(range(1, degree + 1))]
+        ids = {x.images: k for k, x in enumerate(perms)}
+        self.perms, self.ids = perms, ids
+        self.identity = perms[0]
+        self.order = len(perms)
+        if degree == 1:  # itemgetter of one index returns the item, not a 1-tuple
+            self.products = [self.identity]
+        else:
+            # the images of x * y are y's images read at x's images, minus one
+            readers = [operator.itemgetter(*[v - 1 for v in x.images]) for x in perms]
+            images = [y.images for y in perms]
+            self.products = [perms[ids[read(y)]] for read in readers for y in images]
+        self.inverses = [perms[ids[braid.perm_inverse(x).images]] for x in perms]
         self.radices = tuple((i + 1, (i + 1).bit_length()) for i in range(degree - 1, 0, -1))
         self.draws = []
         for js in itertools.product(*(range(n) for n, _ in self.radices)):
             images = list(range(1, degree + 1))
             for i, j in zip(range(degree - 1, 0, -1), js):
                 images[i], images[j] = images[j], images[i]
-            self.draws.append(self.perms[self.ids[tuple(images)]])
-
-    def product(self, x, y):
-        slot = self.ids[x.images] * self.order + self.ids[y.images]
-        z = self.products[slot]
-        if z is None:
-            z = self.products[slot] = self.perms[self.ids[braid.perm_compose(x, y).images]]
-        return z
-
-    def inverse(self, x):
-        slot = self.ids[x.images]
-        z = self.inverses[slot]
-        if z is None:
-            z = self.inverses[slot] = self.perms[self.ids[braid.perm_inverse(x).images]]
-        return z
+            self.draws.append(perms[ids[tuple(images)]])
 
     def draw(self, rng):
         """The element ``rng.shuffle`` makes of [1..n], from the same calls.
@@ -220,20 +210,19 @@ class SymmetricPlatform:
 
     Up to degree ``SYM_TABLE_MAX_DEGREE``, products, inverses, the identity
     and the random draws of a plain :class:`random.Random` come from the
-    degree's :class:`_PermTable`, shared by every platform of that degree;
-    a draw reads the table with the random stream of ``rng.shuffle``, so it
-    returns the element shuffle would have.  Larger degrees, and other
-    generators, compute each one.
+    degree's :class:`_PermTable`, shared by every platform of that degree
+    and complete when made; a draw reads the table with the random stream of
+    ``rng.shuffle``, so it returns the element shuffle would have.  Larger
+    degrees, and other generators, compute each one.
 
     ``mul``, ``inv`` and ``eq`` check every operand on every call, so a table
-    never answers for an element of another degree.  On a table they take
-    one of two paths.  When every operand is a plain :class:`Permutation`
-    (not a subclass) whose images are in the table's ``ids``, and the slot
-    asked for is filled, the answer is read from the table: ``ids`` holds
-    only images of the platform's degree, so the lookup is the check.  Any
-    other operand, or an empty slot, goes through :meth:`check`, which
-    raises :class:`PlatformMismatch` for a foreign operand, and then the
-    table's locked fill.
+    never answers for an element of another degree.  When every operand is a
+    plain :class:`Permutation` (not a subclass) whose images are in the
+    table's ``ids``, the answer is read from the table: ``ids`` holds only
+    images of the platform's degree, so the lookup is the check.  Any other
+    operand goes through :meth:`check`, which raises
+    :class:`PlatformMismatch` for a foreign operand, and then reads the
+    table.
     """
 
     degree: int
@@ -255,27 +244,26 @@ class SymmetricPlatform:
 
     def mul(self, x: Element, y: Element) -> Element:
         t = self._table
-        if t is not None and x.__class__ is Permutation is y.__class__:
+        if t is None:
+            return braid.perm_compose(self.check(x), self.check(y))
+        if x.__class__ is Permutation is y.__class__:
             try:
-                z = t.products[t.ids[x.images] * t.order + t.ids[y.images]]
+                return t.products[t.ids[x.images] * t.order + t.ids[y.images]]
             except KeyError:  # an operand of another degree
-                z = None
-            if z is not None:
-                return z
+                pass
         x, y = self.check(x), self.check(y)
-        return braid.perm_compose(x, y) if t is None else t.product(x, y)
+        return t.products[t.ids[x.images] * t.order + t.ids[y.images]]
 
     def inv(self, x: Element) -> Element:
         t = self._table
-        if t is not None and x.__class__ is Permutation:
+        if t is None:
+            return braid.perm_inverse(self.check(x))
+        if x.__class__ is Permutation:
             try:
-                z = t.inverses[t.ids[x.images]]
+                return t.inverses[t.ids[x.images]]
             except KeyError:
-                z = None
-            if z is not None:
-                return z
-        x = self.check(x)
-        return braid.perm_inverse(x) if t is None else t.inverse(x)
+                pass
+        return t.inverses[t.ids[self.check(x).images]]
 
     def identity(self) -> Element:
         t = self._table

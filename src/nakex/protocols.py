@@ -127,6 +127,12 @@ __all__ = [
 # desk-scale instantiations here stay at B_14 and S_5.
 MAX_PLATFORM_SIZE = 64
 
+# The most leaves a KeyPolicy may allow.  Drawing and evaluating a tree recurse
+# once per level, so a deeper tree ends in RecursionError; 256 is far below
+# Python's default recursion limit of 1000 and above every tree a random_spec
+# draws (at most 8 leaves).
+MAX_POLICY_LEAVES = 256
+
 
 class KeyMismatch(AssertionError):
     """K_A != K_B: an engine bug or a spec that slipped validation."""
@@ -150,7 +156,7 @@ class KeyPolicy:
 
     Braid platforms keep trees shallow and comb-biased because word length is
     exponential in the distance from a left comb; finite platforms can afford
-    more leaves.
+    more leaves, up to :data:`MAX_POLICY_LEAVES`.
     """
 
     max_leaves: int = 5
@@ -168,6 +174,8 @@ class KeyPolicy:
             # a tree with k leaves has depth at most k-1, so this bound makes
             # the depth cap satisfiable by every drawn shape
             raise PolicyViolation("need max_leaves <= max_depth + 1")
+        if self.max_leaves > MAX_POLICY_LEAVES:
+            raise PolicyViolation(f"max_leaves must be <= {MAX_POLICY_LEAVES}")
         if not 0.0 <= self.comb_bias <= 1.0:
             raise PolicyViolation("comb_bias must lie in [0, 1]")
         if self.gen_length < 0:
@@ -872,9 +880,17 @@ def _elem_hex(platform: Platform, x: Element) -> str:
     return encode_element(platform, x).hex()
 
 
-def _elem_from_hex(platform: Platform, s: str) -> Element:
-    value, _ = decode_element(platform, bytes.fromhex(s))
+def _from_hex(decode, s: str):
+    """The value ``decode`` reads from hex ``s``, which must end where it ends."""
+    data = bytes.fromhex(s)
+    value, end = decode(data)
+    if end != len(data):
+        raise ValueError(f"{len(data) - end} bytes after the encoded value")
     return value
+
+
+def _elem_from_hex(platform: Platform, s: str) -> Element:
+    return _from_hex(partial(decode_element, platform), s)
 
 
 def _endo_obj(platform: Platform, e: Optional[Endomorphism]) -> Optional[dict]:
@@ -933,7 +949,7 @@ def spec_from_obj(obj: dict) -> ProtocolSpec:
     policy = KeyPolicy(**obj["policy"])
     shift_a = None
     if obj.get("shift_a"):
-        shift_a, _ = braid.decode_braid(bytes.fromhex(obj["shift_a"]))
+        shift_a = _from_hex(braid.decode_braid, obj["shift_a"])
     fields = {name: tuple(_elem_from_hex(platform, s) for s in obj[name]) for name in _GEN_LISTS}
     fields.update((name, obj[name]) for name in _PLAIN_FIELDS)
     return ProtocolSpec(

@@ -85,6 +85,16 @@ def test_bf_rejects_braid_platform():
         A.bf_solve(A.CSPInstance(BraidWord(3), BraidWord(3)), BraidPlatform(3))
 
 
+@pytest.mark.parametrize(
+    "op", [L.conj_op(BraidPlatform(3)), L.shifted_op()], ids=["conj_b3", "shifted"]
+)
+def test_submagma_closure_refuses_an_infinite_carrier(op):
+    # the fixpoint loop would never end on B_n
+    gens = [BraidWord(3, (1,)), BraidWord(3, (2,))]
+    with pytest.raises(ValueError, match="submagma closure needs a finite carrier"):
+        A.submagma_closure(op, gens)
+
+
 def test_subgroup_closure_deterministic():
     gens = (Permutation((2, 1, 3, 4)), Permutation((2, 3, 1, 4)))
     first = A.subgroup_closure(S4, gens)

@@ -189,6 +189,8 @@ def test_run_spec_with_huge_modulus_exits_2(tmp_path, capsys):
             P.make_simdcp(BraidPlatform(4), [BraidWord(4, (1,))], [BraidWord(4, (3,))]),
             {"gen_length": -1},
         ),
+        # trees this deep would end in RecursionError when drawn
+        (P.random_spec("simdcp", 0), {"max_leaves": 5000, "max_depth": 5000, "comb_bias": 1.0}),
     ],
 )
 def test_run_contradictory_policy_exits_2(tmp_path, capsys, spec, fields):

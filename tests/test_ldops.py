@@ -556,3 +556,9 @@ def test_sampled_verifiers_refuse_no_samples(verify, samples):
     # a check of no triples would pass vacuously with checked=0
     with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
         verify(samples, random.Random(0))
+
+
+def test_verify_multi_ld_refuses_an_empty_family():
+    # a family of no ops checks no law and would pass with checked=0
+    with pytest.raises(ValueError, match="family must hold at least 1 op, got 0"):
+        L.verify_multi_ld([], 10, random.Random(0))

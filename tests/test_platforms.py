@@ -70,6 +70,23 @@ def test_platform_validation():
         BraidPlatform(3).check(BraidWord(5, (4,)))
 
 
+def test_values_built_from_lists_act_like_tuples():
+    # the checking constructors keep a tuple, so a list from outside hashes
+    p, p_list = Permutation((2, 3, 1)), Permutation([2, 3, 1])
+    assert p_list == p and hash(p_list) == hash(p) and type(p_list.images) is tuple
+    for degree, images in ((3, [2, 3, 1]), (7, [2, 3, 1, 5, 4, 7, 6])):
+        sym, x, x_list = SymmetricPlatform(degree), Permutation(tuple(images)), Permutation(images)
+        assert sym.mul(x_list, x_list) == sym.mul(x, x)
+        assert sym.inv(x_list) == sym.inv(x) and sym.eq(x_list, x)
+        assert decode_element(sym, encode_element(sym, x_list))[0] == x
+    w, w_list = BraidWord(3, (1, 2, -1)), BraidWord(3, [1, 2, -1])
+    assert w_list == w and hash(w_list) == hash(w) and type(w_list.letters) is tuple
+    assert B.normal_form(w_list) == B.normal_form(w)
+    braid_platform = BraidPlatform(3)
+    assert braid_platform.eq(w_list, w_list) and braid_platform.eq(w_list, w)
+    assert braid_platform.encode(w_list) == braid_platform.encode(w)
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
 def test_tables_agree_with_direct_arithmetic(degree):
     # every product and inverse of S_n, n <= 5, as the table gives it, against
@@ -259,6 +276,14 @@ def test_new_table_holds_every_element_and_draw(degree):
     assert table.ids == {x.images: k for k, x in enumerate(table.perms)}
     assert sorted(map(id, table.draws)) == sorted(map(id, table.perms))
     assert table.identity is table.perms[0] == B.perm_identity(degree)
+    # every product and inverse is filled when the table is made, with the interned object
+    assert len(table.products) == table.order ** 2 and len(table.inverses) == table.order
+    for i, x in enumerate(table.perms):
+        z = table.inverses[i]
+        assert z is table.perms[table.ids[z.images]] and z == B.perm_inverse(x)
+        for j, y in enumerate(table.perms):
+            z = table.products[i * table.order + j]
+            assert z is table.perms[table.ids[z.images]] and z == B.perm_compose(x, y)
 
 
 def test_tables_fill_safely_from_two_threads(monkeypatch):
@@ -270,10 +295,10 @@ def test_tables_fill_safely_when_threads_draw_first(monkeypatch):
 
 
 def _sweep_from_two_threads(monkeypatch, draw_first):
-    # two threads sweep S_5 from no table at all, so both make the table
-    # and fill the same slots at once; a table made twice or a fill that is
-    # not atomic gives an element two ids or a slot a wrong product.  With
-    # draw_first, each thread draws before it multiplies.
+    # two threads sweep S_5 from no table at all, so both ask for the table
+    # at once; a table made twice, or read before it is complete, gives an
+    # element two ids or a slot a wrong product.  With draw_first, each
+    # thread draws before it multiplies.
     import sys
     import threading
 

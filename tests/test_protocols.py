@@ -363,6 +363,34 @@ def test_loaded_shifted_spec_with_bad_parameter_is_rejected():
         P.spec_from_json(_tampered_json(spec, shift_a=shift_a))
 
 
+@pytest.mark.parametrize(
+    "tag, seed, key",
+    [("simdcp", 0, "alice_gens"), ("ko_lee", 0, "b1_gens"), ("classic_dh", 0, "base"),
+     ("shifted_commutator", 0, "shift_a"), ("f_commutator", 1, "endo")],
+)
+def test_loaded_hex_with_trailing_bytes_is_rejected(tag, seed, key):
+    # an element or braid in spec or transcript JSON must end where its hex ends
+    spec = P.random_spec(tag, seed)
+    obj = json.loads(P.spec_to_json(spec))
+    if isinstance(obj[key], list):
+        obj[key][0] += "00ff"
+    elif key == "endo":
+        obj[key]["c"] += "00ff"
+    else:
+        obj[key] += "00ff"
+    with pytest.raises(ValueError, match="2 bytes after the encoded value"):
+        P.spec_from_json(json.dumps(obj))
+    text = P.transcript_to_json(run_quiet(spec))
+    transcript = json.loads(text)
+    transcript["spec"] = obj
+    with pytest.raises(ValueError, match="2 bytes after the encoded value"):
+        P.transcript_from_json(json.dumps(transcript))
+    transcript = json.loads(text)
+    transcript["alice_messages"][0] += "00"
+    with pytest.raises(ValueError, match="1 bytes after the encoded value"):
+        P.transcript_from_json(json.dumps(transcript))
+
+
 def test_symdp_spec_needs_a_unit_exponent():
     spec = P.random_spec("symdp", 0)
     with pytest.raises(ValueError):
@@ -715,6 +743,23 @@ def test_policy_validation():
         P.KeyPolicy(max_leaves=8, max_depth=2)
     with pytest.raises(P.PolicyViolation):
         P.KeyPolicy(comb_bias=1.5)
+    with pytest.raises(P.PolicyViolation, match="max_leaves must be <= 256"):
+        P.KeyPolicy(max_leaves=257, max_depth=257)
+
+
+def test_policy_at_the_leaf_cap_runs():
+    # 256 leaves in a left comb recurse 255 levels deep, well inside the
+    # default recursion limit; one more leaf is refused at load
+    obj = json.loads(P.spec_to_json(P.random_spec("symdp", 0)))
+    cap = P.MAX_POLICY_LEAVES
+    obj["policy"].update(max_leaves=cap, max_depth=cap, comb_bias=1.0)
+    spec = P.spec_from_json(json.dumps(obj))
+    for seed in range(10):
+        text = P.transcript_to_json(run_quiet(replace(spec, seed=seed)))
+        assert P.transcript_to_json(P.transcript_from_json(text)) == text
+    obj["policy"].update(max_leaves=cap + 1)
+    with pytest.raises(P.PolicyViolation):
+        P.spec_from_json(json.dumps(obj))
 
 
 def test_work_platform_covers_all_letters():
