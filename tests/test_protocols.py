@@ -33,6 +33,9 @@ GOLDEN_FINITE_DIGEST = "5852848fe835ae1934eb1273e8880d218fcca8917a2a6882afeebdb2
 # recorded before the unused spec-builder parameters became constants.
 BRAID_TAGS = ("group_dh", "ko_lee", "str_kep", "shifted_commutator", "f_commutator")
 GOLDEN_BRAID_DIGEST = "f77a85c7a98ddeeedd7e604a25dc374df4c45990d884a8acaa9df2deec84ade2"
+# sha256 over spec_to_json(random_spec(tag, s)) for every tag, s = 0..199;
+# recorded before random_spec stopped building the S_n platforms it discards.
+GOLDEN_SPEC_DRAW_DIGEST = "4e41e68ff01d387e6f73f78d553b34e8e5ed39541c43242fec443edb37a0e15e"
 
 
 def run_quiet(spec):
@@ -797,3 +800,11 @@ def test_braid_transcripts_golden_digest():
             runs += 1
     assert runs == 86
     assert digest.hexdigest() == GOLDEN_BRAID_DIGEST
+
+
+def test_spec_draws_golden_digest():
+    digest = hashlib.sha256()
+    for tag in P.PROTOCOL_TAGS:
+        for s in range(200):
+            digest.update(P.spec_to_json(P.random_spec(tag, s)).encode())
+    assert digest.hexdigest() == GOLDEN_SPEC_DRAW_DIGEST
