@@ -8,12 +8,14 @@ Conventions shared by all kernels:
 - A braid word is a sequence of nonzero ints; letter ``i`` encodes the Artin
   generator sigma_i, ``-i`` its inverse (1-based, ``1 <= i <= n-1``).  Kernels
   return words as tuples.
-- A permutation is a list ``p`` of length n with 0-based images, composed
+- A permutation is a sequence ``p`` of length n of its images, composed
   left-to-right: ``compose(p, q)[k] = q[p[k]]`` means "apply p, then q".
   Under this convention the permutation of a concatenated braid word is the
-  left-to-right composite of the letters' transpositions.  Only
-  :func:`word_to_nf` returns its factors as tuples of 1-based images, the
-  form :class:`nakex.braid.Permutation` holds.
+  left-to-right composite of the letters' transpositions.
+  :func:`perm_of_word` and :func:`word_to_nf` return tuples of 1-based
+  images, the form :class:`nakex.braid.Permutation` holds; the list kernel
+  of :func:`word_to_nf` works on 0-based lists inside, and
+  :func:`nf_factor_word` reads only descents, so it takes either base.
 - A positive permutation braid is identified with its permutation; its letter
   length equals the inversion count.  For a pair of factors (x, y) the
   left-weighted condition is S(y) subset-of F(x), where S(y) = {i : y[i] >
@@ -68,11 +70,11 @@ def free_reduce(letters):
 
 
 def perm_of_word(letters, n):
-    """Image of a braid word under B_n -> S_n (0-based one-line notation)."""
-    perm = list(range(n))
-    pinv = list(range(n))
+    """Image of a braid word under B_n -> S_n (1-based one-line notation)."""
+    perm = list(range(1, n + 1))
+    pinv = list(range(-1, n))  # pinv[v]: the position of value v; pinv[0] unused
     for e in letters:
-        j = abs(e) - 1
+        j = abs(e)
         # Multiplying by the transposition (j, j+1) on the right swaps the
         # values j and j+1; track positions through pinv for O(1) updates.
         a = pinv[j]
@@ -81,7 +83,7 @@ def perm_of_word(letters, n):
         perm[b] = j
         pinv[j] = b
         pinv[j + 1] = a
-    return perm
+    return tuple(perm)
 
 
 def _left_weight_pair(x, y):
@@ -303,12 +305,13 @@ class _FactorTable:
     """The simple braids of B_n reached so far, as ids 0, 1, 2, ...
 
     Id 0 is the identity and id 1 is Delta.  For each id the table holds its
-    permutation's images, 0-based (``images0``) and 1-based (``images1``, the
-    output of :func:`word_to_nf`), its starting set S and finishing set F as
-    bit masks (bit i stands for sigma_(i+1)), and three kinds of step to
-    another id, each filled the first time it is taken (-1 until then):
+    permutation's 1-based images (``images``, the output of
+    :func:`word_to_nf`, and the key of ``ids``), its starting set S and
+    finishing set F as bit masks (bit i stands for sigma_(i+1)), and three
+    kinds of step to another id, each filled the first time it is taken (-1
+    until then):
 
-    - ``vswap[x][j]`` swaps the values j, j+1: x sigma_(j+1), or x
+    - ``vswap[x][j]`` swaps the values j + 1, j + 2: x sigma_(j+1), or x
       sigma_(j+1)^-1 when sigma_(j+1) right-divides x;
     - ``pswap[y][i]`` swaps the positions i, i+1: sigma_(i+1) taken off the
       head of y, or put on it;
@@ -320,32 +323,30 @@ class _FactorTable:
     all appended before the id is stored where a reader can find it.
     """
 
-    __slots__ = ("ids", "images0", "images1", "start", "finish", "vswap", "pswap", "tau")
+    __slots__ = ("ids", "images", "start", "finish", "vswap", "pswap", "tau")
 
     def __init__(self, n):
         self.ids = {}
-        self.images0 = []
-        self.images1 = []
+        self.images = []
         self.start = []
         self.finish = []
         self.vswap = []
         self.pswap = []
         self.tau = []
-        self._intern(tuple(range(n)))
-        self._intern(tuple(range(n - 1, -1, -1)))
+        self._intern(tuple(range(1, n + 1)))
+        self._intern(tuple(range(n, 0, -1)))
 
     def _intern(self, p):
-        """The id of the permutation ``p``, added if new (lock held)."""
+        """The id of the permutation ``p`` (1-based), added if new (lock held)."""
         k = self.ids.get(p)
         if k is not None:
             return k
         last = len(p) - 1
         inv = [0] * (last + 1)
         for pos, v in enumerate(p):
-            inv[v] = pos
-        k = len(self.images0)
-        self.images0.append(p)
-        self.images1.append(tuple([v + 1 for v in p]))
+            inv[v - 1] = pos
+        k = len(self.images)
+        self.images.append(p)
         self.start.append(sum(1 << i for i in range(last) if p[i] > p[i + 1]))
         self.finish.append(sum(1 << i for i in range(last) if inv[i] > inv[i + 1]))
         self.vswap.append([-1] * last)
@@ -357,11 +358,11 @@ class _FactorTable:
     def value_step(self, x, j):
         """Fill ``vswap[x][j]`` (and its converse) and return it."""
         with _TABLE_LOCK:
-            p = list(self.images0[x])
-            a = p.index(j)
-            b = p.index(j + 1)
-            p[a] = j + 1
-            p[b] = j
+            p = list(self.images[x])
+            a = p.index(j + 1)
+            b = p.index(j + 2)
+            p[a] = j + 2
+            p[b] = j + 1
             y = self._intern(tuple(p))
             self.vswap[x][j] = y
             self.vswap[y][j] = x
@@ -370,7 +371,7 @@ class _FactorTable:
     def position_step(self, y, i):
         """Fill ``pswap[y][i]`` (and its converse) and return it."""
         with _TABLE_LOCK:
-            p = list(self.images0[y])
+            p = list(self.images[y])
             p[i], p[i + 1] = p[i + 1], p[i]
             z = self._intern(tuple(p))
             self.pswap[y][i] = z
@@ -380,7 +381,8 @@ class _FactorTable:
     def tau_step(self, x):
         """Fill ``tau[x]`` (and ``tau`` of the result) and return it."""
         with _TABLE_LOCK:
-            y = self._intern(tuple(_tau(self.images0[x])))
+            p = self.images[x]
+            y = self._intern(tuple([len(p) + 1 - v for v in reversed(p)]))
             self.tau[x] = y
             self.tau[y] = x
         return y
@@ -453,7 +455,7 @@ def _nf_table(letters, n):
         flip ^= 1
     if flip:
         _tau_ids(facs, 0, table)
-    images = table.images1
+    images = table.images
     return d, [images[f] for f in facs]
 
 
@@ -516,7 +518,10 @@ def _left_weight_ids(table, facs, k):
 
 
 def nf_factor_word(perm):
-    """Shortlex letter word of a permutation-braid factor (1-based letters)."""
+    """Shortlex letter word of a permutation-braid factor (1-based letters).
+
+    Reads only the factor's descents, so its images may be 0- or 1-based.
+    """
     y = list(perm)
     out = []
     while True:

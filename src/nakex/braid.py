@@ -218,8 +218,7 @@ def with_strands(w: BraidWord, n: int) -> BraidWord:
 
 def permutation_of(w: BraidWord) -> Permutation:
     """Image of the word under the projection B_n -> S_n."""
-    perm = _kernels.perm_of_word(w.letters, w.strands)
-    return _perm(tuple([v + 1 for v in perm]))
+    return _perm(_kernels.perm_of_word(w.letters, w.strands))
 
 
 def is_pure(w: BraidWord) -> bool:
@@ -229,8 +228,6 @@ def is_pure(w: BraidWord) -> bool:
 @functools.lru_cache(maxsize=8192)
 def normal_form(w: BraidWord) -> GarsideNormalForm:
     """Left-greedy Garside normal form of the word in its declared B_n."""
-    if w.strands == 1:
-        return GarsideNormalForm(1, 0, ())
     inf, facs = _kernels.word_to_nf(w.letters, w.strands)
     factors = tuple([_perm(f) for f in facs])
     return GarsideNormalForm(w.strands, inf, factors)
@@ -344,7 +341,7 @@ def canonical_word(w: BraidWord) -> BraidWord:
             block = tuple(-e for e in reversed(block))
         letters.extend(block * abs(nf.infimum))
     for factor in nf.factors:
-        letters.extend(_kernels.nf_factor_word([v - 1 for v in factor.images]))
+        letters.extend(_kernels.nf_factor_word(factor.images))
     return _word(n, tuple(letters))
 
 

@@ -9,10 +9,10 @@ multiplicative group mod a prime p (elements are residues 1..p-1).
 S_n of degree up to ``SYM_TABLE_MAX_DEGREE`` (5) multiplies, inverts,
 compares and draws at random from one table per degree, shared by all its
 platforms and complete when it is made: every element, product and inverse
-is in it; larger degrees compute every product.  ``mul``, ``inv`` and
-``eq`` check each operand's type and degree on every call, table or not:
-a table holds only elements of its degree, so finding an operand there is
-that check.
+is in it.  A table answers only plain :class:`Permutation` operands, and
+holds only elements of its degree, so finding an operand there is its
+check.  Every other operand, and every operand of a larger degree, takes
+the one checked path: ``check``, then compute the result.
 
 Endomorphisms are restricted to a closed catalog: identity, inner
 automorphisms, the pure-braid strand-removal map, and (for finite platforms)
@@ -89,13 +89,11 @@ class BraidPlatform:
     def check(self, x: Element) -> BraidWord:
         if not isinstance(x, BraidWord):
             raise PlatformMismatch(f"expected BraidWord, got {type(x).__name__}")
-        if x.strands > self.strands:
-            for e in x.letters:
-                if abs(e) > self.strands - 1:
-                    raise PlatformMismatch(
-                        f"word needs {x.strands} strands, platform has {self.strands}"
-                    )
-        return braid.with_strands(x, self.strands)
+        try:  # with_strands checks the letters when it lowers the strand count
+            return braid.with_strands(x, self.strands)
+        except ValueError:
+            message = f"word needs {x.strands} strands, platform has {self.strands}"
+            raise PlatformMismatch(message) from None
 
     def mul(self, x: Element, y: Element) -> Element:
         return braid.concat(self.check(x), self.check(y))
@@ -220,9 +218,9 @@ class SymmetricPlatform:
     plain :class:`Permutation` (not a subclass) whose images are in the
     table's ``ids``, the answer is read from the table: ``ids`` holds only
     images of the platform's degree, so the lookup is the check.  Any other
-    operand goes through :meth:`check`, which raises
-    :class:`PlatformMismatch` for a foreign operand, and then reads the
-    table.
+    operand, at any degree, takes one checked path: :meth:`check`, which
+    raises :class:`PlatformMismatch` for a foreign operand, then
+    :func:`~nakex.braid.perm_compose` or :func:`~nakex.braid.perm_inverse`.
     """
 
     degree: int
@@ -244,26 +242,21 @@ class SymmetricPlatform:
 
     def mul(self, x: Element, y: Element) -> Element:
         t = self._table
-        if t is None:
-            return braid.perm_compose(self.check(x), self.check(y))
-        if x.__class__ is Permutation is y.__class__:
+        if t is not None and x.__class__ is Permutation is y.__class__:
             try:
                 return t.products[t.ids[x.images] * t.order + t.ids[y.images]]
             except KeyError:  # an operand of another degree
                 pass
-        x, y = self.check(x), self.check(y)
-        return t.products[t.ids[x.images] * t.order + t.ids[y.images]]
+        return braid.perm_compose(self.check(x), self.check(y))
 
     def inv(self, x: Element) -> Element:
         t = self._table
-        if t is None:
-            return braid.perm_inverse(self.check(x))
-        if x.__class__ is Permutation:
+        if t is not None and x.__class__ is Permutation:
             try:
                 return t.inverses[t.ids[x.images]]
             except KeyError:
                 pass
-        return t.inverses[t.ids[self.check(x).images]]
+        return braid.perm_inverse(self.check(x))
 
     def identity(self) -> Element:
         t = self._table

@@ -994,25 +994,42 @@ def transcript_to_json(t: Transcript) -> str:
 
 
 def transcript_from_json(text: str) -> Transcript:
+    """The transcript of ``text``.
+
+    Raises ValueError unless the fields that :func:`transcript_to_json`
+    derives agree with the rest: ``digest`` and ``seed`` with the spec,
+    ``extracted_key`` with the key extracted from ``kA``, and ``kB`` with
+    ``kA`` under the work platform's equality.
+    """
     obj = json.loads(text)
     spec = spec_from_obj(obj["spec"])
     platform = work_platform(spec)
-    return Transcript(
+    t = Transcript(
         spec=spec,
         alice_messages=tuple(_elem_from_hex(platform, s) for s in obj["alice_messages"]),
         bob_messages=tuple(_elem_from_hex(platform, s) for s in obj["bob_messages"]),
         extracted_key=bytes.fromhex(obj["extracted_key"]),
         **{name: _elem_from_hex(platform, obj[key]) for key, name in _TRANSCRIPT_ELEMENTS.items()},
     )
+    if obj["digest"] != spec_digest(spec):
+        raise ValueError("transcript digest is not the digest of its spec")
+    if obj["seed"] != spec.seed:
+        raise ValueError(f"transcript seed {obj['seed']!r} is not its spec's seed {spec.seed}")
+    if t.extracted_key != key_extract(platform, t.key_a):
+        raise ValueError("transcript extracted_key is not the key extracted from kA")
+    if not platform.eq(t.key_a, t.key_b):
+        raise ValueError("transcript keys kA and kB differ")
+    return t
 
 
 # -- random desk-scale spec generation (keygen / acceptance sweeps) ----------
 
 
-def _finite(rng: random.Random) -> SymmetricPlatform:
-    """S_4 or S_5.  Every tag's sample but classic_dh's draws it first, also
-    where it goes unused, so that the seeded specs stay as they are."""
-    return SymmetricPlatform(rng.choice([4, 5]))
+def _degree(rng: random.Random) -> int:
+    """4 or 5, for S_4 or S_5.  Every tag's sample but classic_dh's draws it
+    first, also where it builds no S_n, so that the seeded specs stay as they
+    are."""
+    return rng.choice([4, 5])
 
 
 def _sample_dh(rng: random.Random, run_seed: int) -> ProtocolSpec:
@@ -1025,7 +1042,7 @@ def _sample_commuting(make):
     ``make(platform, a_gens, b_gens, x, seed=...)`` builds the spec."""
 
     def sample(rng: random.Random, run_seed: int) -> ProtocolSpec:
-        _finite(rng)
+        _degree(rng)
         n = 7
         left = [BraidWord(n, (1,)), BraidWord(n, (2,))]
         right = [BraidWord(n, (4,)), BraidWord(n, (5,))]
@@ -1039,7 +1056,7 @@ def _sample_words(make, extra=lambda rng: {}):
     arguments for ``make(platform, s, t, seed=..., **extra)``."""
 
     def sample(rng: random.Random, run_seed: int) -> ProtocolSpec:
-        finite = _finite(rng)
+        finite = SymmetricPlatform(_degree(rng))
         m, n = rng.randint(2, 3), rng.randint(2, 3)
         s = tuple(finite.random_element(rng) for _ in range(m))
         t = tuple(finite.random_element(rng) for _ in range(n))
@@ -1055,8 +1072,9 @@ def _unit_exponent(rng: random.Random) -> dict:
 
 
 def _sample_f_commutator(rng: random.Random, run_seed: int) -> ProtocolSpec:
-    finite = _finite(rng)
+    degree = _degree(rng)
     if rng.random() < 0.5:
+        finite = SymmetricPlatform(degree)
         f: Endomorphism = InnerEndo(finite, finite.random_element(rng))
         s = tuple(finite.random_element(rng) for _ in range(2))
         t = tuple(finite.random_element(rng) for _ in range(2))
@@ -1071,7 +1089,7 @@ def _sample_f_commutator(rng: random.Random, run_seed: int) -> ProtocolSpec:
 
 
 def _sample_shifted(rng: random.Random, run_seed: int) -> ProtocolSpec:
-    _finite(rng)
+    _degree(rng)
     n = rng.randint(3, 5)
     m = rng.randint(1, 2)
     s = tuple(braid.random_braid(n, 6, rng) for _ in range(m))

@@ -321,6 +321,55 @@ def test_reduce_sscsp_to_aagp_on_planted_instances():
     assert hits == 50
 
 
+def _klp_instance():
+    # x = (1 2) in A does not commute with s, so the witness (e, e) fails
+    x, s = A_GENS[0], Permutation((2, 3, 1, 4))
+    assert not S4.eq(g_conj(S4, x, s), s)
+    return A.KLPInstance(s, g_conj(S4, x, s), s, A_GENS, B_GENS)
+
+
+def _aagp_instance():
+    x, y = A_GENS[0], B_GENS[0]
+    return A.AAGPInstance(
+        A_GENS, tuple(g_conj(S4, y, g) for g in A_GENS),
+        B_GENS, tuple(g_conj(S4, x, g) for g in B_GENS),
+    )
+
+
+def _second_call_fails(answer):
+    answers = iter([answer, None])
+    return lambda inst: next(answers)
+
+
+# refusal case -> (call, exception class, message)
+ATTACK_REFUSALS = {
+    "cdp_oracle_fails": (
+        lambda: A.reduce_cdp_to_klp(lambda inst: None, _klp_instance(), S4),
+        ValueError, "CDP oracle failed on the derived instance",
+    ),
+    "cdp_witness_does_not_verify": (
+        lambda: A.reduce_cdp_to_klp(lambda inst: (S4.identity(), S4.identity()), _klp_instance(), S4),
+        ValueError, "CDP oracle returned a non-verifying witness",
+    ),
+    "sscsp_oracle_fails": (
+        lambda: A.reduce_sscsp_to_aagp(lambda inst: None, _aagp_instance(), S4),
+        ValueError, "ssCSP oracle failed on a derived instance",
+    ),
+    "sscsp_oracle_fails_second": (
+        lambda: A.reduce_sscsp_to_aagp(_second_call_fails(A_GENS[0]), _aagp_instance(), S4),
+        ValueError, "ssCSP oracle failed on a derived instance",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ATTACK_REFUSALS))
+def test_reductions_refuse_a_failed_oracle(case):
+    call, cls, message = ATTACK_REFUSALS[case]
+    with pytest.raises(cls) as exc:
+        call()
+    assert type(exc.value) is cls and str(exc.value) == message
+
+
 def test_reduce_simdp_derived_instances():
     rng = random.Random(65)
     for _ in range(50):

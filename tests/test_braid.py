@@ -646,6 +646,28 @@ def test_pure_braid_endo_multiplicative():
 # -- random generation ----------------------------------------------------------
 
 
+# refusal case -> (call, exception class, message)
+BRAID_REFUSALS = {
+    "shift_negative": (
+        lambda: B.shift(BraidWord(3, (1,)), -1), ValueError, "shift amount must be nonnegative",
+    ),
+    "random_braid_1_strand": (
+        lambda: B.random_braid(1, 4, random.Random(0)), ValueError, "random_braid requires n >= 2",
+    ),
+    "random_braid_negative_length": (
+        lambda: B.random_braid(3, -1, random.Random(0)), ValueError, "length must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BRAID_REFUSALS))
+def test_typed_refusals(case):
+    call, cls, message = BRAID_REFUSALS[case]
+    with pytest.raises(cls) as exc:
+        call()
+    assert type(exc.value) is cls and str(exc.value) == message
+
+
 def test_random_braid_contract():
     rng = random.Random(8)
     assert B.random_braid(2, 0, rng).letters == ()

@@ -141,6 +141,28 @@ def test_ci_runs_the_console_script_for_every_law_op():
     assert ops is not None and ops.group(1).split() == list(_LAWS)
 
 
+def test_ci_runs_the_console_script_for_every_tag():
+    # the same CI step draws a spec with `nakex keygen` and runs it, once per tag
+    workflow = pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    tags = re.search(r"for tag in ([\w ]+); do\s+nakex keygen --tag ", workflow.read_text())
+    assert tags is not None and tags.group(1).split() == list(P.PROTOCOL_TAGS)
+
+
+@pytest.mark.parametrize(
+    "platform, line",
+    [
+        ("q7", "nakex verify-laws: error: argument --platform: unknown platform 'q7'"
+               " (use s4, s5, mod23, ...)"),
+        ("s65", "nakex verify-laws: error: argument --platform: degree 65 is over 64"),
+    ],
+)
+def test_verify_laws_refuses_an_unknown_platform(capsys, platform, line):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-laws", "--op", "conj", "--platform", platform])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_keygen_all_tags_runnable(tmp_path):
     for tag in P.PROTOCOL_TAGS:
         out = tmp_path / f"{tag}.json"

@@ -70,6 +70,40 @@ def test_platform_validation():
         BraidPlatform(3).check(BraidWord(5, (4,)))
 
 
+# refusal case -> (call, exception class, message)
+PLATFORM_REFUSALS = {
+    "braid_check_permutation": (
+        lambda: BraidPlatform(3).check(Permutation((2, 1, 3))),
+        PlatformMismatch, "expected BraidWord, got Permutation",
+    ),
+    "braid_check_residue": (
+        lambda: BraidPlatform(3).check(5), PlatformMismatch, "expected BraidWord, got int",
+    ),
+    "braid_check_word_too_wide": (
+        lambda: BraidPlatform(3).check(BraidWord(5, (1, 4))),
+        PlatformMismatch, "word needs 5 strands, platform has 3",
+    ),
+    "braid_0_strands": (lambda: BraidPlatform(0), ValueError, "strand count must be positive"),
+    "sym_degree_0": (lambda: SymmetricPlatform(0), ValueError, "degree must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", list(PLATFORM_REFUSALS))
+def test_typed_refusals(case):
+    call, cls, message = PLATFORM_REFUSALS[case]
+    with pytest.raises(cls) as exc:
+        call()
+    assert type(exc.value) is cls and str(exc.value) == message
+
+
+def test_braid_check_lowers_a_wider_word_that_fits():
+    # only the letters decide: a word declared on more strands whose letters
+    # fit the platform is re-declared on the platform's strands
+    word = BraidPlatform(3).check(BraidWord(5, (1, -2, 2, 1)))
+    assert word == BraidWord(3, (1, -2, 2, 1)) and word.strands == 3
+    assert BraidPlatform(3).check(BraidWord(2, (1,))) == BraidWord(3, (1,))
+
+
 def test_values_built_from_lists_act_like_tuples():
     # the checking constructors keep a tuple, so a list from outside hashes
     p, p_list = Permutation((2, 3, 1)), Permutation([2, 3, 1])

@@ -16,6 +16,8 @@ from nakex.platforms import (
     BraidPlatform,
     IdentityEndo,
     MultModPlatform,
+    PlatformMismatch,
+    PowerShiftEndo,
     SymmetricPlatform,
     encode_element,
     g_commutator,
@@ -392,6 +394,63 @@ def test_loaded_hex_with_trailing_bytes_is_rejected(tag, seed, key):
     transcript["alice_messages"][0] += "00"
     with pytest.raises(ValueError, match="1 bytes after the encoded value"):
         P.transcript_from_json(json.dumps(transcript))
+
+
+# refusal case -> (call, exception class, message)
+PROTOCOL_REFUSALS = {
+    "platform_kind": (
+        lambda: P.spec_from_json(_tampered_json(P.random_spec("ko_lee", 0), platform={"kind": "torus"})),
+        ValueError, "unknown platform kind 'torus'",
+    ),
+    "endo_kind": (
+        lambda: P.spec_from_json(
+            _tampered_json(P.random_spec("f_commutator", 1), endo={"kind": "frobenius"})
+        ),
+        ValueError, "unknown endomorphism kind 'frobenius'",
+    ),
+    "spec_tag": (lambda: P.random_spec("rsa", 0), ValueError, "unknown protocol tag 'rsa'"),
+    "classic_dh_on_s4": (
+        lambda: replace(P.random_spec("classic_dh", 0), platform=S4, base=S4.identity()),
+        PlatformMismatch, "classic_dh needs a mult_mod platform",
+    ),
+    "power_shift_non_pure_gen": (
+        lambda: P.make_f_commutator(
+            PowerShiftEndo(BraidPlatform(4), 1), [BraidWord(4, (1, 1))], [BraidWord(4, (2,))]
+        ),
+        ValueError, "pure-braid f-commutator needs pure generators",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PROTOCOL_REFUSALS))
+def test_typed_refusals(case):
+    call, cls, message = PROTOCOL_REFUSALS[case]
+    with pytest.raises(cls) as exc:
+        call()
+    assert type(exc.value) is cls and str(exc.value) == message
+
+
+SIMDCP_SPEC = P.random_spec("simdcp", 0)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("digest", "00" * 32, "transcript digest is not the digest of its spec"),
+        ("seed", 999, f"transcript seed 999 is not its spec's seed {SIMDCP_SPEC.seed}"),
+        ("extracted_key", "ab", "transcript extracted_key is not the key extracted from kA"),
+        ("kB", None, "transcript keys kA and kB differ"),  # None: Alice's message
+    ],
+    ids=["digest", "seed", "extracted_key", "kB"],
+)
+def test_transcript_refuses_a_field_it_cannot_write_back(field, value, message):
+    text = P.transcript_to_json(run_quiet(SIMDCP_SPEC))
+    obj = json.loads(text)
+    obj[field] = obj["alice_messages"][0] if value is None else value
+    assert json.dumps(obj) != text
+    with pytest.raises(ValueError) as exc:
+        P.transcript_from_json(json.dumps(obj))
+    assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 def test_symdp_spec_needs_a_unit_exponent():
@@ -808,3 +867,11 @@ def test_spec_draws_golden_digest():
         for s in range(200):
             digest.update(P.spec_to_json(P.random_spec(tag, s)).encode())
     assert digest.hexdigest() == GOLDEN_SPEC_DRAW_DIGEST
+
+
+def test_every_golden_transcript_loads_and_writes_back_the_same_bytes():
+    # the transcripts the golden digests hash, through transcript_from_json's checks
+    for tag in P.PROTOCOL_TAGS:
+        for s in range(20):
+            text = P.transcript_to_json(run_quiet(P.random_spec(tag, s)))
+            assert P.transcript_to_json(P.transcript_from_json(text)) == text

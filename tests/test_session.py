@@ -252,6 +252,21 @@ def test_peer_fault_is_refused(fault, error, message):
     assert str(errors["responder"]) == message
 
 
+@pytest.mark.parametrize(
+    "sent", [b"", struct.pack(">IB", 4, S.FRAME_PUBLIC_KEYS) + b"ab"],
+    ids=["no_header", "short_payload"],
+)
+def test_read_frame_times_out(sent):
+    left, right = socket.socketpair()
+    with left, right:
+        right.settimeout(0.05)
+        left.sendall(sent)
+        with pytest.raises(S.SessionTimeout) as exc:
+            S.read_frame(right)
+    assert type(exc.value) is S.SessionTimeout
+    assert str(exc.value) == "timed out waiting for the peer"
+
+
 def test_session_config_validation():
     spec = P.random_spec("classic_dh", 0)
     with pytest.raises(ValueError):
