@@ -118,10 +118,6 @@ class Permutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 

@@ -115,7 +115,7 @@ class LaverTable:
     def elements(self) -> range:
         return range(1, self.size + 1)
 
-    def random_element(self, rng: random.Random) -> int:
+    def random_element(self, rng: random.Random, length: int = 8) -> int:
         return rng.randrange(1, self.size + 1)
 
 
@@ -256,16 +256,15 @@ def _sampler(op: OpDescriptor, braid_len: int) -> Callable:
     """``draw(rng)``, one random element of op's carrier, looked up once.
 
     A braid carrier draws pure braids when a power-shift endomorphism is in
-    play, words of ``braid_len`` letters otherwise; any other carrier draws
-    with its own ``random_element``.
+    play; otherwise the carrier's own ``random_element`` draws, braids of
+    ``braid_len`` letters.
     """
-    platform = op.platform
-    if not isinstance(platform, BraidPlatform):
-        return platform.random_element
-    n = platform.strands
-    if any(e is not None and e.kind == "power_shift" for e in (op.f, op.g, op.h)):
+    shifts = any(e is not None and e.kind == "power_shift" for e in (op.f, op.g, op.h))
+    if shifts and not op.platform.finite:
+        n = op.platform.strands
         return lambda rng: braid.random_pure_braid(n, rng, braid_len)
-    return lambda rng: braid.random_braid(n, braid_len, rng)
+    draw = op.platform.random_element
+    return lambda rng: draw(rng, braid_len)
 
 
 def op_sample(op: OpDescriptor, rng: random.Random, braid_len: int = 5) -> Element:

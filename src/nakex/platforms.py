@@ -6,6 +6,13 @@ group.  Three platforms are provided: braid groups B_n (elements are
 groups S_n (elements are :class:`~nakex.braid.Permutation`), and the
 multiplicative group mod a prime p (elements are residues 1..p-1).
 
+Every platform answers for itself: ``check``, ``mul``, ``inv``,
+``identity``, ``eq``, ``random_element(rng, length)`` (``length`` letters on
+a braid platform, ignored by a finite one), ``key_payload`` (the bytes a key
+is hashed from: the encoded normal form on a braid platform, the encoded
+element otherwise), ``encode`` and ``decode``; finite platforms also answer
+``canon`` and ``elements``.
+
 S_n of degree up to ``SYM_TABLE_MAX_DEGREE`` (5) multiplies, inverts,
 compares and draws at random from one table per degree, shared by all its
 platforms and complete when it is made: every element, product and inverse
@@ -107,11 +114,11 @@ class BraidPlatform:
     def eq(self, x: Element, y: Element) -> bool:
         return braid.normal_form(self.check(x)) == braid.normal_form(self.check(y))
 
-    def canon(self, x: Element):
-        return braid.normal_form(self.check(x))
-
     def random_element(self, rng, length: int = 8) -> Element:
         return braid.random_braid(self.strands, length, rng)
+
+    def key_payload(self, x: Element) -> bytes:
+        return braid.encode_normal_form(braid.normal_form(self.check(x)))
 
     def encode(self, x: Element) -> bytes:
         return braid.encode_braid(braid.canonical_word(self.check(x)))
@@ -278,13 +285,16 @@ class SymmetricPlatform:
         for images in itertools.permutations(range(1, self.degree + 1)):
             yield _perm(images)
 
-    def random_element(self, rng) -> Element:
+    def random_element(self, rng, length: int = 8) -> Element:
         t = self._table
         if t is not None and type(rng) is random.Random:  # a subclass may have its own _randbelow
             return t.draw(rng)
         images = list(range(1, self.degree + 1))
         rng.shuffle(images)
         return _perm(tuple(images))
+
+    def key_payload(self, x: Element) -> bytes:
+        return encode_element(self, x)
 
     def encode(self, x: Element) -> bytes:
         return struct.pack(f">{self.degree}H", *self.check(x).images)
@@ -342,8 +352,11 @@ class MultModPlatform:
     def elements(self) -> Iterator[int]:
         return iter(range(1, self.modulus))
 
-    def random_element(self, rng) -> Element:
+    def random_element(self, rng, length: int = 8) -> Element:
         return rng.randrange(1, self.modulus)
+
+    def key_payload(self, x: Element) -> bytes:
+        return encode_element(self, x)
 
     def encode(self, x: Element) -> bytes:
         return struct.pack(">Q", self.check(x))

@@ -156,7 +156,9 @@ class KeyPolicy:
 
     Braid platforms keep trees shallow and comb-biased because word length is
     exponential in the distance from a left comb; finite platforms can afford
-    more leaves, up to :data:`MAX_POLICY_LEAVES`.
+    more leaves, up to :data:`MAX_POLICY_LEAVES`.  ``gen_length`` is the
+    length of a free-element draw (``random_element``) on braid platforms;
+    finite platforms ignore it.
     """
 
     max_leaves: int = 5
@@ -319,16 +321,12 @@ def work_platform(spec: ProtocolSpec) -> Platform:
 
 
 def key_extract(platform: Platform, x: Element) -> bytes:
-    """SHA-256 of the canonical serialization of the platform canonical form.
+    """SHA-256 of the platform's ``key_payload`` of x.
 
-    On braid platforms the canonical form is the Garside normal form, so equal
+    On braid platforms the payload encodes the Garside normal form, so equal
     braids extract identical 32-byte keys.
     """
-    if isinstance(platform, BraidPlatform):
-        payload = braid.encode_normal_form(braid.normal_form(platform.check(x)))
-    else:
-        payload = encode_element(platform, x)
-    return hashlib.sha256(payload).digest()
+    return hashlib.sha256(platform.key_payload(x)).digest()
 
 
 # -- spec validation ---------------------------------------------------------
@@ -456,12 +454,6 @@ def _tree_secret(
     return tree, value
 
 
-def _random_free_element(platform: Platform, policy: KeyPolicy, rng: random.Random) -> Element:
-    if isinstance(platform, BraidPlatform):
-        return braid.random_braid(platform.strands, policy.gen_length, rng)
-    return platform.random_element(rng)
-
-
 def _alternating(platform: Platform, indices, terms) -> Element:
     """terms[i0] terms[i1]^-1 terms[i2] ...: the value of an alternating word."""
     value = terms[indices[0]]
@@ -576,7 +568,7 @@ def _bullet_tree_secret(spec: ProtocolSpec, platform: Platform, role: int, rng: 
 def _draw_simdcp(spec: ProtocolSpec, platform: Platform, role: int, rng: random.Random):
     # a_l y a_r for Alice, b_l y b_r for Bob; the tree gives a_r and b_l
     tree, x, pi = _bullet_tree_secret(spec, platform, role, rng)
-    free = _random_free_element(platform, spec.policy, rng)
+    free = platform.random_element(rng, spec.policy.gen_length)
     return SecretKey(trees=(tree,), elements=(x, free)), x, free, pi
 
 
@@ -585,7 +577,7 @@ def _draw_simdcp_alt(spec: ProtocolSpec, platform: Platform, role: int, rng: ran
     pairs = rng.randint(0, (spec.policy.max_leaves - 1) // 2)
     indices = tuple(rng.randrange(len(own)) for _ in range(2 * pairs + 1))
     x = _alternating(platform, indices, own)
-    free = _random_free_element(platform, spec.policy, rng)
+    free = platform.random_element(rng, spec.policy.gen_length)
     sk = SecretKey(elements=(x, free), indices=indices)
     return sk, x, free, partial(_alternating, platform, indices)
 
@@ -835,9 +827,7 @@ def make_shifted_commutator(
 
 def _default_policy(platform: Platform) -> KeyPolicy:
     # Exponent secrets multiply braid word lengths, so keep them small there.
-    if isinstance(platform, BraidPlatform):
-        return KeyPolicy(exponent_max=8)
-    return FINITE_POLICY
+    return FINITE_POLICY if platform.finite else KeyPolicy(exponent_max=8)
 
 
 # -- JSON codecs -------------------------------------------------------------
@@ -880,9 +870,18 @@ def _elem_hex(platform: Platform, x: Element) -> str:
     return encode_element(platform, x).hex()
 
 
+def _unhex(s: str) -> bytes:
+    """The bytes of hex ``s``, which must be written as ``bytes.hex`` writes
+    them, so that a loaded file is written back as it was."""
+    data = bytes.fromhex(s)
+    if data.hex() != s:
+        raise ValueError("hex must be lower case, with no spaces")
+    return data
+
+
 def _from_hex(decode, s: str):
     """The value ``decode`` reads from hex ``s``, which must end where it ends."""
-    data = bytes.fromhex(s)
+    data = _unhex(s)
     value, end = decode(data)
     if end != len(data):
         raise ValueError(f"{len(data) - end} bytes after the encoded value")
@@ -1008,12 +1007,12 @@ def transcript_from_json(text: str) -> Transcript:
         spec=spec,
         alice_messages=tuple(_elem_from_hex(platform, s) for s in obj["alice_messages"]),
         bob_messages=tuple(_elem_from_hex(platform, s) for s in obj["bob_messages"]),
-        extracted_key=bytes.fromhex(obj["extracted_key"]),
+        extracted_key=_unhex(obj["extracted_key"]),
         **{name: _elem_from_hex(platform, obj[key]) for key, name in _TRANSCRIPT_ELEMENTS.items()},
     )
     if obj["digest"] != spec_digest(spec):
         raise ValueError("transcript digest is not the digest of its spec")
-    if obj["seed"] != spec.seed:
+    if type(obj["seed"]) is not int or obj["seed"] != spec.seed:
         raise ValueError(f"transcript seed {obj['seed']!r} is not its spec's seed {spec.seed}")
     if t.extracted_key != key_extract(platform, t.key_a):
         raise ValueError("transcript extracted_key is not the key extracted from kA")

@@ -341,7 +341,7 @@ def _second_call_fails(answer):
     return lambda inst: next(answers)
 
 
-# refusal case -> (call, exception class, message)
+# refusal case -> (call, exception class, message): failed oracles and closures
 ATTACK_REFUSALS = {
     "cdp_oracle_fails": (
         lambda: A.reduce_cdp_to_klp(lambda inst: None, _klp_instance(), S4),
@@ -358,6 +358,14 @@ ATTACK_REFUSALS = {
     "sscsp_oracle_fails_second": (
         lambda: A.reduce_sscsp_to_aagp(_second_call_fails(A_GENS[0]), _aagp_instance(), S4),
         ValueError, "ssCSP oracle failed on a derived instance",
+    ),
+    "subgroup_closure_on_braids": (
+        lambda: A.subgroup_closure(BraidPlatform(3), [BraidWord(3, (1,))]),
+        ValueError, "subgroup closure enumeration needs a finite platform",
+    ),
+    "subgroup_closure_over_budget": (
+        lambda: A.subgroup_closure(S4, A_GENS, budget=1),
+        BudgetExceeded, "subgroup closure exceeded 1 visits",
     ),
 }
 

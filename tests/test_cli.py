@@ -148,6 +148,19 @@ def test_ci_runs_the_console_script_for_every_tag():
     assert tags is not None and tags.group(1).split() == list(P.PROTOCOL_TAGS)
 
 
+def test_ci_traces_every_benchmark_workload():
+    # a short traced run of each workload checks that the tracer still finds the
+    # platform methods it patches
+    root = pathlib.Path(__file__).parents[1]
+    names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    loop = re.search(
+        r'for w in ([\w ]+); do\s+python3 perfbench/run.py --workload "\$w" --seconds 1 --trace 1\n',
+        workflow,
+    )
+    assert loop is not None and loop.group(1).split() == names
+
+
 @pytest.mark.parametrize(
     "platform, line",
     [

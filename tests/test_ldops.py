@@ -562,3 +562,29 @@ def test_verify_multi_ld_refuses_an_empty_family():
     # a family of no ops checks no law and would pass with checked=0
     with pytest.raises(ValueError, match="family must hold at least 1 op, got 0"):
         L.verify_multi_ld([], 10, random.Random(0))
+
+
+B3 = BraidPlatform(3)
+
+# refusal case -> (call, exception class, message)
+LDOPS_REFUSALS = {
+    "op_domain_on_braids": (
+        lambda: L.op_domain(L.conj_op(B3)),
+        ValueError, "exhaustive domain needs a finite platform or Laver table",
+    ),
+    "fconj_conditions_on_braids": (
+        lambda: L.check_fconj_conditions(IdentityEndo(B3), IdentityEndo(B3), IdentityEndo(B3), B3),
+        ValueError, "exhaustive composition check needs a finite platform",
+    ),
+    "shifted_conditions_p_0": (
+        lambda: L.check_shifted_conditions(0, SIGMA1), ValueError, "p must be >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LDOPS_REFUSALS))
+def test_typed_refusals(case):
+    call, cls, message = LDOPS_REFUSALS[case]
+    with pytest.raises(cls) as exc:
+        call()
+    assert type(exc.value) is cls and str(exc.value) == message

@@ -195,3 +195,30 @@ def test_tree_codec_layout():
     while isinstance(comb, Node):
         comb, depth = comb.left, depth + 1
     assert depth == 5000
+
+
+# refusal case -> (call, exception class, message)
+MAGMA_REFUSALS = {
+    "leaf_negative": (lambda: Leaf(-1), ValueError, "leaf index must be nonnegative"),
+    "node_label_negative": (
+        lambda: Node(-1, Leaf(0), Leaf(1)), ValueError, "op label must be nonnegative",
+    ),
+    "right_comb_0": (lambda: M.right_comb(0), ValueError, "need at least one leaf"),
+    "count_trees_k_0": (lambda: M.count_trees(0, 1, 1), ValueError, "k, m, q must all be >= 1"),
+    "random_tree_k_0": (
+        lambda: M.random_tree(0, 1, 1, 0.5, random.Random(0)),
+        ValueError, "k, m, q must all be >= 1",
+    ),
+    "random_tree_comb_bias_1_5": (
+        lambda: M.random_tree(3, 1, 1, 1.5, random.Random(0)),
+        ValueError, "comb_bias must lie in [0, 1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MAGMA_REFUSALS))
+def test_typed_refusals(case):
+    call, cls, message = MAGMA_REFUSALS[case]
+    with pytest.raises(cls) as exc:
+        call()
+    assert type(exc.value) is cls and str(exc.value) == message

@@ -7,6 +7,7 @@ import pytest
 
 from endo_utils import inner_point_map, trivial_endo
 from nakex import braid as B
+from nakex import ldops as L
 from nakex import protocols as P
 from nakex.braid import BraidWord, Permutation
 from nakex.platforms import (
@@ -28,18 +29,12 @@ from nakex.platforms import (
 PLATFORMS = [BraidPlatform(4), SymmetricPlatform(4), MultModPlatform(23)]
 
 
-def _sample(platform, rng):
-    if isinstance(platform, BraidPlatform):
-        return B.random_braid(platform.strands, 8, rng)
-    return platform.random_element(rng)
-
-
 @pytest.mark.parametrize("platform", PLATFORMS, ids=["braid", "sym", "modp"])
 def test_group_axioms(platform):
     rng = random.Random(11)
     e = platform.identity()
     for _ in range(40):
-        x, y, z = (_sample(platform, rng) for _ in range(3))
+        x, y, z = (platform.random_element(rng) for _ in range(3))
         assert platform.eq(platform.mul(platform.mul(x, y), z),
                            platform.mul(x, platform.mul(y, z)))
         assert platform.eq(platform.mul(x, e), x)
@@ -85,6 +80,10 @@ PLATFORM_REFUSALS = {
     ),
     "braid_0_strands": (lambda: BraidPlatform(0), ValueError, "strand count must be positive"),
     "sym_degree_0": (lambda: SymmetricPlatform(0), ValueError, "degree must be positive"),
+    "mult_mod_1": (lambda: MultModPlatform(1), ValueError, "modulus 1 is not prime"),
+    "power_shift_d_at_strands": (
+        lambda: PowerShiftEndo(BraidPlatform(4), 4), ValueError, "need 0 < d < strand count",
+    ),
 }
 
 
@@ -94,6 +93,39 @@ def test_typed_refusals(case):
     with pytest.raises(cls) as exc:
         call()
     assert type(exc.value) is cls and str(exc.value) == message
+
+
+@pytest.mark.parametrize("strands, length", [(2, 4), (3, 0), (4, 8), (7, 13)])
+def test_braid_random_element_is_random_braid(strands, length):
+    rng, reference = random.Random(strands), random.Random(strands)
+    drawn = BraidPlatform(strands).random_element(rng, length)
+    assert drawn == B.random_braid(strands, length, reference)
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize(
+    "platform",
+    [SymmetricPlatform(4), SymmetricPlatform(7), MultModPlatform(23), L.laver_table(3)],
+    ids=["s4", "s7", "modp", "laver"],
+)
+def test_finite_draws_ignore_length(platform):
+    rng, other = random.Random(18), random.Random(18)
+    for _ in range(20):
+        assert platform.random_element(rng, 0) == platform.random_element(other, 8)
+    assert rng.getstate() == other.getstate()
+
+
+@pytest.mark.parametrize("platform", PLATFORMS, ids=["braid", "sym", "modp"])
+def test_key_payload(platform):
+    # a braid's key payload is its encoded normal form, any other element's its encoding
+    rng = random.Random(19)
+    for _ in range(20):
+        x = platform.random_element(rng)
+        if isinstance(platform, BraidPlatform):
+            expected = B.encode_normal_form(B.normal_form(x))
+        else:
+            expected = encode_element(platform, x)
+        assert platform.key_payload(x) == expected
 
 
 def test_braid_check_lowers_a_wider_word_that_fits():
@@ -408,7 +440,7 @@ def test_g_pow_squares_only_below_the_top_bit(platform):
     # results equal the plain product of |k| copies (exactly, since braid
     # products are freely reduced words), and k >= 1 costs bit_length(k) - 1
     # squarings plus popcount(k) multiplications
-    x = _sample(platform, random.Random(13))
+    x = platform.random_element(random.Random(13))
     for k in range(-5, 65):
         factor = x if k >= 0 else platform.inv(x)
         expected = platform.identity()
@@ -436,9 +468,9 @@ def test_identity_and_inner_endo():
 @pytest.mark.parametrize("platform", PLATFORMS, ids=["braid", "sym", "modp"])
 def test_endo_homomorphic(platform):
     rng = random.Random(13)
-    f = InnerEndo(platform, _sample(platform, rng))
+    f = InnerEndo(platform, platform.random_element(rng))
     for _ in range(25):
-        x, y = _sample(platform, rng), _sample(platform, rng)
+        x, y = platform.random_element(rng), platform.random_element(rng)
         lhs = f.apply(platform.mul(x, y))
         rhs = platform.mul(f.apply(x), f.apply(y))
         assert platform.eq(lhs, rhs)
@@ -557,7 +589,7 @@ def test_centralizer_rejected_on_braid_platform():
 def test_element_codec_roundtrip(platform):
     rng = random.Random(15)
     for _ in range(25):
-        x = _sample(platform, rng)
+        x = platform.random_element(rng)
         data = encode_element(platform, x)
         assert data[0] == platform.tag
         decoded, offset = decode_element(platform, data)
@@ -593,7 +625,7 @@ def test_symmetric_decoders_reject_repeated_images():
 @pytest.mark.parametrize("platform", PLATFORMS, ids=["braid", "sym", "modp"])
 def test_decode_rejects_every_truncation(platform):
     # a cut-off or empty payload is a ValueError, not struct.error/IndexError
-    data = encode_element(platform, _sample(platform, random.Random(16)))
+    data = encode_element(platform, platform.random_element(random.Random(16)))
     for cut in range(len(data)):
         with pytest.raises(ValueError):
             decode_element(platform, data[:cut])

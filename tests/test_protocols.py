@@ -396,6 +396,19 @@ def test_loaded_hex_with_trailing_bytes_is_rejected(tag, seed, key):
         P.transcript_from_json(json.dumps(transcript))
 
 
+def _tampered_transcript(spec, **fields) -> str:
+    obj = json.loads(P.transcript_to_json(run_quiet(spec)))
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+def _upper_cased_simdcp_transcript() -> str:
+    obj = json.loads(P.transcript_to_json(run_quiet(P.random_spec("simdcp", 0))))
+    obj["alice_messages"][0] = obj["alice_messages"][0].upper()
+    obj["extracted_key"] = obj["extracted_key"].upper()
+    return json.dumps(obj)
+
+
 # refusal case -> (call, exception class, message)
 PROTOCOL_REFUSALS = {
     "platform_kind": (
@@ -418,6 +431,24 @@ PROTOCOL_REFUSALS = {
             PowerShiftEndo(BraidPlatform(4), 1), [BraidWord(4, (1, 1))], [BraidWord(4, (2,))]
         ),
         ValueError, "pure-braid f-commutator needs pure generators",
+    ),
+    # JSON is written with lower-case hex and an int seed; anything else would
+    # load, then be written back with other bytes
+    "spec_hex_upper_case": (
+        lambda: P.spec_from_json(
+            _tampered_json(P.make_classic_dh(23, 11), base="03000000000000000B")
+        ),
+        ValueError, "hex must be lower case, with no spaces",
+    ),
+    "transcript_hex_upper_case": (
+        lambda: P.transcript_from_json(_upper_cased_simdcp_transcript()),
+        ValueError, "hex must be lower case, with no spaces",
+    ),
+    "transcript_seed_true": (
+        lambda: P.transcript_from_json(
+            _tampered_transcript(P.make_classic_dh(23, 5, seed=1), seed=True)
+        ),
+        ValueError, "transcript seed True is not its spec's seed 1",
     ),
 }
 
@@ -788,6 +819,23 @@ def test_key_extract_canonical():
     assert k1 == k2 and len(k1) == 32
     assert P.key_extract(platform, BraidWord(3)) == P.key_extract(platform, BraidWord(3, (1, -1)))
     assert k1 != P.key_extract(platform, BraidWord(3))
+
+
+# key_extract pinned per platform: a change to a platform's key_payload moves every key
+@pytest.mark.parametrize(
+    "platform, x, key",
+    [
+        (BraidPlatform(3), BraidWord(3, (1, 2, -1, 2)),
+         "90a9c111646ee8baf42052fe8e0ccc6046de364fe8c1fbfc3cce28c6b5a943ff"),
+        (S4, B.Permutation((2, 3, 1, 4)),
+         "721196ddcd51ba78936a13c115c5e844ed749d9ca06019a6f3f88028ae7b0914"),
+        (MultModPlatform(23), 5,
+         "ffd04f8b815ffa6acdccf9b2c9f82a07fef214b0826bd934459e3339da358252"),
+    ],
+    ids=["braid", "sym", "modp"],
+)
+def test_key_extract_bytes(platform, x, key):
+    assert P.key_extract(platform, x).hex() == key
 
 
 def test_weak_key_warning():
