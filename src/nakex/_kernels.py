@@ -321,6 +321,10 @@ class _FactorTable:
     would take 40 ms to build.  Session endpoints normalize from two
     threads, so every fill holds ``_TABLE_LOCK``, and a new id's fields are
     all appended before the id is stored where a reader can find it.
+
+    The table holds no object for callers: :mod:`nakex.braid` keeps the one
+    shared Permutation and shortlex word of each simple braid in a map keyed
+    by these images tuples.
     """
 
     __slots__ = ("ids", "images", "start", "finish", "vswap", "pswap", "tau")

@@ -221,11 +221,40 @@ def is_pure(w: BraidWord) -> bool:
     return permutation_of(w).is_identity()
 
 
+# images -> (the one Permutation of a simple braid of B_3..B_7, its shortlex word)
+_SIMPLE: dict[tuple[int, ...], tuple[Permutation, tuple[int, ...]]] = {}
+
+
+def _simple(images: tuple[int, ...]) -> tuple[Permutation, tuple[int, ...]]:
+    """The shared Permutation and shortlex word of a simple braid of B_3..B_7.
+
+    Made the first time a normal form reaches the braid, so the map holds at
+    most 3! + ... + 7! = 5910 entries.  ``setdefault`` stores an entry in one
+    atomic step, so threads that reach a new braid at once (the two session
+    endpoints) all get the entry stored first.
+    """
+    entry = _SIMPLE.get(images)
+    if entry is None:
+        made = (_perm(images), _kernels.nf_factor_word(images))
+        entry = _SIMPLE.setdefault(images, made)
+    return entry
+
+
 @functools.lru_cache(maxsize=8192)
 def normal_form(w: BraidWord) -> GarsideNormalForm:
-    """Left-greedy Garside normal form of the word in its declared B_n."""
+    """Left-greedy Garside normal form of the word in its declared B_n.
+
+    On B_3..B_7 every factor is the one Permutation of its simple braid
+    (:func:`_simple`), shared by every form that holds it, so the cache
+    holds no copies and equal factors compare by identity.  On B_8 and up
+    each factor is a new Permutation: there the shared objects would grow
+    towards n! of them, most reached once.
+    """
     inf, facs = _kernels.word_to_nf(w.letters, w.strands)
-    factors = tuple([_perm(f) for f in facs])
+    if w.strands <= _kernels.TABLE_MAX_STRANDS:
+        factors = tuple([_simple(f)[0] for f in facs])
+    else:
+        factors = tuple([_perm(f) for f in facs])
     return GarsideNormalForm(w.strands, inf, factors)
 
 
@@ -321,23 +350,35 @@ def max_index(w: BraidWord) -> int:
     return max(map(abs, _kernels.free_reduce(w.letters)), default=0)
 
 
+@functools.lru_cache(maxsize=64)
+def _delta_block(n: int, inverse: bool) -> tuple[int, ...]:
+    """The shortlex word of Delta, or of Delta^-1 if ``inverse``, on n >= 2 strands."""
+    block = _kernels.nf_factor_word(range(n - 1, -1, -1))
+    return tuple([-e for e in reversed(block)]) if inverse else block
+
+
 def canonical_word(w: BraidWord) -> BraidWord:
     """The word read off the Garside normal form: a canonical representative.
 
     Used wherever a braid leaves the process (wire messages, transcripts,
     key extraction) so that equal braids serialize identically and published
-    elements are disguised by renormalization.
+    elements are disguised by renormalization.  The word is Delta^infimum
+    as a power of Delta's (or Delta^-1's) shortlex word, kept for the last
+    64 strand counts, followed by each factor's shortlex word: on B_3..B_7 the
+    one stored with the factor (:func:`_simple`), on B_8 and up made by
+    :func:`nakex._kernels.nf_factor_word`.
     """
     nf = normal_form(w)
     n = nf.strands
     letters: list[int] = []
     if nf.infimum != 0 and n >= 2:
-        block = _kernels.nf_factor_word(range(n - 1, -1, -1))
-        if nf.infimum < 0:
-            block = tuple(-e for e in reversed(block))
-        letters.extend(block * abs(nf.infimum))
-    for factor in nf.factors:
-        letters.extend(_kernels.nf_factor_word(factor.images))
+        letters.extend(_delta_block(n, nf.infimum < 0) * abs(nf.infimum))
+    if n <= _kernels.TABLE_MAX_STRANDS:
+        for factor in nf.factors:
+            letters.extend(_simple(factor.images)[1])
+    else:
+        for factor in nf.factors:
+            letters.extend(_kernels.nf_factor_word(factor.images))
     return _word(n, tuple(letters))
 
 

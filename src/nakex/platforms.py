@@ -115,6 +115,10 @@ class BraidPlatform:
         return braid.normal_form(self.check(x)) == braid.normal_form(self.check(y))
 
     def random_element(self, rng, length: int = 8) -> Element:
+        """A :func:`braid.random_braid` draw; B_1 is trivial, so there the
+        identity, with nothing drawn from ``rng``."""
+        if self.strands == 1:
+            return self.identity()
         return braid.random_braid(self.strands, length, rng)
 
     def key_payload(self, x: Element) -> bytes:

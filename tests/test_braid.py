@@ -495,6 +495,96 @@ def test_factor_tables_fill_safely_from_two_threads(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_normal_forms_share_one_object_per_simple_braid():
+    # on B_3..B_7 every factor of every form is the one Permutation of its
+    # simple braid, across separate calls; B_8 and up make new factors
+    rng = random.Random(22)
+    words = [B.random_braid(n, rng.randrange(1, 60), rng) for n in range(3, 8) for _ in range(40)]
+    seen = {}
+    for _ in range(2):
+        for w in words:
+            for factor in B.normal_form.__wrapped__(w).factors:
+                assert seen.setdefault(factor.images, factor) is factor
+    assert len(seen) > 400
+    w = B.random_braid(8, 40, rng)
+    first, second = B.normal_form.__wrapped__(w), B.normal_form.__wrapped__(w)
+    assert first == second and first.factors
+    assert not any(a is b for a, b in zip(first.factors, second.factors))
+
+
+def test_threads_share_one_object_per_simple_braid(monkeypatch):
+    # four threads (more than the two session endpoints, and than most CI
+    # cores) normalize the same words from empty tables, so they reach each
+    # new simple braid at once; each braid must still get one object
+    import sys
+    import threading
+
+    from nakex import _kernels
+
+    rng = random.Random(23)
+    words = [B.random_braid(n, 150, rng) for n in (6, 7) for _ in range(8)]
+    workers = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(_kernels, "_TABLES", {})
+            monkeypatch.setattr(B, "_SIMPLE", {})
+            barrier = threading.Barrier(workers, timeout=30)
+            results = [None] * workers
+
+            def normalize(slot):
+                barrier.wait()
+                results[slot] = [B.normal_form.__wrapped__(w) for w in words]
+
+            threads = [threading.Thread(target=normalize, args=(slot,)) for slot in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(forms == results[0] for forms in results)
+            seen = {}
+            for forms in results:
+                for nf in forms:
+                    for factor in nf.factors:
+                        assert seen.setdefault(factor.images, factor) is factor
+            assert all(B._SIMPLE[images][0] is factor for images, factor in seen.items())
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_stored_factor_words_are_the_shortlex_words():
+    # every simple braid of B_3..B_7: the shared factor is its permutation and
+    # the stored word is what the reference kernel reads off it
+    import itertools
+
+    from nakex import _kernels
+
+    count = 0
+    for n in range(3, 8):
+        for images in itertools.permutations(range(1, n + 1)):
+            factor, word = B._simple(images)
+            assert factor == Permutation(images)
+            assert type(word) is tuple and word == _kernels.nf_factor_word(images)
+            count += 1
+    assert count == 3 * 2 + 4 * 3 * 2 + 120 + 720 + 5040 == 5910
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_canonical_word_of_delta_powers(n):
+    # Delta^k reads as k copies of Delta's shortlex word 1, 2 1, 3 2 1, ...,
+    # Delta^-k as k copies of its inverse; these are the words read before
+    # the blocks were stored
+    delta = tuple(e for j in range(1, n) for e in range(j, 0, -1))
+    assert delta[:6] == ((1, 2, 1) if n == 3 else (1, 2, 1, 3, 2, 1))
+    inverse = tuple(-e for e in reversed(delta))
+    for k in (1, 2, 3):
+        power = B.concat_all(*[_half_twist(n)] * k)
+        assert B.canonical_word(power) == BraidWord(n, delta * k)
+        assert B.canonical_word(B.invert(power)) == BraidWord(n, inverse * k)
+
+
 def test_delta_powers_move_only_the_infimum():
     # Delta^k w = Delta^(k + inf) f_1 ... f_l, and w Delta^k = Delta^k tau^k(w),
     # with tau(f)(i) = n + 1 - f(n + 1 - i) on factors; the words interleave

@@ -103,6 +103,15 @@ def test_braid_random_element_is_random_braid(strands, length):
     assert rng.getstate() == reference.getstate()
 
 
+def test_one_strand_draw_is_the_identity():
+    # B_1 is the trivial group: its draw is the identity, and nothing is drawn
+    rng, reference = random.Random(1), random.Random(1)
+    platform = BraidPlatform(1)
+    for length in (0, 8):
+        assert platform.random_element(rng, length) == platform.identity()
+    assert rng.getstate() == reference.getstate()
+
+
 @pytest.mark.parametrize(
     "platform",
     [SymmetricPlatform(4), SymmetricPlatform(7), MultModPlatform(23), L.laver_table(3)],

@@ -246,6 +246,15 @@ def test_simdcp_alt_single_term_message_identity():
     assert any(platform.eq(transcript.bob_step3, m) for m in transcript.alice_messages)
 
 
+@pytest.mark.parametrize("make", [P.make_simdcp, P.make_simdcp_alt], ids=["simdcp", "simdcp_alt"])
+def test_decomposition_schemes_run_on_one_strand(make):
+    # B_1 is the trivial group: the free draws give the identity, K_A = K_B
+    platform = BraidPlatform(1)
+    transcript = run_quiet(make(platform, [BraidWord(1)], [BraidWord(1)]))
+    assert platform.eq(transcript.key_a, transcript.key_b)
+    assert platform.eq(transcript.key_a, platform.identity())
+
+
 def test_symdp_key_formula_and_validation():
     for seed in range(15):
         spec = P.random_spec("symdp", seed)
