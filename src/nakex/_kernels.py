@@ -41,9 +41,11 @@ On B_n with n <= 7 the factors are small-int ids in a per-n table of simple
 braids (n! <= 5040 of them), filled as words reach new factors, under a lock
 because session endpoints normalize from two threads.  A letter's fit test
 is one bit of a mask, and a left-weighted pair costs one table step per
-transposition moved.  On more strands the factors are lists of images, and a
-pair costs O(n) plus O(1) per transposition moved; a table there would grow
-towards n! entries, most of them reached once.
+transposition moved, or one step in all when its right factor is one of the
+near-Delta factors Delta sigma_j^-1 that inverse letters append.  On more
+strands the factors are lists of images, and a pair costs O(n) plus O(1) per
+transposition moved; a table there would grow towards n! entries, most of
+them reached once.
 """
 
 import threading
@@ -187,6 +189,8 @@ def word_to_nf(letters, n):
       one bit of F(F_r), extending or cancelling is one table step, and a
       pair is left-weighted from the masks S(y) - F(x) with one table step
       for each of x and y per transposition moved (:func:`_left_weight_ids`).
+      A pair whose y is a near-Delta factor takes one step in all: its
+      result depends only on x and j, and is stored the first time.
     - For n >= 8 a factor is a list of 0-based images, a letter's fit test
       looks up two positions, and a pair costs O(n) to rebuild x^-1 and scan
       every position, plus O(1) per transposition moved
@@ -295,41 +299,54 @@ def _sweep_lists(facs, identity, w0):
 
 TABLE_MAX_STRANDS = 7
 _TABLES = {}  # n -> _FactorTable, made on first use
-_TABLE_LOCK = threading.Lock()  # held while any table or table entry is filled
+_TABLE_LOCK = threading.Lock()  # held while a table, an entry or a step (not a near slot) is filled
 _LOWEST_BIT = tuple((m & -m).bit_length() - 1 for m in range(1 << (TABLE_MAX_STRANDS - 1)))
-_IDENTITY = 0  # the ids every table gives these two factors
+_IDENTITY = 0  # the ids every table gives these factors
 _DELTA = 1
+_NEAR = 2  # Delta sigma_(j+1)^-1 has id _NEAR + j
 
 
 class _FactorTable:
     """The simple braids of B_n reached so far, as ids 0, 1, 2, ...
 
-    Id 0 is the identity and id 1 is Delta.  For each id the table holds its
-    permutation's 1-based images (``images``, the output of
-    :func:`word_to_nf`, and the key of ``ids``), its starting set S and
-    finishing set F as bit masks (bit i stands for sigma_(i+1)), and three
-    kinds of step to another id, each filled the first time it is taken (-1
-    until then):
+    Id 0 is the identity, id 1 is Delta and ids 2..n are the near-Delta
+    factors Delta sigma_1^-1, ..., Delta sigma_(n-1)^-1 that inverse letters
+    append; a new table holds these n + 1, and gains the others as words
+    reach them.  For each id the table holds its permutation's 1-based
+    images (``images``, the output of :func:`word_to_nf`, and the key of
+    ``ids``), its starting set S and finishing set F as bit masks (bit i
+    stands for sigma_(i+1)), and four kinds of step, each filled the first
+    time it is taken (-1 until then):
 
     - ``vswap[x][j]`` swaps the values j + 1, j + 2: x sigma_(j+1), or x
       sigma_(j+1)^-1 when sigma_(j+1) right-divides x;
     - ``pswap[y][i]`` swaps the positions i, i+1: sigma_(i+1) taken off the
       head of y, or put on it;
-    - ``tau[x]`` is tau(x).
+    - ``tau[x]`` is tau(x);
+    - ``near[x * (n - 1) + j]`` is the left-weighted pair (x', y') of ids
+      that x and the near-Delta factor of id 2 + j become, for a pair that
+      is not left-weighted yet.  The answer depends only on (x, j), and
+      these pairs take about half of the transpositions that sweeps move on
+      the words the key exchanges normalize.  At most n!(n - 1) slots,
+      30,240 on B_7.
 
     A table fills as words reach new factors, never eagerly: all 5040 of B_7
     would take 40 ms to build.  Session endpoints normalize from two
-    threads, so every fill holds ``_TABLE_LOCK``, and a new id's fields are
-    all appended before the id is stored where a reader can find it.
+    threads, so every new id and every ``vswap``, ``pswap`` or ``tau`` fill
+    holds ``_TABLE_LOCK``, and a new id's fields are all appended before the
+    id is stored where a reader can find it.  A ``near`` slot is filled
+    without the lock, with one assignment: it only ever holds -1 or the
+    final pair, and threads that fill it at once store equal pairs.
 
     The table holds no object for callers: :mod:`nakex.braid` keeps the one
     shared Permutation and shortlex word of each simple braid in a map keyed
     by these images tuples.
     """
 
-    __slots__ = ("ids", "images", "start", "finish", "vswap", "pswap", "tau")
+    __slots__ = ("gens", "ids", "images", "start", "finish", "vswap", "pswap", "tau", "near")
 
     def __init__(self, n):
+        self.gens = n - 1
         self.ids = {}
         self.images = []
         self.start = []
@@ -337,8 +354,12 @@ class _FactorTable:
         self.vswap = []
         self.pswap = []
         self.tau = []
+        self.near = []
         self._intern(tuple(range(1, n + 1)))
-        self._intern(tuple(range(n, 0, -1)))
+        delta = tuple(range(n, 0, -1))
+        self._intern(delta)
+        for j in range(1, n):  # Delta sigma_j^-1 swaps the values j, j + 1 of Delta
+            self._intern(tuple([j + 1 if v == j else j if v == j + 1 else v for v in delta]))
 
     def _intern(self, p):
         """The id of the permutation ``p`` (1-based), added if new (lock held)."""
@@ -356,6 +377,7 @@ class _FactorTable:
         self.vswap.append([-1] * last)
         self.pswap.append([-1] * last)
         self.tau.append(-1)
+        self.near.extend([-1] * last)
         self.ids[p] = k
         return k
 
@@ -446,10 +468,7 @@ def _nf_table(letters, n):
             else:
                 d -= 1
                 flip ^= 1
-                j = top - j
-                f = vswap[_DELTA][j]  # Delta sigma_j^-1
-                if f < 0:
-                    f = table.value_step(_DELTA, j)
+                f = _NEAR + top - j  # Delta sigma_j^-1, j mapped through the new flip
                 dirty = True
             facs.append(f)
             break
@@ -493,8 +512,10 @@ def _left_weight_ids(table, facs, k):
     """Make the pair of ids (facs[k-1], facs[k]) left-weighted in place.
 
     Moves s_i, the lowest i in m = S(y) - F(x), from the head of y to the
-    tail of x, one table step for each, until m is empty.  Returns True
-    when anything moved.
+    tail of x, one table step for each, until m is empty.  A pair whose y is
+    a near-Delta factor reads its result from ``table.near`` instead, and
+    the first such pair to move stores it there.  Returns True when
+    anything moved.
     """
     start = table.start
     finish = table.finish
@@ -503,6 +524,13 @@ def _left_weight_ids(table, facs, k):
     m = start[y] & ~finish[x]
     if not m:
         return False
+    slot = -1
+    if _NEAR <= y < _NEAR + table.gens:  # y is a near-Delta factor
+        slot = x * table.gens + y - _NEAR
+        pair = table.near[slot]
+        if pair != -1:
+            facs[k - 1], facs[k] = pair
+            return True
     vswap = table.vswap
     pswap = table.pswap
     while m:
@@ -518,6 +546,8 @@ def _left_weight_ids(table, facs, k):
         m = start[y] & ~finish[x]
     facs[k - 1] = x
     facs[k] = y
+    if slot >= 0:
+        table.near[slot] = (x, y)
     return True
 
 

@@ -74,6 +74,10 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _exponent_sum(w: BraidWord) -> int:
+    return sum(1 if e > 0 else -1 for e in w.letters)
+
+
 @dataclass(frozen=True)
 class BraidPlatform:
     """B_n with canonical-form equality.
@@ -112,7 +116,13 @@ class BraidPlatform:
         return BraidWord(self.strands)
 
     def eq(self, x: Element, y: Element) -> bool:
-        return braid.normal_form(self.check(x)) == braid.normal_form(self.check(y))
+        x = self.check(x)
+        y = self.check(y)
+        # the exponent sum is a homomorphism B_n -> Z, so words whose sums
+        # differ are unequal braids, with no normal form needed
+        if _exponent_sum(x) != _exponent_sum(y):
+            return False
+        return braid.normal_form(x) == braid.normal_form(y)
 
     def random_element(self, rng, length: int = 8) -> Element:
         """A :func:`braid.random_braid` draw; B_1 is trivial, so there the

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -296,6 +297,45 @@ def test_normal_form_agrees_with_handle_oracle():
             assert nf_equal == B.handle_trivial(B.concat(w1, B.invert(w2)))
 
 
+def test_braid_platform_eq_agrees_with_normal_forms(monkeypatch):
+    # eq answers unequal exponent sums without a normal form; it must agree
+    # with the normal-form comparison on equal braids spelled differently,
+    # on unequal braids with equal sums and on unequal sums
+    from nakex.platforms import BraidPlatform, PlatformMismatch
+
+    rng = random.Random(24)
+    platform = BraidPlatform(6)
+    pairs = []
+    for _ in range(60):
+        w = B.random_braid(6, rng.randrange(0, 40), rng)
+        i, j = rng.sample(range(1, 6), 2)
+        # (w1, w2, equal braids, equal exponent sums)
+        pairs.append((w, _with_relator(w, rng), True, True))
+        pairs.append((w, B.concat(w, BraidWord(6, (i, -j))), False, True))
+        pairs.append((w, B.concat(w, BraidWord(6, (i,))), False, False))
+    # a nonempty spelling of the identity has sum 0 and is still equal to it
+    relator = BraidWord(6, (2, 3, 2, -3, -2, -3))
+    pairs.append((relator, platform.identity(), True, True))
+    normal_forms = 0
+    normal_form = B.normal_form
+
+    def counting(w):
+        nonlocal normal_forms
+        normal_forms += 1
+        return normal_form(w)
+
+    monkeypatch.setattr(B, "normal_form", counting)
+    for w1, w2, equal, same_sum in pairs:
+        normal_forms = 0
+        assert platform.eq(w1, w2) == equal == (normal_form(w1) == normal_form(w2))
+        assert normal_forms == (2 if same_sum else 0)
+    # the operands are still checked first
+    with pytest.raises(PlatformMismatch):
+        platform.eq(Permutation((2, 1, 3)), BraidWord(6, (1,)))
+    with pytest.raises(PlatformMismatch):
+        BraidPlatform(3).eq(BraidWord(3, (1,)), BraidWord(5, (4, 4)))
+
+
 def test_normal_form_idempotent_on_canonical_word():
     rng = random.Random(4)
     for _ in range(80):
@@ -493,6 +533,43 @@ def test_factor_tables_fill_safely_from_two_threads(monkeypatch):
             assert results == [expected, expected]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_near_delta_step_matches_the_move_loop():
+    # a fresh table holds ids 2..n as the near-Delta factors; for every
+    # simple braid x of B_3..B_7 and every j, the pair (x, Delta
+    # sigma_(j+1)^-1) is left-weighted by the near step as the list kernel's
+    # move loop does it, whether the slot is empty or filled
+    import itertools
+
+    from nakex import _kernels
+
+    for n in range(3, 8):
+        table = _kernels._FactorTable(n)
+        images = table.images
+        delta = tuple(range(n, 0, -1))
+        assert len(images) == n + 1 and table.near == [-1] * ((n + 1) * (n - 1))
+        for j in range(n - 1):
+            word = _kernels.nf_factor_word(delta) + (-(j + 1),)  # Delta sigma_(j+1)^-1
+            assert _kernels._nf_lists(word, n) == (0, [images[2 + j]])
+        filled = 0
+        for p in itertools.permutations(range(1, n + 1)):
+            with _kernels._TABLE_LOCK:
+                x = table._intern(p)
+            for j in range(n - 1):
+                xs = [v - 1 for v in p]
+                ys = [v - 1 for v in images[2 + j]]
+                moved = _kernels._left_weight_pair(xs, ys)
+                expected = (tuple([v + 1 for v in xs]), tuple([v + 1 for v in ys]))
+                for _ in range(2):  # the first fills the slot, the second reads it
+                    facs = [x, 2 + j]
+                    assert _kernels._left_weight_ids(table, facs, 1) == moved
+                    assert (images[facs[0]], images[facs[1]]) == expected
+                pair = table.near[x * (n - 1) + j]
+                assert pair == (tuple(facs) if moved else -1)
+                filled += moved
+        assert len(images) == math.factorial(n)
+        assert sum(pair != -1 for pair in table.near) == filled > 0
 
 
 def test_normal_forms_share_one_object_per_simple_braid():

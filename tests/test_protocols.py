@@ -853,6 +853,16 @@ def test_weak_key_warning():
     spec = P.make_aag_commutator(platform, (e,), (e,), seed=4)
     with pytest.warns(P.WeakKeyWarning):
         P.run(spec)
+    # on B_4 the only generator is a relator: seed 0 draws both secrets as
+    # nonempty words of exponent sum 0 that are the identity braid
+    relator = BraidWord(4, (1, 2, 1, -2, -1, -2))
+    spec = P.make_aag_commutator(BraidPlatform(4), (relator,), (relator,), seed=0)
+    with pytest.warns(P.WeakKeyWarning) as record:
+        P.run(spec)
+    assert sorted(str(w.message) for w in record) == [
+        "degenerate secret (Alice): identity element",
+        "degenerate secret (Bob): identity element",
+    ]
 
 
 def test_policy_validation():

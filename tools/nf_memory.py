@@ -8,7 +8,8 @@ random braid words on B_3 .. B_8, then prints, from tracemalloc:
   one Permutation and one shortlex word each), which outlive the cache;
 - the number of Permutation objects alive with the cache full;
 - the bytes of a B_7 factor table with every entry and every step filled,
-  and of the shared objects and words of its 5040 simple braids.
+  the near-Delta pairs among them, and the shared objects and words of its
+  5040 simple braids.
 
 Run from the repository root:
 
@@ -55,7 +56,7 @@ def permutation_count() -> int:
 
 
 def fill_table(n: int) -> _kernels._FactorTable:
-    """A new factor table of B_n with every simple braid and every step in it."""
+    """A new factor table of B_n with every simple braid and its one-id steps in it."""
     table = _kernels._FactorTable(n)
     k = 0
     while k < len(table.images):  # value steps from the identity reach all n! braids
@@ -65,6 +66,16 @@ def fill_table(n: int) -> _kernels._FactorTable:
         table.tau_step(k)
         k += 1
     return table
+
+
+def fill_near(table: _kernels._FactorTable) -> int:
+    """Left-weight every pair (x, Delta sigma_(j+1)^-1) once, filling its
+    ``near`` slot; returns the slots filled.  A pair that is left-weighted
+    already moves nothing, and its slot stays -1."""
+    for x in range(len(table.images)):
+        for j in range(table.gens):
+            _kernels._left_weight_ids(table, [x, _kernels._NEAR + j], 1)
+    return sum(pair != -1 for pair in table.near)
 
 
 def main() -> int:
@@ -86,11 +97,14 @@ def main() -> int:
 
     before = _traced()
     table = fill_table(7)
+    steps = _traced()
+    slots = fill_near(table)
     filled = _traced()
     for images in table.images:
         braid._simple(images)
     print(f"B_7 factor table: {len(table.images)} entries, every step filled")
     print(f"  table               {filled - before:10,d} bytes")
+    print(f"  near-Delta pairs    {filled - steps:10,d} bytes ({slots} of {len(table.near)} slots)")
     print(f"  shared objects      {_traced() - filled:10,d} bytes")
     return 0
 
