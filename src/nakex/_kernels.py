@@ -41,14 +41,19 @@ On B_n with n <= 7 the factors are small-int ids in a per-n table of simple
 braids (n! <= 5040 of them), filled as words reach new factors, under a lock
 because session endpoints normalize from two threads.  A letter's fit test
 is one bit of a mask, and a left-weighted pair costs one table step per
-transposition moved, or one step in all when its right factor is one of the
-near-Delta factors Delta sigma_j^-1 that inverse letters append.  On more
+transposition moved, or one read of a packed int in all when its right
+factor is within three letters of Delta, as the near-Delta factor
+Delta sigma_j^-1 that an inverse letter appends is, and stays while two
+more inverse letters cancel into it.  On more
 strands the factors are lists of images, and a pair costs O(n) plus O(1) per
 transposition moved; a table there would grow towards n! entries, most of
 them reached once.
 """
 
 import threading
+from array import array
+from itertools import combinations, starmap
+from operator import lt
 
 __all__ = [
     "free_reduce",
@@ -189,8 +194,12 @@ def word_to_nf(letters, n):
       one bit of F(F_r), extending or cancelling is one table step, and a
       pair is left-weighted from the masks S(y) - F(x) with one table step
       for each of x and y per transposition moved (:func:`_left_weight_ids`).
-      A pair whose y is a near-Delta factor takes one step in all: its
-      result depends only on x and j, and is stored the first time.
+      A pair whose y is within three letters of Delta takes one step in
+      all: its result is stored, packed into one int, in the table's memo
+      slot for (x, y) the first time it moves.  On the 7085 inputs of 4000
+      ``kex_braid`` operations a form took 28 us with this memo, against 38
+      with slots for the near-Delta factors alone; all 378,000 slots of B_7
+      take 1,512,000 bytes.
     - For n >= 8 a factor is a list of 0-based images, a letter's fit test
       looks up two positions, and a pair costs O(n) to rebuild x^-1 and scan
       every position, plus O(1) per transposition moved
@@ -299,11 +308,16 @@ def _sweep_lists(facs, identity, w0):
 
 TABLE_MAX_STRANDS = 7
 _TABLES = {}  # n -> _FactorTable, made on first use
-_TABLE_LOCK = threading.Lock()  # held while a table, an entry or a step (not a near slot) is filled
+_TABLE_LOCK = threading.Lock()  # held while a table, an entry or a step (not a memo slot) is filled
 _LOWEST_BIT = tuple((m & -m).bit_length() - 1 for m in range(1 << (TABLE_MAX_STRANDS - 1)))
 _IDENTITY = 0  # the ids every table gives these factors
 _DELTA = 1
 _NEAR = 2  # Delta sigma_(j+1)^-1 has id _NEAR + j
+_MEMO_CO_LENGTH = 3  # a pair is memoized when its right factor is this close to Delta
+# memo columns of B_n: the simple braids of co-length 1..3, counted by the
+# Mahonian numbers M(n, 1) + M(n, 2) + M(n, 3) (on B_3 the identity is one)
+_MEMO_COLUMNS = (0, 0, 0, 5, 14, 28, 48, 75)
+_ID_BITS = 13  # a memo slot packs a pair of ids as (x << 13) | y; ids < 7! < 2^13
 
 
 class _FactorTable:
@@ -315,38 +329,50 @@ class _FactorTable:
     reach them.  For each id the table holds its permutation's 1-based
     images (``images``, the output of :func:`word_to_nf`, and the key of
     ``ids``), its starting set S and finishing set F as bit masks (bit i
-    stands for sigma_(i+1)), and four kinds of step, each filled the first
+    stands for sigma_(i+1)), and three kinds of step, each filled the first
     time it is taken (-1 until then):
 
     - ``vswap[x][j]`` swaps the values j + 1, j + 2: x sigma_(j+1), or x
       sigma_(j+1)^-1 when sigma_(j+1) right-divides x;
     - ``pswap[y][i]`` swaps the positions i, i+1: sigma_(i+1) taken off the
       head of y, or put on it;
-    - ``tau[x]`` is tau(x);
-    - ``near[x * (n - 1) + j]`` is the left-weighted pair (x', y') of ids
-      that x and the near-Delta factor of id 2 + j become, for a pair that
-      is not left-weighted yet.  The answer depends only on (x, j), and
-      these pairs take about half of the transpositions that sweeps move on
-      the words the key exchanges normalize.  At most n!(n - 1) slots,
-      30,240 on B_7.
+    - ``tau[x]`` is tau(x).
+
+    A simple braid y of co-length 1..3 (one to three letters short of
+    Delta) also has a memo column ``col[y]``, given when it is interned, in
+    the order the table meets them (``columns`` lists these ids in column
+    order); every other id has -1.  There are ``cols`` of them on B_n: 5,
+    14, 28, 48 and 75 for n = 3..7.  The flat ``array('i')`` ``memo``
+    holds, at ``x * cols + col[y]``, the left-weighted pair that (x, y)
+    becomes, packed as ``(x' << 13) | y'``, or -1 until a pair that is not
+    left-weighted yet is first moved.  Its
+    right factors are the near-Delta factors of inverse letters and what up
+    to two more inverse letters cancel out of them.  On the normal-form
+    inputs of ``kex_braid`` these are 61% of the pairs that sweeps
+    left-weight, and 83% of the transpositions they move (the near-Delta
+    factors alone: 31% and 46%).  Four bytes a slot: 1,512,000 bytes for
+    all of B_7.
 
     A table fills as words reach new factors, never eagerly: all 5040 of B_7
     would take 40 ms to build.  Session endpoints normalize from two
     threads, so every new id and every ``vswap``, ``pswap`` or ``tau`` fill
-    holds ``_TABLE_LOCK``, and a new id's fields are all appended before the
-    id is stored where a reader can find it.  A ``near`` slot is filled
-    without the lock, with one assignment: it only ever holds -1 or the
-    final pair, and threads that fill it at once store equal pairs.
+    holds ``_TABLE_LOCK``, and a new id's fields, its ``cols`` memo slots
+    among them, are all appended before the id is stored where a reader can
+    find it.  A memo slot is filled without the lock, with one item
+    assignment: it only ever holds -1 or the final pair, and threads that
+    fill it at once store equal pairs.
 
     The table holds no object for callers: :mod:`nakex.braid` keeps the one
     shared Permutation and shortlex word of each simple braid in a map keyed
     by these images tuples.
     """
 
-    __slots__ = ("gens", "ids", "images", "start", "finish", "vswap", "pswap", "tau", "near")
+    __slots__ = (
+        "ids", "images", "start", "finish", "vswap", "pswap", "tau", "col", "columns", "cols",
+        "memo",
+    )
 
     def __init__(self, n):
-        self.gens = n - 1
         self.ids = {}
         self.images = []
         self.start = []
@@ -354,7 +380,10 @@ class _FactorTable:
         self.vswap = []
         self.pswap = []
         self.tau = []
-        self.near = []
+        self.col = []
+        self.columns = []
+        self.cols = _MEMO_COLUMNS[n]
+        self.memo = array("i")
         self._intern(tuple(range(1, n + 1)))
         delta = tuple(range(n, 0, -1))
         self._intern(delta)
@@ -377,7 +406,13 @@ class _FactorTable:
         self.vswap.append([-1] * last)
         self.pswap.append([-1] * last)
         self.tau.append(-1)
-        self.near.extend([-1] * last)
+        co_length = sum(starmap(lt, combinations(p, 2)))  # Delta's inversions that p lacks
+        if 1 <= co_length <= _MEMO_CO_LENGTH:
+            self.col.append(len(self.columns))
+            self.columns.append(k)
+        else:
+            self.col.append(-1)
+        self.memo.extend(array("i", [-1]) * self.cols)
         self.ids[p] = k
         return k
 
@@ -512,10 +547,10 @@ def _left_weight_ids(table, facs, k):
     """Make the pair of ids (facs[k-1], facs[k]) left-weighted in place.
 
     Moves s_i, the lowest i in m = S(y) - F(x), from the head of y to the
-    tail of x, one table step for each, until m is empty.  A pair whose y is
-    a near-Delta factor reads its result from ``table.near`` instead, and
-    the first such pair to move stores it there.  Returns True when
-    anything moved.
+    tail of x, one table step for each, until m is empty.  A pair whose y
+    has a memo column reads its result from ``table.memo`` instead, and the
+    first such pair to move stores it there.  Returns True when anything
+    moved.
     """
     start = table.start
     finish = table.finish
@@ -524,12 +559,13 @@ def _left_weight_ids(table, facs, k):
     m = start[y] & ~finish[x]
     if not m:
         return False
-    slot = -1
-    if _NEAR <= y < _NEAR + table.gens:  # y is a near-Delta factor
-        slot = x * table.gens + y - _NEAR
-        pair = table.near[slot]
-        if pair != -1:
-            facs[k - 1], facs[k] = pair
+    slot = table.col[y]
+    if slot >= 0:  # y is within _MEMO_CO_LENGTH letters of Delta
+        slot += x * table.cols
+        pair = table.memo[slot]
+        if pair >= 0:
+            facs[k - 1] = pair >> 13  # _ID_BITS
+            facs[k] = pair & 8191
             return True
     vswap = table.vswap
     pswap = table.pswap
@@ -547,7 +583,7 @@ def _left_weight_ids(table, facs, k):
     facs[k - 1] = x
     facs[k] = y
     if slot >= 0:
-        table.near[slot] = (x, y)
+        table.memo[slot] = x << 13 | y
     return True
 
 

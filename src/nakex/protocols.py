@@ -943,7 +943,18 @@ def spec_to_obj(spec: ProtocolSpec) -> dict:
     return obj
 
 
+def _json_object(obj, what: str, keys) -> dict:
+    """``obj``, if it is a JSON object with every key in ``keys``; else ValueError."""
+    if type(obj) is not dict:
+        raise ValueError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r}")
+    return obj
+
+
 def spec_from_obj(obj: dict) -> ProtocolSpec:
+    _json_object(obj, "spec", ("platform", "policy", "base", "endo", *_GEN_LISTS, *_PLAIN_FIELDS))
     platform = _platform_from_obj(obj["platform"])
     policy = KeyPolicy(**obj["policy"])
     shift_a = None
@@ -1000,7 +1011,10 @@ def transcript_from_json(text: str) -> Transcript:
     ``extracted_key`` with the key extracted from ``kA``, and ``kB`` with
     ``kA`` under the work platform's equality.
     """
-    obj = json.loads(text)
+    obj = _json_object(json.loads(text), "transcript", (
+        "spec", "digest", "seed", "alice_messages", "bob_messages", "extracted_key",
+        *_TRANSCRIPT_ELEMENTS,
+    ))
     spec = spec_from_obj(obj["spec"])
     platform = work_platform(spec)
     t = Transcript(

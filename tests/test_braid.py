@@ -535,41 +535,149 @@ def test_factor_tables_fill_safely_from_two_threads(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_near_delta_step_matches_the_move_loop():
-    # a fresh table holds ids 2..n as the near-Delta factors; for every
-    # simple braid x of B_3..B_7 and every j, the pair (x, Delta
-    # sigma_(j+1)^-1) is left-weighted by the near step as the list kernel's
-    # move loop does it, whether the slot is empty or filled
+def _move_loop_pair(table, x, y):
+    """The list kernel's left-weighting of the pair of ids (x, y): (moved, images)."""
+    from nakex import _kernels
+
+    xs = [v - 1 for v in table.images[x]]
+    ys = [v - 1 for v in table.images[y]]
+    moved = _kernels._left_weight_pair(xs, ys)
+    return moved, (tuple([v + 1 for v in xs]), tuple([v + 1 for v in ys]))
+
+
+def _full_table(n):
+    """A new factor table of B_n holding all n! simple braids, its memo empty."""
     import itertools
 
     from nakex import _kernels
 
+    table = _kernels._FactorTable(n)
+    with _kernels._TABLE_LOCK:
+        for p in itertools.permutations(range(1, n + 1)):
+            table._intern(p)
+    return table
+
+
+def test_memo_step_matches_the_move_loop():
+    # a fresh table holds ids 2..n as the near-Delta factors, and the simple
+    # braids of co-length 1..3 get the memo columns; for every simple braid x
+    # of B_3..B_7 and every near-Delta y, every memo column y on B_3..B_6,
+    # and a seeded sample of the co-length 2..3 columns on B_7, the pair
+    # (x, y) is left-weighted by the memo step as the list kernel's move loop
+    # does it, whether its slot is empty or filled
+    from array import array
+
+    from nakex import _kernels
+
+    rng = random.Random(24)
     for n in range(3, 8):
-        table = _kernels._FactorTable(n)
+        fresh = _kernels._FactorTable(n)
+        assert len(fresh.images) == n + 1
+        assert fresh.memo == array("i", [-1]) * ((n + 1) * fresh.cols)
+        table = _full_table(n)
         images = table.images
+        cols = table.cols
         delta = tuple(range(n, 0, -1))
-        assert len(images) == n + 1 and table.near == [-1] * ((n + 1) * (n - 1))
         for j in range(n - 1):
             word = _kernels.nf_factor_word(delta) + (-(j + 1),)  # Delta sigma_(j+1)^-1
             assert _kernels._nf_lists(word, n) == (0, [images[2 + j]])
+        assert len(images) == math.factorial(n) and len(table.memo) == len(images) * cols
+        columns = table.columns
+        co_length = [n * (n - 1) // 2 - len(_kernels.nf_factor_word(p)) for p in images]
+        assert len(columns) == cols == _kernels._MEMO_COLUMNS[n]
+        assert sorted(columns) == [y for y, c in enumerate(co_length) if 1 <= c <= 3]
+        assert [table.col[y] for y in columns] == list(range(cols))
+        near = list(range(2, n + 1))
+        assert [y for y in columns if co_length[y] == 1] == near
+        if n < 7:
+            ys = columns
+        else:
+            ys = near + rng.sample([y for y in columns if co_length[y] > 1], 2)
         filled = 0
-        for p in itertools.permutations(range(1, n + 1)):
-            with _kernels._TABLE_LOCK:
-                x = table._intern(p)
-            for j in range(n - 1):
-                xs = [v - 1 for v in p]
-                ys = [v - 1 for v in images[2 + j]]
-                moved = _kernels._left_weight_pair(xs, ys)
-                expected = (tuple([v + 1 for v in xs]), tuple([v + 1 for v in ys]))
+        for y in ys:
+            for x in range(len(images)):
+                moved, expected = _move_loop_pair(table, x, y)
                 for _ in range(2):  # the first fills the slot, the second reads it
-                    facs = [x, 2 + j]
+                    facs = [x, y]
                     assert _kernels._left_weight_ids(table, facs, 1) == moved
                     assert (images[facs[0]], images[facs[1]]) == expected
-                pair = table.near[x * (n - 1) + j]
-                assert pair == (tuple(facs) if moved else -1)
+                pair = table.memo[x * cols + table.col[y]]
+                assert pair == ((facs[0] << _kernels._ID_BITS | facs[1]) if moved else -1)
                 filled += moved
-        assert len(images) == math.factorial(n)
-        assert sum(pair != -1 for pair in table.near) == filled > 0
+        assert sum(pair != -1 for pair in table.memo) == filled > 0
+
+
+def _mixed_sign_words(seed, count, max_len):
+    rng = random.Random(seed)
+    return [
+        _biased_word(n, rng.randrange(1, max_len), share, rng)
+        for n in range(3, 8) for share in (0.3, 0.5, 0.8) for _ in range(count)
+    ]
+
+
+def test_filled_memo_gives_the_list_forms(monkeypatch):
+    # tables whose memo slots are all filled before any word is read give the
+    # list kernel's forms: every pair within three letters of Delta is read
+    # from its slot
+    from nakex import _kernels
+
+    words = _mixed_sign_words(25, 6, 120)
+    tables = {}
+    for n in range(3, 8):
+        table = tables[n] = _full_table(n)
+        for y in table.columns:
+            for x in range(len(table.images)):
+                _kernels._left_weight_ids(table, [x, y], 1)
+    filled = {n: table.memo.tobytes() for n, table in tables.items()}
+    monkeypatch.setattr(_kernels, "_TABLES", tables)
+    for w in words:
+        if w.letters:
+            assert _kernels._nf_table(w.letters, w.strands) == _kernels._nf_lists(w.letters, w.strands)
+    assert {n: table.memo.tobytes() for n, table in tables.items()} == filled
+
+
+def test_memo_fills_safely_from_two_threads(monkeypatch):
+    # two threads normalize the same inverse-heavy words from empty tables,
+    # so both fill memo slots at once while the other interns new ids and
+    # grows the memo; the forms match the list kernel's, and every slot
+    # filled holds the move loop's pair
+    import sys
+    import threading
+
+    from nakex import _kernels
+
+    words = _mixed_sign_words(26, 4, 150)
+    expected = [_kernels._nf_lists(w.letters, w.strands) for w in words if w.letters]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            monkeypatch.setattr(_kernels, "_TABLES", {})
+            barrier = threading.Barrier(2, timeout=30)
+            results = [None, None]
+
+            def normalize(slot):
+                barrier.wait()
+                results[slot] = [_kernels.word_to_nf(w.letters, w.strands) for w in words if w.letters]
+
+            threads = [threading.Thread(target=normalize, args=(slot,)) for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected, expected]
+            for table in _kernels._TABLES.values():
+                assert len(table.memo) == len(table.images) * table.cols
+                columns = table.columns
+                for slot, pair in enumerate(table.memo):
+                    if pair != -1:
+                        x, c = divmod(slot, table.cols)
+                        moved, pair_images = _move_loop_pair(table, x, columns[c])
+                        x1, y1 = pair >> _kernels._ID_BITS, pair & ((1 << _kernels._ID_BITS) - 1)
+                        assert moved and (table.images[x1], table.images[y1]) == pair_images
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_normal_forms_share_one_object_per_simple_braid():

@@ -405,9 +405,21 @@ def test_loaded_hex_with_trailing_bytes_is_rejected(tag, seed, key):
         P.transcript_from_json(json.dumps(transcript))
 
 
-def _tampered_transcript(spec, **fields) -> str:
+def _tampered_transcript(spec, /, **fields) -> str:
     obj = json.loads(P.transcript_to_json(run_quiet(spec)))
     obj.update(fields)
+    return json.dumps(obj)
+
+
+def _spec_json_without(spec, key) -> str:
+    obj = json.loads(P.spec_to_json(spec))
+    del obj[key]
+    return json.dumps(obj)
+
+
+def _transcript_json_without(spec, key) -> str:
+    obj = json.loads(P.transcript_to_json(run_quiet(spec)))
+    del obj[key]
     return json.dumps(obj)
 
 
@@ -452,6 +464,28 @@ PROTOCOL_REFUSALS = {
     "transcript_hex_upper_case": (
         lambda: P.transcript_from_json(_upper_cased_simdcp_transcript()),
         ValueError, "hex must be lower case, with no spaces",
+    ),
+    # the top-level JSON value must be an object with every key the writer writes
+    "spec_empty_object": (lambda: P.spec_from_json("{}"), ValueError, "spec has no 'platform'"),
+    "spec_array": (lambda: P.spec_from_json("[]"), ValueError, "spec is not a JSON object"),
+    "spec_number": (lambda: P.spec_from_json("1"), ValueError, "spec is not a JSON object"),
+    "spec_no_endo": (
+        lambda: P.spec_from_json(_spec_json_without(P.random_spec("ko_lee", 0), "endo")),
+        ValueError, "spec has no 'endo'",
+    ),
+    "transcript_empty_object": (
+        lambda: P.transcript_from_json("{}"), ValueError, "transcript has no 'spec'",
+    ),
+    "transcript_array": (
+        lambda: P.transcript_from_json("[]"), ValueError, "transcript is not a JSON object",
+    ),
+    "transcript_spec_array": (
+        lambda: P.transcript_from_json(_tampered_transcript(P.make_classic_dh(23, 5), spec=[])),
+        ValueError, "spec is not a JSON object",
+    ),
+    "transcript_no_kB": (
+        lambda: P.transcript_from_json(_transcript_json_without(P.make_classic_dh(23, 5), "kB")),
+        ValueError, "transcript has no 'kB'",
     ),
     "transcript_seed_true": (
         lambda: P.transcript_from_json(

@@ -7,9 +7,13 @@ random braid words on B_3 .. B_8, then prints, from tracemalloc:
 - the bytes of the shared simple braids of B_3 .. B_7 (``braid._SIMPLE``,
   one Permutation and one shortlex word each), which outlive the cache;
 - the number of Permutation objects alive with the cache full;
-- the bytes of a B_7 factor table with every entry and every step filled,
-  the near-Delta pairs among them, and the shared objects and words of its
-  5040 simple braids.
+- the bytes of a B_7 factor table with every entry, every step and every
+  memo slot filled, the bytes and filled slots of its memo of left-weighted
+  pairs (four bytes a slot, 5040 x 75 slots), and the bytes of the shared
+  objects and words of its 5040 simple braids.
+
+While it fills the memo it checks every slot against the list kernel's
+move loop, and exits 1 if any slot differs.
 
 Run from the repository root:
 
@@ -68,14 +72,25 @@ def fill_table(n: int) -> _kernels._FactorTable:
     return table
 
 
-def fill_near(table: _kernels._FactorTable) -> int:
-    """Left-weight every pair (x, Delta sigma_(j+1)^-1) once, filling its
-    ``near`` slot; returns the slots filled.  A pair that is left-weighted
-    already moves nothing, and its slot stays -1."""
-    for x in range(len(table.images)):
-        for j in range(table.gens):
-            _kernels._left_weight_ids(table, [x, _kernels._NEAR + j], 1)
-    return sum(pair != -1 for pair in table.near)
+def fill_memo(table: _kernels._FactorTable) -> tuple[int, int]:
+    """Left-weight every pair (x, y) whose y has a memo column once, filling
+    its slot, and check the slot against :func:`_kernels._left_weight_pair`
+    on lists; returns (slots filled, slots wrong).  A pair that is
+    left-weighted already moves nothing, and its slot stays -1."""
+    images = table.images
+    wrong = 0
+    for c, y in enumerate(table.columns):
+        for x in range(len(images)):
+            xs = [v - 1 for v in images[x]]
+            ys = [v - 1 for v in images[y]]
+            moved = _kernels._left_weight_pair(xs, ys)
+            facs = [x, y]
+            _kernels._left_weight_ids(table, facs, 1)
+            expected = (tuple([v + 1 for v in xs]), tuple([v + 1 for v in ys]))
+            packed = facs[0] << _kernels._ID_BITS | facs[1] if moved else -1
+            wrong += (images[facs[0]], images[facs[1]]) != expected or (
+                table.memo[x * table.cols + c] != packed)
+    return sum(pair != -1 for pair in table.memo), wrong
 
 
 def main() -> int:
@@ -97,15 +112,20 @@ def main() -> int:
 
     before = _traced()
     table = fill_table(7)
-    steps = _traced()
-    slots = fill_near(table)
     filled = _traced()
     for images in table.images:
         braid._simple(images)
-    print(f"B_7 factor table: {len(table.images)} entries, every step filled")
+    shared = _traced() - filled
+    tracemalloc.stop()  # filling slots allocates nothing that stays, and tracing slows it 8x
+    slots, wrong = fill_memo(table)
+    memo = len(table.memo) * table.memo.itemsize
+    print(f"B_7 factor table: {len(table.images)} entries, every step and memo slot filled")
     print(f"  table               {filled - before:10,d} bytes")
-    print(f"  near-Delta pairs    {filled - steps:10,d} bytes ({slots} of {len(table.near)} slots)")
-    print(f"  shared objects      {_traced() - filled:10,d} bytes")
+    print(f"  memo pairs          {memo:10,d} bytes ({slots:,d} of {len(table.memo):,d} slots filled)")
+    print(f"  shared objects      {shared:10,d} bytes")
+    if wrong:
+        print(f"  {wrong} memo slots differ from the list kernel's move loop")
+        return 1
     return 0
 
 
