@@ -11,9 +11,10 @@ laws and for the algebraic parameter conditions that are equivalent to them.
 
 An op kind is one row of ``_KINDS``: its formula ``formula(carrier, op, x, y)``
 and its carrier class (the three group platforms, a braid platform, or the
-Laver table); :func:`apply_op` is one lookup, the law loop looks each
-formula up once per check, and :class:`OpDescriptor` reads the known kinds,
-and refuses a wrong carrier, from the same table.
+Laver table); :func:`apply_op` is one lookup, the sampled law loop looks
+each formula up once per check, the exhaustive LD check tabulates the op
+once, and :class:`OpDescriptor` reads the known kinds, and refuses a wrong
+carrier, from the same table.
 The endomorphism conditions are identities of composition words in the
 paper's notation ("fh=f" means f(h(x)) = f(x) for every x).
 
@@ -26,9 +27,9 @@ counterexamples.  The ``make_*`` constructors are the validating entry points.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import braid
@@ -427,8 +428,35 @@ def verify_ld(
 
 
 def verify_ld_exhaustive(op: OpDescriptor) -> LawVerdict:
-    """Exhaustive LD check over a finite carrier."""
-    return _law(op, op, itertools.product(op_domain(op), repeat=3), "ld")
+    """Exhaustive LD check over a finite carrier D.
+
+    The op is tabulated once: |D|^2 formula calls, each value kept as the
+    index in D of its ``canon`` key, so the table holds |D|^2 ints (and its
+    row readers as many references).  For each x, both sides of
+    x*(y*z) = (x*y)*(x*z) are then read for every (y, z) as whole rows and
+    compared.  The verdict is the triple loop's over
+    ``itertools.product(D, repeat=3)``: on a mismatch the first failing
+    triple in that order is located, and ``checked`` counts up to it.
+    """
+    domain = list(op_domain(op))
+    form, G, canon = _KINDS[op.kind].formula, op.platform, op.platform.canon
+    index = {canon(x): i for i, x in enumerate(domain)}
+    table = [[index[canon(form(G, op, x, y))] for y in domain] for x in domain]
+    # reads[y](row) reads row at every y*z: with row the row of x, that is
+    # x*(y*z) for every z; reads[x](table[x*y]) is (x*y)*(x*z) for every z.
+    reads = [itemgetter(*row) for row in table]
+    n = len(domain)
+    for i, (row, x_times) in enumerate(zip(table, reads)):
+        if [read(row) for read in reads] != [x_times(table[xy]) for xy in row]:
+            j, k = next(
+                (j, k)
+                for j, y_row in enumerate(table)
+                for k, yz in enumerate(y_row)
+                if row[yz] != table[row[j]][row[k]]
+            )
+            triple = (domain[i], domain[j], domain[k])
+            return LawVerdict(False, (i * n + j) * n + k + 1, triple, "ld")
+    return LawVerdict(True, n**3, law="ld")
 
 
 def verify_multi_ld(

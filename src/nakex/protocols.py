@@ -858,12 +858,34 @@ def _platform_obj(p: Platform) -> dict:
     raise TypeError(f"no JSON kind for platform {p!r}")
 
 
-def _platform_from_obj(obj: dict) -> Platform:
-    kind = obj["kind"]
+def _platform_from_obj(obj) -> Platform:
+    kind = _json_object(obj, "platform", ("kind",))["kind"]
     for name, (cls, param) in _PLATFORM_KINDS.items():
         if kind == name:
-            return cls(obj[param])
+            value = _json_object(obj, "platform", (param,))[param]
+            if type(value) is not int:  # exact, so that a bool is not an int
+                raise ValueError(f"platform {param} must be int, got {value!r}")
+            return cls(value)
     raise ValueError(f"unknown platform kind {kind!r}")
+
+
+# KeyPolicy field -> the JSON types it may be read from; a JSON number
+# without a fraction reads as int, so a float field takes either.
+_POLICY_TYPES = {
+    name: (int, float) if type(value) is float else (int,)
+    for name, value in vars(KeyPolicy()).items()
+}
+
+
+def _policy_from_obj(obj) -> KeyPolicy:
+    for key, value in _json_object(obj, "policy", ()).items():
+        types = _POLICY_TYPES.get(key)
+        if types is None:
+            raise ValueError(f"policy has unknown key {key!r}")
+        if type(value) not in types:
+            kinds = " or ".join(t.__name__ for t in types)
+            raise ValueError(f"policy {key} must be {kinds}, got {value!r}")
+    return KeyPolicy(**obj)
 
 
 def _elem_hex(platform: Platform, x: Element) -> str:
@@ -873,6 +895,8 @@ def _elem_hex(platform: Platform, x: Element) -> str:
 def _unhex(s: str) -> bytes:
     """The bytes of hex ``s``, which must be written as ``bytes.hex`` writes
     them, so that a loaded file is written back as it was."""
+    if type(s) is not str:
+        raise ValueError(f"expected a hex string, got {s!r}")
     data = bytes.fromhex(s)
     if data.hex() != s:
         raise ValueError("hex must be lower case, with no spaces")
@@ -892,6 +916,14 @@ def _elem_from_hex(platform: Platform, s: str) -> Element:
     return _from_hex(partial(decode_element, platform), s)
 
 
+def _elems_from_hex(platform: Platform, obj: dict, key: str) -> tuple[Element, ...]:
+    """The elements of the list of hex strings ``obj[key]``."""
+    hexes = obj[key]
+    if type(hexes) is not list:
+        raise ValueError(f"{key} must be a list of hex strings, got {hexes!r}")
+    return tuple(_elem_from_hex(platform, s) for s in hexes)
+
+
 def _endo_obj(platform: Platform, e: Optional[Endomorphism]) -> Optional[dict]:
     if e is None:
         return None
@@ -909,22 +941,26 @@ def _endo_obj(platform: Platform, e: Optional[Endomorphism]) -> Optional[dict]:
     }
 
 
-def _endo_from_obj(platform: Platform, obj: Optional[dict]) -> Optional[Endomorphism]:
+def _endo_from_obj(platform: Platform, obj) -> Optional[Endomorphism]:
     if obj is None:
         return None
-    kind = obj["kind"]
+    kind = _json_object(obj, "endo", ("kind",))["kind"]
     if kind == "identity":
         return IdentityEndo(platform)
     if kind == "inner":
-        return InnerEndo(platform, _elem_from_hex(platform, obj["c"]))
+        return InnerEndo(platform, _elem_from_hex(platform, _json_object(obj, "endo", ("c",))["c"]))
     if kind == "power_shift":
-        return PowerShiftEndo(platform, obj["d"])
+        d = _json_object(obj, "endo", ("d",))["d"]
+        if type(d) is not int:
+            raise ValueError(f"endo d must be int, got {d!r}")
+        return PowerShiftEndo(platform, d)
     if kind == "point_map":
-        pairs = tuple(
-            (_elem_from_hex(platform, k), _elem_from_hex(platform, v))
-            for k, v in obj["pairs"]
-        )
-        return PointMapEndo(platform, pairs)
+        pairs = _json_object(obj, "endo", ("pairs",))["pairs"]
+        if type(pairs) is not list or not all(type(p) is list and len(p) == 2 for p in pairs):
+            raise ValueError("endo pairs must be a list of [hex, hex] pairs")
+        return PointMapEndo(platform, tuple(
+            (_elem_from_hex(platform, k), _elem_from_hex(platform, v)) for k, v in pairs
+        ))
     raise ValueError(f"unknown endomorphism kind {kind!r}")
 
 
@@ -956,15 +992,13 @@ def _json_object(obj, what: str, keys) -> dict:
 def spec_from_obj(obj: dict) -> ProtocolSpec:
     _json_object(obj, "spec", ("platform", "policy", "base", "endo", *_GEN_LISTS, *_PLAIN_FIELDS))
     platform = _platform_from_obj(obj["platform"])
-    policy = KeyPolicy(**obj["policy"])
-    shift_a = None
-    if obj.get("shift_a"):
-        shift_a = _from_hex(braid.decode_braid, obj["shift_a"])
-    fields = {name: tuple(_elem_from_hex(platform, s) for s in obj[name]) for name in _GEN_LISTS}
+    shift_a = obj.get("shift_a")
+    shift_a = None if shift_a in (None, "") else _from_hex(braid.decode_braid, shift_a)
+    fields = {name: _elems_from_hex(platform, obj, name) for name in _GEN_LISTS}
     fields.update((name, obj[name]) for name in _PLAIN_FIELDS)
     return ProtocolSpec(
         platform=platform,
-        policy=policy,
+        policy=_policy_from_obj(obj["policy"]),
         base=None if obj["base"] is None else _elem_from_hex(platform, obj["base"]),
         endo=_endo_from_obj(platform, obj["endo"]),
         shift_a=shift_a,
@@ -1019,8 +1053,8 @@ def transcript_from_json(text: str) -> Transcript:
     platform = work_platform(spec)
     t = Transcript(
         spec=spec,
-        alice_messages=tuple(_elem_from_hex(platform, s) for s in obj["alice_messages"]),
-        bob_messages=tuple(_elem_from_hex(platform, s) for s in obj["bob_messages"]),
+        alice_messages=_elems_from_hex(platform, obj, "alice_messages"),
+        bob_messages=_elems_from_hex(platform, obj, "bob_messages"),
         extracted_key=_unhex(obj["extracted_key"]),
         **{name: _elem_from_hex(platform, obj[key]) for key, name in _TRANSCRIPT_ELEMENTS.items()},
     )

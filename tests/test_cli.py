@@ -132,6 +132,14 @@ def test_verify_laws_catalog(op_args):
     assert main(["verify-laws", *op_args]) == 0
 
 
+def test_verify_laws_runs_the_largest_laver_table(capsys):
+    # A_5 is the largest table laver_table builds; CI runs the same command
+    assert main(["verify-laws", "--op", "laver", "--level", "5"]) == 0
+    assert capsys.readouterr().out == "laver A_5 LD: pass (32768 checks)\n"
+    workflow = pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    assert "nakex verify-laws --op laver --level 5\n" in workflow.read_text()
+
+
 def test_ci_runs_the_console_script_for_every_law_op():
     # the CI step that runs the installed `nakex verify-laws` names each --op
     from nakex.cli import _LAWS

@@ -297,6 +297,40 @@ def test_law_verdict_golden_digest():
     assert h.hexdigest() == GOLDEN_LAW_VERDICT_DIGEST
 
 
+def _exhaustive_ops():
+    """(name, op) for every kind with a finite carrier, on S_3, S_4, the
+    residues mod 13 and the Laver tables A_0..A_4, failing laws among them."""
+    m13 = MultModPlatform(13)
+    groups = [
+        ("S3", S3, InnerEndo(S3, Permutation((2, 3, 1))), InnerEndo(S3, Permutation((2, 1, 3))),
+         sign_endo(S3, Permutation((2, 1, 3)))),
+        ("S4", S4, InnerEndo(S4, Permutation((2, 3, 1, 4))), InnerEndo(S4, Permutation((1, 2, 4, 3))),
+         sign_endo(S4, Permutation((2, 1, 3, 4)))),
+        ("M13", m13, _power_map(m13, 5), _power_map(m13, 7), _power_map(m13, 4)),
+    ]
+    for gname, G, f, g, e in groups:
+        for name, op in _group_ops(G, f, g, e):
+            yield f"{gname}/{name}", op
+        yield f"{gname}/fgh_conj/fii", L.fgh_conj_op(f, IdentityEndo(G), IdentityEndo(G))
+    for n in range(5):
+        yield f"A{n}", L.laver_op(n)
+
+
+def test_exhaustive_ld_matches_the_triple_loop():
+    verdicts = set()
+    for name, op in _exhaustive_ops():
+        triples = itertools.product(L.op_domain(op), repeat=3)
+        expected = L._law(op, op, triples, "ld")
+        got = L.verify_ld_exhaustive(op)
+        assert (got.passed, got.checked, got.counterexample) == (
+            expected.passed, expected.checked, expected.counterexample
+        ), name
+        verdicts.add((op.kind, got.passed))
+    finite_kinds = {k for k, row in L._KINDS.items() if row.carrier is not BraidPlatform}
+    assert {kind for kind, _ in verdicts} == finite_kinds
+    assert {passed for _, passed in verdicts} == {True, False}
+
+
 GROUP_KINDS = (
     "conj", "f_conj", "f_conj_rev", "twisted_conj", "sym_conj", "bullet",
     "f_sym_conj", "f_sym_conj_rev", "beta_kl", "fgh_conj", "fgh_sym",

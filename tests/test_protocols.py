@@ -473,6 +473,81 @@ PROTOCOL_REFUSALS = {
         lambda: P.spec_from_json(_spec_json_without(P.random_spec("ko_lee", 0), "endo")),
         ValueError, "spec has no 'endo'",
     ),
+    # so must every nested value, down to the types of its leaves
+    "spec_platform_number": (
+        lambda: P.spec_from_json(_tampered_json(P.random_spec("ko_lee", 0), platform=1)),
+        ValueError, "platform is not a JSON object",
+    ),
+    "spec_platform_empty": (
+        lambda: P.spec_from_json(_tampered_json(P.random_spec("ko_lee", 0), platform={})),
+        ValueError, "platform has no 'kind'",
+    ),
+    "spec_platform_no_strands": (
+        lambda: P.spec_from_json(
+            _tampered_json(P.random_spec("ko_lee", 0), platform={"kind": "braid"})
+        ),
+        ValueError, "platform has no 'strands'",
+    ),
+    "spec_platform_strands_string": (
+        lambda: P.spec_from_json(
+            _tampered_json(P.random_spec("ko_lee", 0), platform={"kind": "braid", "strands": "7"})
+        ),
+        ValueError, "platform strands must be int, got '7'",
+    ),
+    "spec_platform_strands_true": (
+        lambda: P.spec_from_json(
+            _tampered_json(P.random_spec("ko_lee", 0), platform={"kind": "braid", "strands": True})
+        ),
+        ValueError, "platform strands must be int, got True",
+    ),
+    "spec_policy_number": (
+        lambda: P.spec_from_json(_tampered_json(P.random_spec("ko_lee", 0), policy=3)),
+        ValueError, "policy is not a JSON object",
+    ),
+    "spec_policy_unknown_key": (
+        lambda: P.spec_from_json(_tampered_json(P.random_spec("ko_lee", 0), policy={"leaves": 3})),
+        ValueError, "policy has unknown key 'leaves'",
+    ),
+    "spec_policy_max_leaves_string": (
+        lambda: P.spec_from_json(
+            _tampered_json(P.random_spec("ko_lee", 0), policy={"max_leaves": "3"})
+        ),
+        ValueError, "policy max_leaves must be int, got '3'",
+    ),
+    "spec_endo_number": (
+        lambda: P.spec_from_json(_tampered_json(P.random_spec("f_commutator", 1), endo=1)),
+        ValueError, "endo is not a JSON object",
+    ),
+    "spec_endo_empty": (
+        lambda: P.spec_from_json(_tampered_json(P.random_spec("f_commutator", 1), endo={})),
+        ValueError, "endo has no 'kind'",
+    ),
+    "spec_endo_power_shift_d_string": (
+        lambda: P.spec_from_json(_tampered_json(
+            P.random_spec("f_commutator", 0), endo={"kind": "power_shift", "d": "1"}
+        )),
+        ValueError, "endo d must be int, got '1'",
+    ),
+    "spec_endo_point_map_pairs_number": (
+        lambda: P.spec_from_json(_tampered_json(
+            P.random_spec("f_commutator", 1), endo={"kind": "point_map", "pairs": 1}
+        )),
+        ValueError, "endo pairs must be a list of [hex, hex] pairs",
+    ),
+    "spec_gens_number": (
+        lambda: P.spec_from_json(_tampered_json(P.random_spec("ko_lee", 0), a1_gens=1)),
+        ValueError, "a1_gens must be a list of hex strings, got 1",
+    ),
+    "spec_gens_of_numbers": (
+        lambda: P.spec_from_json(_tampered_json(P.random_spec("ko_lee", 0), a1_gens=[1])),
+        ValueError, "expected a hex string, got 1",
+    ),
+    "spec_shift_a_number": (
+        lambda: P.spec_from_json(
+            _tampered_json(P.random_spec("shifted_commutator", 0), shift_a=5)
+        ),
+        ValueError, "expected a hex string, got 5",
+    ),
     "transcript_empty_object": (
         lambda: P.transcript_from_json("{}"), ValueError, "transcript has no 'spec'",
     ),
@@ -482,6 +557,12 @@ PROTOCOL_REFUSALS = {
     "transcript_spec_array": (
         lambda: P.transcript_from_json(_tampered_transcript(P.make_classic_dh(23, 5), spec=[])),
         ValueError, "spec is not a JSON object",
+    ),
+    "transcript_messages_number": (
+        lambda: P.transcript_from_json(
+            _tampered_transcript(P.make_classic_dh(23, 5), alice_messages=1)
+        ),
+        ValueError, "alice_messages must be a list of hex strings, got 1",
     ),
     "transcript_no_kB": (
         lambda: P.transcript_from_json(_transcript_json_without(P.make_classic_dh(23, 5), "kB")),
