@@ -78,7 +78,7 @@ def _load_spec(path: str, seed: int | None) -> protocols.ProtocolSpec | None:
     try:
         with open(path) as handle:
             spec = protocols.spec_from_json(handle.read())
-    except (OSError, ValueError, LookupError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         _usage_error(f"cannot load spec {path}", exc)
         return None
     if seed is not None:
@@ -264,7 +264,11 @@ def _cmd_verify_laws(args) -> int:
 def _cmd_attack(args) -> int:
     try:
         with open(args.instance) as handle:
-            trials = attacks.build_experiment(json.load(handle))
+            try:
+                obj = json.load(handle)
+            except RecursionError:  # the decoder recurses once per level of nesting
+                raise ValueError("JSON nested too deeply") from None
+        trials = attacks.build_experiment(obj)
     except (OSError, ValueError, LookupError, TypeError) as exc:
         return _usage_error(f"cannot load experiment {args.instance}", exc)
     records = attacks.run_experiment(trials)

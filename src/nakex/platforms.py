@@ -488,7 +488,11 @@ class PointMapEndo:
         if not self.platform.finite:
             raise PlatformMismatch("point maps require a finite platform")
         table = {k: v for k, v in self.pairs}
-        elements = list(self.platform.elements())
+        if len(table) != len(self.pairs):
+            raise ValueError("point map table lists a point twice")
+        # one element past the table's size shows it short, without listing
+        # a large platform
+        elements = list(itertools.islice(self.platform.elements(), len(table) + 1))
         if set(table) != set(elements):
             raise ValueError("point map table must cover the whole platform")
         for x in elements:

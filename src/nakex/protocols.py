@@ -67,6 +67,8 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 from . import braid, ldops, magma
@@ -347,11 +349,9 @@ def _validate(spec: ProtocolSpec) -> None:
     row's checks, which may normalize braids on it; the work platform after
     them, since it is computed from the parameters they check.
     """
-    for name, types in _PLAIN_FIELDS.items():
-        value = getattr(spec, name)
-        if type(value) not in types:  # exact, so that a bool is not an int
-            kinds = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-            raise ValueError(f"{name} must be {kinds}, got {value!r}")
+    for key, (attr, dump, _, types) in _SPEC_FIELDS.items():
+        if dump is None and type(getattr(spec, attr)) not in types:
+            raise _type_error(key, getattr(spec, attr), types)
     scheme = _SCHEMES.get(spec.tag)
     if scheme is None:
         raise ValueError(f"unknown protocol tag {spec.tag!r}")
@@ -831,61 +831,41 @@ def _default_policy(platform: Platform) -> KeyPolicy:
 
 
 # -- JSON codecs -------------------------------------------------------------
-
-# The spec fields that JSON holds as they are, with the types that validation
-# allows each, and its six generator lists, each written and read by name.
-_PLAIN_FIELDS = {
-    "tag": (str,), "seed": (int,), "shift_p": (int,), "variant": (str,),
-    "k": (int, type(None)), "l": (int, type(None)), "secret_exponents": (bool,),
-}
-_GEN_LISTS = ("alice_gens", "bob_gens", "a1_gens", "a2_gens", "b1_gens", "b2_gens")
-# A transcript's one-element JSON keys and the Transcript fields they hold.
-_TRANSCRIPT_ELEMENTS = {
-    "alice_step3": "alice_step3", "bob_step3": "bob_step3", "kA": "key_a", "kB": "key_b",
-}
-# JSON platform kind -> (platform class, the one parameter it is built from).
-_PLATFORM_KINDS = {
-    "braid": (BraidPlatform, "strands"),
-    "symmetric": (SymmetricPlatform, "degree"),
-    "mult_mod": (MultModPlatform, "modulus"),
-}
+#
+# Each JSON object the codecs write has one row table, JSON key -> _Field,
+# that its writer and its loader both iterate: the loader takes exactly the
+# keys the writer writes, so whatever loads is written back as it was.
 
 
-def _platform_obj(p: Platform) -> dict:
-    for kind, (cls, param) in _PLATFORM_KINDS.items():
-        if isinstance(p, cls):
-            return {"kind": kind, param: getattr(p, param)}
-    raise TypeError(f"no JSON kind for platform {p!r}")
+class _Field(NamedTuple):
+    """One key of a JSON object.
+
+    ``dump(value, record)`` writes the record's attribute ``attr``, and
+    ``load(value, done)`` reads it back; ``done`` holds the attributes of the
+    rows read before it, so a table's first row gives the rest their platform.
+    Both are None for a value that JSON holds as it is.  A loaded value must
+    first be of one of ``types``, when they are given.  A row with no ``attr``
+    is derived from the record: ``dump`` gets the record itself, and ``load``
+    checks the value and stores nothing.
+    """
+
+    attr: Optional[str]
+    dump: Optional[Callable]
+    load: Optional[Callable]
+    types: tuple = ()
 
 
-def _platform_from_obj(obj) -> Platform:
-    kind = _json_object(obj, "platform", ("kind",))["kind"]
-    for name, (cls, param) in _PLATFORM_KINDS.items():
-        if kind == name:
-            value = _json_object(obj, "platform", (param,))[param]
-            if type(value) is not int:  # exact, so that a bool is not an int
-                raise ValueError(f"platform {param} must be int, got {value!r}")
-            return cls(value)
-    raise ValueError(f"unknown platform kind {kind!r}")
+_TYPE_NAMES = {type(None): "null", list: "a list of hex strings"}  # every list row holds hex
 
 
-# KeyPolicy field -> the JSON types it may be read from; a JSON number
-# without a fraction reads as int, so a float field takes either.
-_POLICY_TYPES = {
-    name: (int, float) if type(value) is float else (int,)
-    for name, value in vars(KeyPolicy()).items()
-}
+def _type_error(label: str, value, types) -> ValueError:
+    kinds = " or ".join(_TYPE_NAMES.get(t, t.__name__) for t in types)
+    return ValueError(f"{label} must be {kinds}, got {value!r}")
 
 
-def _policy_from_obj(obj) -> KeyPolicy:
-    for key, value in _json_object(obj, "policy", ()).items():
-        types = _POLICY_TYPES.get(key)
-        if types is None:
-            raise ValueError(f"policy has unknown key {key!r}")
-        if type(value) not in types:
-            kinds = " or ".join(t.__name__ for t in types)
-            raise ValueError(f"policy {key} must be {kinds}, got {value!r}")
-    return KeyPolicy(**obj)
+def _plain(attr: str, *types) -> _Field:
+    """A value that JSON holds as it is; exact types, so that a bool is not an int."""
+    return _Field(attr, None, None, types)
 
 
 def _elem_hex(platform: Platform, x: Element) -> str:
@@ -913,69 +893,36 @@ def _from_hex(decode, s: str):
 
 
 def _elem_from_hex(platform: Platform, s: str) -> Element:
-    return _from_hex(partial(decode_element, platform), s)
+    """The element of hex ``s``, which must be the encoding that is written for
+    it: a braid's canonical word, on the platform's strand count."""
+    x = _from_hex(partial(decode_element, platform), s)
+    if _elem_hex(platform, x) != s:
+        raise ValueError("element hex is not its canonical encoding")
+    return x
 
 
-def _elems_from_hex(platform: Platform, obj: dict, key: str) -> tuple[Element, ...]:
-    """The elements of the list of hex strings ``obj[key]``."""
-    hexes = obj[key]
-    if type(hexes) is not list:
-        raise ValueError(f"{key} must be a list of hex strings, got {hexes!r}")
-    return tuple(_elem_from_hex(platform, s) for s in hexes)
-
-
-def _endo_obj(platform: Platform, e: Optional[Endomorphism]) -> Optional[dict]:
-    if e is None:
-        return None
-    if isinstance(e, IdentityEndo):
-        return {"kind": "identity"}
-    if isinstance(e, InnerEndo):
-        return {"kind": "inner", "c": _elem_hex(platform, e.conjugator)}
-    if isinstance(e, PowerShiftEndo):
-        return {"kind": "power_shift", "d": e.d}
-    return {
-        "kind": "point_map",
-        "pairs": sorted(
-            [_elem_hex(platform, k), _elem_hex(platform, v)] for k, v in e.pairs
-        ),
-    }
-
-
-def _endo_from_obj(platform: Platform, obj) -> Optional[Endomorphism]:
-    if obj is None:
-        return None
-    kind = _json_object(obj, "endo", ("kind",))["kind"]
-    if kind == "identity":
-        return IdentityEndo(platform)
-    if kind == "inner":
-        return InnerEndo(platform, _elem_from_hex(platform, _json_object(obj, "endo", ("c",))["c"]))
-    if kind == "power_shift":
-        d = _json_object(obj, "endo", ("d",))["d"]
-        if type(d) is not int:
-            raise ValueError(f"endo d must be int, got {d!r}")
-        return PowerShiftEndo(platform, d)
-    if kind == "point_map":
-        pairs = _json_object(obj, "endo", ("pairs",))["pairs"]
-        if type(pairs) is not list or not all(type(p) is list and len(p) == 2 for p in pairs):
-            raise ValueError("endo pairs must be a list of [hex, hex] pairs")
-        return PointMapEndo(platform, tuple(
-            (_elem_from_hex(platform, k), _elem_from_hex(platform, v)) for k, v in pairs
-        ))
-    raise ValueError(f"unknown endomorphism kind {kind!r}")
-
-
-def spec_to_obj(spec: ProtocolSpec) -> dict:
-    platform = spec.platform
-    obj = {name: getattr(spec, name) for name in _PLAIN_FIELDS}
-    obj.update(
-        platform=_platform_obj(platform),
-        policy=dict(vars(spec.policy)),
-        base=None if spec.base is None else _elem_hex(platform, spec.base),
-        endo=_endo_obj(platform, spec.endo),
-        shift_a=None if spec.shift_a is None else braid.encode_braid(spec.shift_a).hex(),
+def _element(attr: str, platform_of, nullable: bool = False) -> _Field:
+    """An element held as hex, on the platform that ``platform_of`` gives for
+    the record, or for the attributes read so far."""
+    return _Field(
+        attr, lambda x, record: None if x is None else _elem_hex(platform_of(record), x),
+        lambda s, done: None if s is None and nullable else _elem_from_hex(platform_of(done), s),
     )
-    for name in _GEN_LISTS:
-        obj[name] = [_elem_hex(platform, g) for g in getattr(spec, name)]
+
+
+def _elements(attr: str, platform_of) -> _Field:
+    """A tuple of elements held as a list of hex strings (see :func:`_element`)."""
+    return _Field(
+        attr, lambda xs, record: [_elem_hex(platform_of(record), x) for x in xs],
+        lambda hexes, done: tuple(_elem_from_hex(platform_of(done), s) for s in hexes), (list,),
+    )
+
+
+def _write(record, rows: dict) -> dict:
+    obj = {}
+    for key, (attr, dump, _, _) in rows.items():
+        value = record if attr is None else getattr(record, attr)
+        obj[key] = value if dump is None else dump(value, record)
     return obj
 
 
@@ -989,52 +936,162 @@ def _json_object(obj, what: str, keys) -> dict:
     return obj
 
 
-def spec_from_obj(obj: dict) -> ProtocolSpec:
-    _json_object(obj, "spec", ("platform", "policy", "base", "endo", *_GEN_LISTS, *_PLAIN_FIELDS))
-    platform = _platform_from_obj(obj["platform"])
-    shift_a = obj.get("shift_a")
-    shift_a = None if shift_a in (None, "") else _from_hex(braid.decode_braid, shift_a)
-    fields = {name: _elems_from_hex(platform, obj, name) for name in _GEN_LISTS}
-    fields.update((name, obj[name]) for name in _PLAIN_FIELDS)
-    return ProtocolSpec(
-        platform=platform,
-        policy=_policy_from_obj(obj["policy"]),
-        base=None if obj["base"] is None else _elem_from_hex(platform, obj["base"]),
-        endo=_endo_from_obj(platform, obj["endo"]),
-        shift_a=shift_a,
-        **fields,
-    )
+def _read(obj, what: str, rows: dict, make, prefix: str = "", **known):
+    """``make(**known, **attributes)`` of JSON object ``obj``, read by ``rows``.
+
+    ``obj`` must have exactly the keys of ``rows``: an unknown key is refused
+    first, then the rows are read in order, each refusing its own missing key
+    or wrong type (named ``prefix`` + key).  ValueError on every refusal.
+    """
+    for key in _json_object(obj, what, ()):
+        if key not in rows:
+            raise ValueError(f"{what} has unknown key {key!r}")
+    done = SimpleNamespace(**known)
+    for key, row in rows.items():
+        value = _json_object(obj, what, (key,))[key]
+        if row.types and type(value) not in row.types:
+            raise _type_error(prefix + key, value, row.types)
+        if row.load is not None:
+            value = row.load(value, done)
+        if row.attr is not None:
+            setattr(done, row.attr, value)
+    return make(**vars(done))
+
+
+# A ``kinds`` table maps the "kind" of a JSON object to its class and to the
+# row table of its other keys.
+
+
+def _write_kind(value, kinds: dict) -> dict:
+    for kind, (cls, rows) in kinds.items():
+        if isinstance(value, cls):
+            return {"kind": kind, **_write(value, rows)}
+    raise TypeError(f"no JSON kind for {value!r}")
+
+
+def _read_kind(obj, what: str, noun: str, kinds: dict, **known):
+    kind = _json_object(obj, what, ("kind",))["kind"]
+    for name, (cls, rows) in kinds.items():
+        if kind == name:  # not kinds.get(kind): a JSON list is unhashable
+            rows = {"kind": _Field(None, None, None), **rows}  # matched: nothing to store
+            return _read(obj, what, rows, cls, f"{what} ", **known)
+    raise ValueError(f"unknown {noun} kind {kind!r}")
+
+
+_PLATFORM_KINDS = {
+    "braid": (BraidPlatform, {"strands": _plain("strands", int)}),
+    "symmetric": (SymmetricPlatform, {"degree": _plain("degree", int)}),
+    "mult_mod": (MultModPlatform, {"modulus": _plain("modulus", int)}),
+}
+_platform_of = attrgetter("platform")
+
+
+def _load_platform(obj, _) -> Platform:
+    """The spec's platform, sized before any element is decoded on it."""
+    platform = _read_kind(obj, "platform", "platform", _PLATFORM_KINDS)
+    _check_size(platform, "platform")
+    return platform
+
+
+def _dump_pairs(pairs, endo: PointMapEndo) -> list:
+    return sorted([_elem_hex(endo.platform, x) for x in pair] for pair in pairs)
+
+
+def _load_pairs(pairs, done) -> tuple:
+    """A point map's pairs, which must be listed as :func:`_dump_pairs` lists
+    them: sorted, each once."""
+    if type(pairs) is not list or not all(type(p) is list and len(p) == 2 for p in pairs):
+        raise ValueError("endo pairs must be a list of [hex, hex] pairs")
+    loaded = tuple(tuple(_elem_from_hex(done.platform, s) for s in pair) for pair in pairs)
+    if any(a >= b for a, b in zip(pairs, pairs[1:])):  # compares hex strings only
+        raise ValueError("endo pairs must be strictly increasing")
+    return loaded
+
+
+_ENDO_KINDS = {
+    "identity": (IdentityEndo, {}),
+    "inner": (InnerEndo, {"c": _element("conjugator", _platform_of)}),
+    "power_shift": (PowerShiftEndo, {"d": _plain("d", int)}),
+    "point_map": (PointMapEndo, {"pairs": _Field("pairs", _dump_pairs, _load_pairs)}),
+}
+# KeyPolicy field -> its row; a JSON number without a fraction reads as int,
+# so a float field takes either.
+_POLICY_FIELDS = {
+    name: _plain(name, *((int, float) if type(value) is float else (int,)))
+    for name, value in vars(KeyPolicy()).items()
+}
+_SPEC_FIELDS = {
+    "platform": _Field("platform", lambda p, _: _write_kind(p, _PLATFORM_KINDS), _load_platform),
+    "policy": _Field("policy", lambda policy, _: _write(policy, _POLICY_FIELDS),
+                     lambda obj, _: _read(obj, "policy", _POLICY_FIELDS, KeyPolicy, "policy ")),
+    "tag": _plain("tag", str), "seed": _plain("seed", int), "shift_p": _plain("shift_p", int),
+    "variant": _plain("variant", str), "secret_exponents": _plain("secret_exponents", bool),
+    "k": _plain("k", int, type(None)), "l": _plain("l", int, type(None)),
+    "base": _element("base", _platform_of, nullable=True),
+    "endo": _Field("endo", lambda e, _: None if e is None else _write_kind(e, _ENDO_KINDS),
+                   lambda obj, done: None if obj is None else _read_kind(
+                       obj, "endo", "endomorphism", _ENDO_KINDS, platform=done.platform)),
+    "shift_a": _Field("shift_a", lambda a, _: None if a is None else braid.encode_braid(a).hex(),
+                      lambda s, _: None if s is None else _from_hex(braid.decode_braid, s)),
+    **{name: _elements(name, _platform_of)
+       for name in ("alice_gens", "bob_gens", "a1_gens", "a2_gens", "b1_gens", "b2_gens")},
+}
 
 
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ValueError("JSON nested too deeply") from None
+
+
 def spec_to_json(spec: ProtocolSpec) -> str:
-    return _canonical_json(spec_to_obj(spec))
+    return _canonical_json(_write(spec, _SPEC_FIELDS))
 
 
 def spec_from_json(text: str) -> ProtocolSpec:
-    return spec_from_obj(json.loads(text))
+    return _read(_parse_json(text), "spec", _SPEC_FIELDS, ProtocolSpec)
 
 
 def spec_digest(spec: ProtocolSpec) -> str:
     return hashlib.sha256(spec_to_json(spec).encode()).hexdigest()
 
 
+def _work_platform_of(record) -> Platform:
+    return work_platform(record.spec)
+
+
+def _check_digest(digest, done) -> None:
+    if digest != spec_digest(done.spec):
+        raise ValueError("transcript digest is not the digest of its spec")
+
+
+def _check_seed(seed, done) -> None:
+    if type(seed) is not int or seed != done.spec.seed:
+        raise ValueError(f"transcript seed {seed!r} is not its spec's seed {done.spec.seed}")
+
+
+_TRANSCRIPT_FIELDS = {
+    "spec": _Field("spec", lambda spec, _: _write(spec, _SPEC_FIELDS),
+                   lambda obj, _: _read(obj, "spec", _SPEC_FIELDS, ProtocolSpec)),
+    "digest": _Field(None, lambda t, _: spec_digest(t.spec), _check_digest),
+    "seed": _Field(None, lambda t, _: t.spec.seed, _check_seed),
+    "alice_messages": _elements("alice_messages", _work_platform_of),
+    "bob_messages": _elements("bob_messages", _work_platform_of),
+    "alice_step3": _element("alice_step3", _work_platform_of),
+    "bob_step3": _element("bob_step3", _work_platform_of),
+    "kA": _element("key_a", _work_platform_of),
+    "kB": _element("key_b", _work_platform_of),
+    "extracted_key": _Field("extracted_key", lambda key, _: key.hex(), lambda s, _: _unhex(s)),
+}
+
+
 def transcript_to_json(t: Transcript) -> str:
-    platform = work_platform(t.spec)
-    obj = {
-        "spec": spec_to_obj(t.spec),
-        "digest": spec_digest(t.spec),
-        "seed": t.spec.seed,
-        "alice_messages": [_elem_hex(platform, x) for x in t.alice_messages],
-        "bob_messages": [_elem_hex(platform, x) for x in t.bob_messages],
-        "extracted_key": t.extracted_key.hex(),
-    }
-    for key, name in _TRANSCRIPT_ELEMENTS.items():
-        obj[key] = _elem_hex(platform, getattr(t, name))
-    return _canonical_json(obj)
+    return _canonical_json(_write(t, _TRANSCRIPT_FIELDS))
 
 
 def transcript_from_json(text: str) -> Transcript:
@@ -1045,23 +1102,8 @@ def transcript_from_json(text: str) -> Transcript:
     ``extracted_key`` with the key extracted from ``kA``, and ``kB`` with
     ``kA`` under the work platform's equality.
     """
-    obj = _json_object(json.loads(text), "transcript", (
-        "spec", "digest", "seed", "alice_messages", "bob_messages", "extracted_key",
-        *_TRANSCRIPT_ELEMENTS,
-    ))
-    spec = spec_from_obj(obj["spec"])
-    platform = work_platform(spec)
-    t = Transcript(
-        spec=spec,
-        alice_messages=_elems_from_hex(platform, obj, "alice_messages"),
-        bob_messages=_elems_from_hex(platform, obj, "bob_messages"),
-        extracted_key=_unhex(obj["extracted_key"]),
-        **{name: _elem_from_hex(platform, obj[key]) for key, name in _TRANSCRIPT_ELEMENTS.items()},
-    )
-    if obj["digest"] != spec_digest(spec):
-        raise ValueError("transcript digest is not the digest of its spec")
-    if type(obj["seed"]) is not int or obj["seed"] != spec.seed:
-        raise ValueError(f"transcript seed {obj['seed']!r} is not its spec's seed {spec.seed}")
+    t = _read(_parse_json(text), "transcript", _TRANSCRIPT_FIELDS, Transcript)
+    platform = work_platform(t.spec)
     if t.extracted_key != key_extract(platform, t.key_a):
         raise ValueError("transcript extracted_key is not the key extracted from kA")
     if not platform.eq(t.key_a, t.key_b):

@@ -293,6 +293,8 @@ ATTACK_ARGV = ["attack", "--instance", "{tmp}/instance.json", "--out", "{tmp}/re
 # a loadable spec in instance.json, for the cases that fail after loading it
 DH_SPEC = P.spec_to_json(P.make_classic_dh(23, 5, seed=1))
 SPEC_ARGV = ["--spec", "{tmp}/instance.json"]
+# deeper than the JSON decoder's recursion allows
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.mark.parametrize(
@@ -343,6 +345,8 @@ SPEC_ARGV = ["--spec", "{tmp}/instance.json"]
         (DH_SPEC.replace('"tag":"classic_dh"', '"tag":["classic_dh"]'), ["run", *SPEC_ARGV]),
         (DH_SPEC.replace('"variant":""', '"variant":0'), ["run", *SPEC_ARGV]),
         (DH_SPEC.replace('"secret_exponents":false', '"secret_exponents":0'), ["run", *SPEC_ARGV]),
+        (DEEP_JSON, ["run", *SPEC_ARGV]),
+        (DEEP_JSON, ATTACK_ARGV),
     ],
     ids=[
         "missing_instance", "invalid_json", "json_list", "no_experiment", "trials_str",
@@ -355,6 +359,7 @@ SPEC_ARGV = ["--spec", "{tmp}/instance.json"]
         "laws_degree_65", "laws_p_33", "laws_a_65_strands",
         "spec_seed_list", "spec_seed_bool", "spec_k_str", "spec_k_float", "spec_k_bool",
         "spec_shift_p_str", "spec_tag_list", "spec_variant_int", "spec_secret_exponents_int",
+        "spec_nested_deep", "attack_nested_deep",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, instance, argv):

@@ -3,9 +3,11 @@ import json
 import random
 import warnings
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endo_utils import inner_point_map
 from nakex import braid as B
@@ -423,6 +425,35 @@ def _transcript_json_without(spec, key) -> str:
     return json.dumps(obj)
 
 
+def _spec_json_with_section(spec, section, edit) -> str:
+    obj = json.loads(P.spec_to_json(spec))
+    obj[section] = edit(obj[section])
+    return json.dumps(obj)
+
+
+def _s3_point_map_spec_json(edit_pairs) -> str:
+    """An f_commutator spec on S_3 whose endo is the identity point map, with
+    its written pairs passed through ``edit_pairs``."""
+    s3 = SymmetricPlatform(3)
+    rng = random.Random(2)
+    s_gens, t_gens = ([s3.random_element(rng)] for _ in range(2))
+    spec = P.make_f_commutator(inner_point_map(s3, s3.identity()), s_gens, t_gens)
+    return _spec_json_with_section(
+        spec, "endo", lambda endo: {**endo, "pairs": edit_pairs(endo["pairs"])}
+    )
+
+
+def _short_point_map_on_s12_json() -> str:
+    """An f_commutator spec on S_12 whose point map lists no pair: 12! points
+    are never listed to find it short."""
+    s12 = SymmetricPlatform(12)
+    gens = [encode_element(s12, s12.identity()).hex()]
+    return _tampered_json(
+        P.random_spec("f_commutator", 1), platform={"kind": "symmetric", "degree": 12},
+        alice_gens=gens, bob_gens=gens, endo={"kind": "point_map", "pairs": []},
+    )
+
+
 def _upper_cased_simdcp_transcript() -> str:
     obj = json.loads(P.transcript_to_json(run_quiet(P.random_spec("simdcp", 0))))
     obj["alice_messages"][0] = obj["alice_messages"][0].upper()
@@ -573,6 +604,82 @@ PROTOCOL_REFUSALS = {
             _tampered_transcript(P.make_classic_dh(23, 5, seed=1), seed=True)
         ),
         ValueError, "transcript seed True is not its spec's seed 1",
+    ),
+    # each of these loaded once, then was written back with other bytes: a
+    # loader takes exactly the keys its writer writes, at every level
+    "spec_extra_key": (
+        lambda: P.spec_from_json(_tampered_json(P.random_spec("ko_lee", 0), extra=1)),
+        ValueError, "spec has unknown key 'extra'",
+    ),
+    "spec_platform_extra_key": (
+        lambda: P.spec_from_json(_spec_json_with_section(
+            P.random_spec("ko_lee", 0), "platform", lambda platform: {**platform, "extra": 1}
+        )),
+        ValueError, "platform has unknown key 'extra'",
+    ),
+    "spec_endo_extra_key": (
+        lambda: P.spec_from_json(_spec_json_with_section(
+            P.random_spec("f_commutator", 1), "endo", lambda endo: {**endo, "extra": 1}
+        )),
+        ValueError, "endo has unknown key 'extra'",
+    ),
+    "transcript_extra_key": (
+        lambda: P.transcript_from_json(_tampered_transcript(P.make_classic_dh(23, 5), extra=1)),
+        ValueError, "transcript has unknown key 'extra'",
+    ),
+    "spec_policy_empty": (
+        lambda: P.spec_from_json(_tampered_json(P.random_spec("ko_lee", 0), policy={})),
+        ValueError, "policy has no 'max_leaves'",
+    ),
+    "spec_policy_no_exponent_max": (
+        lambda: P.spec_from_json(_spec_json_with_section(
+            P.random_spec("ko_lee", 0), "policy",
+            lambda policy: {k: v for k, v in policy.items() if k != "exponent_max"},
+        )),
+        ValueError, "policy has no 'exponent_max'",
+    ),
+    "spec_shift_a_empty": (
+        lambda: P.spec_from_json(_tampered_json(P.random_spec("ko_lee", 0), shift_a="")),
+        ValueError,
+        "truncated braid encoding: unpack_from requires a buffer of at least 6 bytes"
+        " for unpacking 6 bytes at offset 0 (actual buffer size is 0)",
+    ),
+    "spec_no_shift_a": (
+        lambda: P.spec_from_json(_spec_json_without(P.random_spec("ko_lee", 0), "shift_a")),
+        ValueError, "spec has no 'shift_a'",
+    ),
+    # the writer lists point-map pairs sorted, each once
+    "spec_endo_point_map_pairs_unsorted": (
+        lambda: P.spec_from_json(_s3_point_map_spec_json(lambda pairs: pairs[::-1])),
+        ValueError, "endo pairs must be strictly increasing",
+    ),
+    "spec_endo_point_map_pair_repeated": (
+        lambda: P.spec_from_json(_s3_point_map_spec_json(lambda pairs: pairs[:1] + pairs)),
+        ValueError, "endo pairs must be strictly increasing",
+    ),
+    "spec_endo_point_map_point_twice": (
+        lambda: P.spec_from_json(_s3_point_map_spec_json(
+            lambda pairs: sorted(pairs + [[pairs[-1][0], pairs[0][1]]])
+        )),
+        ValueError, "point map table lists a point twice",
+    ),
+    "spec_endo_point_map_short_on_s12": (
+        lambda: P.spec_from_json(_short_point_map_on_s12_json()),
+        ValueError, "point map table must cover the whole platform",
+    ),
+    # a braid element is written as the canonical word on the platform's strands
+    "spec_braid_gen_not_canonical": (
+        lambda: P.spec_from_json(_tampered_json(
+            P.random_spec("ko_lee", 0),
+            a1_gens=["01" + B.encode_braid(BraidWord(7, (1, -1, 1))).hex()],
+        )),
+        ValueError, "element hex is not its canonical encoding",
+    ),
+    "spec_braid_gen_on_fewer_strands": (
+        lambda: P.spec_from_json(_tampered_json(
+            P.random_spec("ko_lee", 0), a1_gens=["01" + B.encode_braid(BraidWord(6, (1,))).hex()],
+        )),
+        ValueError, "element hex is not its canonical encoding",
     ),
 }
 
@@ -1057,3 +1164,91 @@ def test_every_golden_transcript_loads_and_writes_back_the_same_bytes():
         for s in range(20):
             text = P.transcript_to_json(run_quiet(P.random_spec(tag, s)))
             assert P.transcript_to_json(P.transcript_from_json(text)) == text
+
+
+# -- loaders against their writers ----------------------------------------------
+
+
+@cache
+def _written_objects() -> list:
+    """(loader, writer, JSON object written) for random_spec(tag, s) of every
+    tag, s = 0 and 1, and for the transcript of each."""
+    cases = []
+    for tag in P.PROTOCOL_TAGS:
+        for s in (0, 1):
+            spec = P.random_spec(tag, s)
+            cases.append((P.spec_from_json, P.spec_to_json, json.loads(P.spec_to_json(spec))))
+            transcript = P.transcript_to_json(run_quiet(spec))
+            cases.append((P.transcript_from_json, P.transcript_to_json, json.loads(transcript)))
+    return cases
+
+
+def _json_objects_in(obj, path=()):
+    """The paths to ``obj`` and to each object nested in it under the keys
+    that hold one."""
+    yield path
+    for key in ("spec", "platform", "policy", "endo"):
+        if type(obj.get(key)) is dict:
+            yield from _json_objects_in(obj[key], path + (key,))
+
+
+def _json_items(value):
+    """Every (key, value) pair of every object nested in JSON ``value``."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        if isinstance(value, dict):
+            yield key, item
+        if isinstance(item, (dict, list)):
+            yield from _json_items(item)
+
+
+@cache
+def _written_values() -> dict:
+    """Key -> each distinct value the written objects hold under it."""
+    values = {}
+    for _, _, obj in _written_objects():
+        for key, value in _json_items(obj):
+            values.setdefault(key, {}).setdefault(json.dumps(value), value)
+    return {key: list(distinct.values()) for key, distinct in values.items()}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_written_objects(draw):
+    """A written object with one key of one of its objects dropped, added, or
+    given another value: an arbitrary JSON value, or what some written object
+    holds under that key, which more often loads."""
+    load, write, written = draw(st.sampled_from(_written_objects()))
+    obj = json.loads(json.dumps(written))
+    target = obj
+    for key in draw(st.sampled_from(list(_json_objects_in(obj)))):
+        target = target[key]
+    change = draw(st.sampled_from(["replace", "drop", "add"]))
+    if change == "add":
+        target[draw(st.text(max_size=8).filter(lambda key: key not in target))] = draw(JSON_VALUES)
+    elif target:
+        key = draw(st.sampled_from(sorted(target)))
+        if change == "drop":
+            del target[key]
+        else:
+            target[key] = draw(st.sampled_from(_written_values()[key]) | JSON_VALUES)
+    return load, write, obj
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_mutated_written_objects())
+def test_loaders_refuse_or_write_back_what_they_load(case):
+    # what a loader takes, its writer writes back as it was; all else is a ValueError
+    load, write, obj = case
+    try:
+        loaded = load(json.dumps(obj))
+    except ValueError:
+        return
+    assert json.loads(write(loaded)) == obj
