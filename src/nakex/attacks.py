@@ -314,7 +314,7 @@ class MSPInstance:
 
     def solve(self, platform: Platform, budget: int | None) -> Optional[tuple[int, ...]]:
         """A shortest generator word, from a BFS of at most ``budget`` visits."""
-        hit = _msp_words(platform, self.gens, budget).get(platform.canon(self.target))
+        hit = _msp_words(platform, self.gens, budget).get(platform.check(self.target))
         return None if hit is None else hit[1]
 
 
@@ -400,14 +400,14 @@ def _msp_words(
 ) -> dict:
     """Deterministic BFS closure of <gens> in a finite group.
 
-    Maps each element's canonical key to the element and a shortest generator
-    word for it, in visit order.  Raises BudgetExceeded when more than
-    ``budget`` products would be visited.
+    Maps each element to itself and a shortest generator word for it, in
+    visit order.  Raises BudgetExceeded when more than ``budget`` products
+    would be visited.
     """
     if not platform.finite:
         raise ValueError("subgroup closure enumeration needs a finite platform")
     identity = platform.identity()
-    words = {platform.canon(identity): (identity, ())}
+    words = {identity: (identity, ())}
     queue = [(identity, ())]
     visits = 0
     while queue:
@@ -417,10 +417,9 @@ def _msp_words(
             if budget is not None and visits > budget:
                 raise BudgetExceeded(f"subgroup closure exceeded {budget} visits")
             nxt = platform.mul(current, g)
-            key = platform.canon(nxt)
-            if key not in words:
+            if nxt not in words:
                 entry = (nxt, word + (i,))
-                words[key] = entry
+                words[nxt] = entry
                 queue.append(entry)
     return words
 
@@ -439,9 +438,8 @@ def submagma_closure(op: OpDescriptor, gens: Sequence[Element]) -> list[Element]
     """
     if not op.platform.finite:
         raise ValueError("submagma closure needs a finite carrier")
-    key_of = op.platform.canon
     elements = list(gens)
-    keys = {key_of(g) for g in gens}
+    seen = set(gens)
     changed = True
     while changed:
         changed = False
@@ -449,9 +447,8 @@ def submagma_closure(op: OpDescriptor, gens: Sequence[Element]) -> list[Element]
         for x in snapshot:
             for y in snapshot:
                 z = apply_op(op, x, y)
-                k = key_of(z)
-                if k not in keys:
-                    keys.add(k)
+                if z not in seen:
+                    seen.add(z)
                     elements.append(z)
                     changed = True
     return elements
@@ -753,17 +750,23 @@ class ExperimentRecord:
     wall_time: float
 
 
-def run_recorded(instance_tag: str, platform_desc: str, parameters: str, fn) -> ExperimentRecord:
-    """Time a solver call ``fn() -> (result, verified)`` into an ExperimentRecord."""
+def run_recorded(
+    instance_tag: str, platform_desc: str, parameters: str, solve: Callable, verify: Callable
+) -> ExperimentRecord:
+    """Time ``solve()`` alone into an ExperimentRecord, then record ``verify(result)``.
+
+    A solver that raises BudgetExceeded is recorded unverified, and ``verify``
+    is not called.
+    """
     start = time.perf_counter()
-    outcome = "not_found"
-    verified = False
     try:
-        result, verified = fn()
-        outcome = "found" if result is not None else "not_found"
+        result = solve()
     except BudgetExceeded:
         outcome = "budget_exceeded"
+    else:
+        outcome = "not_found" if result is None else "found"
     elapsed = time.perf_counter() - start
+    verified = outcome != "budget_exceeded" and verify(result)
     return ExperimentRecord(instance_tag, platform_desc, parameters, outcome, verified, elapsed)
 
 
@@ -782,12 +785,13 @@ def write_report(records: Sequence[ExperimentRecord], path: str) -> None:
 # -- experiments --------------------------------------------------------------
 #
 # An experiment function takes the config dict and a seeded generator and
-# returns its trials, each the (instance tag, platform, parameters, solve)
-# arguments of run_recorded.  Every instance is drawn while the trials are
-# built and no solver draws from the generator, so the draw order does not
-# depend on when the solvers run.
+# returns its trials, each the (instance tag, platform, parameters, solve,
+# verify) arguments of run_recorded: ``solve()`` runs the solver and
+# ``verify(result)`` checks what it returned.  Every instance is drawn while
+# the trials are built and no solver draws from the generator, so the draw
+# order does not depend on when the solvers run.
 
-Trial = tuple[str, str, str, Callable[[], tuple]]
+Trial = tuple[str, str, str, Callable[[], object], Callable[[object], bool]]
 
 
 def _count(config: dict, key: str, default: int | None, minimum: int = 0) -> int | None:
@@ -822,10 +826,9 @@ def _cdp_to_klp(config: dict, rng) -> list[Trial]:
         truth = g_conj(platform, y, g_conj(platform, x, s))
 
         def solve():
-            key = reduce_cdp_to_klp(lambda i: bf_solve(i, platform), inst, platform)
-            return key, platform.eq(key, truth)
+            return reduce_cdp_to_klp(lambda i: bf_solve(i, platform), inst, platform)
 
-        return "klp", f"S{platform.degree}", f"trial={t}", solve
+        return "klp", f"S{platform.degree}", f"trial={t}", solve, partial(platform.eq, truth)
 
     return [trial(t) for t in range(_count(config, "trials", 10))]
 
@@ -844,10 +847,9 @@ def _sscsp_to_aagp(config: dict, rng) -> list[Trial]:
         truth = g_commutator(platform, x, y)
 
         def solve():
-            result = reduce_sscsp_to_aagp(lambda i: bf_solve(i, platform), inst, platform)
-            return result.key, platform.eq(result.key, truth)
+            return reduce_sscsp_to_aagp(lambda i: bf_solve(i, platform), inst, platform).key
 
-        return "aagp", f"S{platform.degree}", f"trial={t}", solve
+        return "aagp", f"S{platform.degree}", f"trial={t}", solve, partial(platform.eq, truth)
 
     return [trial(t) for t in range(_count(config, "trials", 10))]
 
@@ -864,12 +866,14 @@ def _inn_centralizer(config: dict, rng) -> list[Trial]:
         c2 = rng.choice(centralizer(platform, [platform.mul(u, p) for u in t_gens]))
 
         def solve():
-            report = inn_centralizer_experiment(platform, s_gens, t_gens, a, b, p, c1, c2)
+            return inn_centralizer_experiment(platform, s_gens, t_gens, a, b, p, c1, c2)
+
+        def verify(report):
             conditions = report.cond_c1_c2 and report.cond_c1_ap and report.cond_c2_bp
             # the sufficiency claim: conditions holding forces K' = K
-            return report, (not conditions) or report.equal
+            return (not conditions) or report.equal
 
-        return "inn_centralizer", f"S{platform.degree}", f"trial={t}", solve
+        return "inn_centralizer", f"S{platform.degree}", f"trial={t}", solve, verify
 
     return [trial(t) for t in range(_count(config, "trials", 10))]
 
@@ -884,10 +888,12 @@ def _bf_csp(config: dict, rng) -> list[Trial]:
         inst = CSPInstance(s, g_conj(platform, x, s))
 
         def solve():
-            w = bf_solve(inst, platform, budget=budget)
-            return w, w is not None and verify_witness(platform, inst, w)
+            return bf_solve(inst, platform, budget=budget)
 
-        return "csp", f"S{platform.degree}", f"trial={t}", solve
+        def verify(w):
+            return w is not None and verify_witness(platform, inst, w)
+
+        return "csp", f"S{platform.degree}", f"trial={t}", solve, verify
 
     return [trial(t) for t in range(_count(config, "trials", 10))]
 
@@ -906,12 +912,14 @@ def _length_attack(config: dict, rng) -> list[Trial]:
         inst = ShCSPInstance(p, op.a, tuple((s, apply_op(op, b, s)) for s in ss))
 
         def solve():
+            return length_attack_skeleton(inst, budget=budget)
+
+        def verify(w):
             # best-effort search: not finding a witness is a legitimate
             # outcome, an unverified claim is not
-            w = length_attack_skeleton(inst, budget=budget)
-            return w, w is None or verify_witness(None, inst, w)
+            return w is None or verify_witness(None, inst, w)
 
-        return "sh_csp", f"B{strands}", f"trial={t},p={p}", solve
+        return "sh_csp", f"B{strands}", f"trial={t},p={p}", solve, verify
 
     return [trial(t) for t in range(_count(config, "trials", 10))]
 
@@ -925,10 +933,12 @@ def _laver_membership(config: dict, rng) -> list[Trial]:
 
     def trial(g, target):
         def solve():
-            tree = bf_membership_magma(target, [g], [op], max_leaves)
-            return tree, (tree is not None) == (target in closures[g])
+            return bf_membership_magma(target, [g], [op], max_leaves)
 
-        return "ld_msp", f"A_{level}", f"gen={g},target={target}", solve
+        def verify(tree):
+            return (tree is not None) == (target in closures[g])
+
+        return "ld_msp", f"A_{level}", f"gen={g},target={target}", solve, verify
 
     return [trial(g, target) for g in elements for target in elements]
 
@@ -948,14 +958,21 @@ EXPERIMENTS = {
 def build_experiment(config: dict) -> list[Trial]:
     """The trials of the experiment ``config`` names, every instance drawn.
 
-    The generator is ``random.Random(config.get("seed", 0))``.  An unknown
-    name raises ValueError; a malformed config raises what its values provoke
-    (LookupError, TypeError or ValueError), before any solver has run.
+    The generator is ``random.Random(config.get("seed", 0))``.  Before any
+    solver has run, ValueError refuses a config that is not an object, an
+    ``experiment`` that is not a name in ``EXPERIMENTS``, a ``seed`` that is
+    not an integer (``true`` and null are not), and any value its experiment
+    refuses.
     """
-    name = config["experiment"]
-    if name not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {name!r}")
-    return EXPERIMENTS[name](config, random.Random(config.get("seed", 0)))
+    if not isinstance(config, dict):
+        raise ValueError(f"an experiment config must be an object, got {type(config).__name__}")
+    name = config.get("experiment")
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        raise ValueError(f"experiment must be one of {', '.join(EXPERIMENTS)}; got {name!r}")
+    seed = config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return EXPERIMENTS[name](config, random.Random(seed))
 
 
 def run_experiment(trials: Sequence[Trial]) -> list[ExperimentRecord]:

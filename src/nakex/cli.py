@@ -9,7 +9,7 @@ policy).  The benchmark is ``perfbench/run.py``, not a subcommand.
 This module parses arguments, loads files and maps outcomes to exit codes.
 Each subcommand's handler is bound with ``set_defaults``; the attack
 experiments are the table ``attacks.EXPERIMENTS`` and the ``verify-laws``
-operations the table ``_LAWS`` below, whose keys are the ``--op`` choices.
+operations the table ``ldops.LAWS``, whose keys are the ``--op`` choices.
 
 Exit codes: 0 success, 1 verified failure (a law counterexample, a key
 mismatch, an attack record whose witness did not verify) or a failed
@@ -32,9 +32,9 @@ import os
 import random
 import sys
 
-from . import attacks, braid, ldops, magma, protocols, session
+from . import attacks, ldops, magma, protocols, session
 from .braid import BraidWord
-from .platforms import IdentityEndo, InnerEndo, MultModPlatform, SymmetricPlatform
+from .platforms import MultModPlatform, SymmetricPlatform
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,60 +189,8 @@ def _shift_p(value: str) -> int:
     return p
 
 
-def _inner_endo(args, rng) -> InnerEndo:
-    return InnerEndo(args.platform, args.platform.random_element(rng))
-
-
-def _twisted_verdict(args, rng) -> ldops.LawVerdict:
-    f = _inner_endo(args, rng)
-    return ldops.verify_near_ld(ldops.twisted_conj_op(f), f, args.samples, rng)
-
-
-def _bi_ld_verdict(args, rng) -> ldops.LawVerdict:
-    star = ldops.shifted_op(args.p, args.a)
-    bar = ldops.shifted_bar_op(args.p, None if args.a is None else braid.invert(args.a))
-    return ldops.verify_multi_ld([star, bar], args.samples, rng, braid_len=4)
-
-
-# --op name -> (label, verdict); the label is formatted with the parsed
-# arguments, the verdict computed from them and a generator seeded by --seed.
-_LAWS = {
-    "conj": ("conj LD", lambda a, rng: ldops.verify_ld(ldops.conj_op(a.platform), a.samples, rng)),
-    "sym_conj": (
-        "sym_conj LD",
-        lambda a, rng: ldops.verify_ld(ldops.sym_conj_op(a.platform), a.samples, rng),
-    ),
-    "f_conj": (
-        "f_conj(inner) LD",
-        lambda a, rng: ldops.verify_ld(ldops.f_conj_op(_inner_endo(a, rng)), a.samples, rng),
-    ),
-    "f_sym_conj": (
-        "f_sym_conj(id) LD",
-        lambda a, rng: ldops.verify_ld(
-            ldops.f_sym_conj_op(IdentityEndo(a.platform)), a.samples, rng
-        ),
-    ),
-    "twisted": ("twisted near-LD", _twisted_verdict),
-    "shifted": (
-        "shifted(p={p}) LD",
-        lambda a, rng: ldops.verify_ld(ldops.shifted_op(a.p, a.a), a.samples, rng, braid_len=4),
-    ),
-    "shifted_rev": (
-        "shifted_rev(p={p}) LD",
-        lambda a, rng: ldops.verify_ld(
-            ldops.shifted_rev_op(a.p, a.a), a.samples, rng, braid_len=4
-        ),
-    ),
-    "bi_ld": ("bi-LD {{*, bar*}} (p={p})", _bi_ld_verdict),
-    "laver": (
-        "laver A_{level} LD",
-        lambda a, rng: ldops.verify_ld_exhaustive(ldops.laver_op(a.level)),
-    ),
-}
-
-
 def _cmd_verify_laws(args) -> int:
-    label, verdict_of = _LAWS[args.op]
+    label, verdict_of = ldops.LAWS[args.op]
     try:
         if args.samples < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
@@ -264,12 +212,8 @@ def _cmd_verify_laws(args) -> int:
 def _cmd_attack(args) -> int:
     try:
         with open(args.instance) as handle:
-            try:
-                obj = json.load(handle)
-            except RecursionError:  # the decoder recurses once per level of nesting
-                raise ValueError("JSON nested too deeply") from None
-        trials = attacks.build_experiment(obj)
-    except (OSError, ValueError, LookupError, TypeError) as exc:
+            trials = attacks.build_experiment(protocols._parse_json(handle.read()))
+    except (OSError, ValueError) as exc:
         return _usage_error(f"cannot load experiment {args.instance}", exc)
     records = attacks.run_experiment(trials)
     try:
@@ -321,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_keygen.set_defaults(func=_cmd_keygen)
 
     p_laws = sub.add_parser("verify-laws", help="run law verifiers for an operation")
-    p_laws.add_argument("--op", required=True, choices=list(_LAWS))
+    p_laws.add_argument("--op", required=True, choices=list(ldops.LAWS))
     p_laws.add_argument("--p", type=_shift_p, default=1)
     p_laws.add_argument("--a", type=_parse_braid, default=None, help="braid letters, e.g. '1,2,-1'")
     p_laws.add_argument("--samples", type=int, default=200)

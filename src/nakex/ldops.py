@@ -16,7 +16,8 @@ each formula up once per check, the exhaustive LD check tabulates the op
 once, and :class:`OpDescriptor` reads the known kinds, and refuses a wrong
 carrier, from the same table.
 The endomorphism conditions are identities of composition words in the
-paper's notation ("fh=f" means f(h(x)) = f(x) for every x).
+paper's notation ("fh=f" means f(h(x)) = f(x) for every x).  ``LAWS`` is
+the table of named law checks that ``nakex verify-laws`` runs.
 
 Descriptors are deliberately permissive: an op with invalid parameters (say a
 shifted conjugacy whose braid parameter breaks the required relation) can
@@ -38,6 +39,8 @@ from .platforms import (
     BraidPlatform,
     Element,
     Endomorphism,
+    IdentityEndo,
+    InnerEndo,
     MultModPlatform,
     Platform,
     SymmetricPlatform,
@@ -77,6 +80,7 @@ __all__ = [
     "check_symconj_conditions",
     "check_shifted_conditions",
     "check_distributivity",
+    "LAWS",
     "make_generalized_shifted",
     "make_generalized_shifted_family",
     "make_generalized_shifted_bi",
@@ -92,7 +96,7 @@ class LaverTable:
     """The unique LD operation on {1..2^n} with p*1 = p+1 cyclically.
 
     It is also the carrier of its op: like a finite platform it enumerates,
-    samples, compares and keys its elements, the integers 1..2^n.
+    samples and compares its elements, the integers 1..2^n.
     """
 
     n: int
@@ -109,9 +113,6 @@ class LaverTable:
 
     def eq(self, x: int, y: int) -> bool:
         return x == y
-
-    def canon(self, x: int) -> int:
-        return x
 
     def elements(self) -> range:
         return range(1, self.size + 1)
@@ -430,18 +431,18 @@ def verify_ld(
 def verify_ld_exhaustive(op: OpDescriptor) -> LawVerdict:
     """Exhaustive LD check over a finite carrier D.
 
-    The op is tabulated once: |D|^2 formula calls, each value kept as the
-    index in D of its ``canon`` key, so the table holds |D|^2 ints (and its
-    row readers as many references).  For each x, both sides of
+    The op is tabulated once: |D|^2 formula calls, each value kept as its
+    index in D, so the table holds |D|^2 ints (and its row readers as many
+    references).  For each x, both sides of
     x*(y*z) = (x*y)*(x*z) are then read for every (y, z) as whole rows and
     compared.  The verdict is the triple loop's over
     ``itertools.product(D, repeat=3)``: on a mismatch the first failing
     triple in that order is located, and ``checked`` counts up to it.
     """
     domain = list(op_domain(op))
-    form, G, canon = _KINDS[op.kind].formula, op.platform, op.platform.canon
-    index = {canon(x): i for i, x in enumerate(domain)}
-    table = [[index[canon(form(G, op, x, y))] for y in domain] for x in domain]
+    form, G = _KINDS[op.kind].formula, op.platform
+    index = {x: i for i, x in enumerate(domain)}
+    table = [[index[form(G, op, x, y)] for y in domain] for x in domain]
     # reads[y](row) reads row at every y*z: with row the row of x, that is
     # x*(y*z) for every z; reads[x](table[x*y]) is (x*y)*(x*z) for every z.
     reads = [itemgetter(*row) for row in table]
@@ -501,6 +502,50 @@ def check_distributivity(
 ) -> LawVerdict:
     """Check op1 distributes over op2: x *1 (y *2 z) = (x *1 y) *2 (x *1 z)."""
     return _law(op1, op2, _samples(op1, samples, rng, braid_len), "distributivity")
+
+
+# -- the law table ------------------------------------------------------------
+#
+# ``nakex verify-laws --op NAME`` runs row NAME of ``LAWS``: (label,
+# verdict(params, rng)).  ``params`` carries ``platform``, ``samples``, ``p``,
+# ``a`` and ``level`` (the CLI's parsed arguments), and the label is formatted
+# with them; ``rng`` is seeded by ``--seed``, and each verdict draws its
+# parameters from it before its samples.
+
+
+def _inner(params, rng) -> InnerEndo:
+    return InnerEndo(params.platform, params.platform.random_element(rng))
+
+
+def _ld(make_op, braid_len: int = 5) -> Callable:
+    """The verdict of :func:`verify_ld` on the op ``make_op(params, rng)``."""
+    return lambda q, rng: verify_ld(make_op(q, rng), q.samples, rng, braid_len)
+
+
+def _twisted(params, rng) -> LawVerdict:
+    f = _inner(params, rng)
+    return verify_near_ld(twisted_conj_op(f), f, params.samples, rng)
+
+
+def _bi_ld(params, rng) -> LawVerdict:
+    star = shifted_op(params.p, params.a)
+    bar = shifted_bar_op(params.p, None if params.a is None else braid.invert(params.a))
+    return verify_multi_ld([star, bar], params.samples, rng, braid_len=4)
+
+
+LAWS = {
+    "conj": ("conj LD", _ld(lambda q, rng: conj_op(q.platform))),
+    "sym_conj": ("sym_conj LD", _ld(lambda q, rng: sym_conj_op(q.platform))),
+    "f_conj": ("f_conj(inner) LD", _ld(lambda q, rng: f_conj_op(_inner(q, rng)))),
+    "f_sym_conj": (
+        "f_sym_conj(id) LD", _ld(lambda q, rng: f_sym_conj_op(IdentityEndo(q.platform)))
+    ),
+    "twisted": ("twisted near-LD", _twisted),
+    "shifted": ("shifted(p={p}) LD", _ld(lambda q, rng: shifted_op(q.p, q.a), 4)),
+    "shifted_rev": ("shifted_rev(p={p}) LD", _ld(lambda q, rng: shifted_rev_op(q.p, q.a), 4)),
+    "bi_ld": ("bi-LD {{*, bar*}} (p={p})", _bi_ld),
+    "laver": ("laver A_{level} LD", lambda q, rng: verify_ld_exhaustive(laver_op(q.level))),
+}
 
 
 # -- parameter condition checkers -------------------------------------------

@@ -11,7 +11,7 @@ Every platform answers for itself: ``check``, ``mul``, ``inv``,
 a braid platform, ignored by a finite one), ``key_payload`` (the bytes a key
 is hashed from: the encoded normal form on a braid platform, the encoded
 element otherwise), ``encode`` and ``decode``; finite platforms also answer
-``canon`` and ``elements``.
+``elements``, whose members serve as their own set and dict keys.
 
 S_n of degree up to ``SYM_TABLE_MAX_DEGREE`` (5) multiplies, inverts,
 compares and draws at random from one table per degree, shared by all its
@@ -292,9 +292,6 @@ class SymmetricPlatform:
                 pass
         return self.check(x) == self.check(y)
 
-    def canon(self, x: Element):
-        return self.check(x)
-
     def elements(self) -> Iterator[Permutation]:
         for images in itertools.permutations(range(1, self.degree + 1)):
             yield _perm(images)
@@ -359,9 +356,6 @@ class MultModPlatform:
 
     def eq(self, x: Element, y: Element) -> bool:
         return self.check(x) == self.check(y)
-
-    def canon(self, x: Element):
-        return self.check(x)
 
     def elements(self) -> Iterator[int]:
         return iter(range(1, self.modulus))
@@ -471,11 +465,31 @@ class PowerShiftEndo:
             raise ValueError("power_shift endomorphism applied to a non-pure braid") from None
 
 
+def _generators(platform: Platform, elements: list) -> list:
+    """Each of ``elements``, in order, that the ones before it do not generate.
+
+    A finite group's subgroups are closed under products alone, so a
+    subgroup is grown by right-multiplying by its generators.
+    """
+    gens, subgroup = [], {platform.identity()}
+    for g in elements:
+        if g in subgroup:
+            continue
+        gens.append(g)
+        new = list(subgroup)
+        while new:
+            new = {platform.mul(x, h) for x in new for h in gens} - subgroup
+            subgroup |= new
+    return gens
+
+
 @dataclass(frozen=True)
 class PointMapEndo:
     """An explicit map given by its full value table (finite platforms only).
 
-    Construction verifies f(xy) = f(x)f(y) on all pairs.
+    Construction verifies f(xg) = f(x)f(g) for every x and every g of a
+    generating set, which makes f a homomorphism: with x = 1 it gives f(1) = 1,
+    and every element is a product of generators.
     """
 
     platform: Platform
@@ -495,11 +509,11 @@ class PointMapEndo:
         elements = list(itertools.islice(self.platform.elements(), len(table) + 1))
         if set(table) != set(elements):
             raise ValueError("point map table must cover the whole platform")
-        for x in elements:
-            for y in elements:
-                lhs = table[self.platform.mul(x, y)]
-                rhs = self.platform.mul(table[x], table[y])
-                if not self.platform.eq(lhs, rhs):
+        mul = self.platform.mul
+        # a trivial group has no generator; its one pair is checked instead
+        for y in _generators(self.platform, elements) or elements:
+            for x in elements:
+                if not self.platform.eq(table[mul(x, y)], mul(table[x], table[y])):
                     raise ValueError(
                         f"table is not a homomorphism: f({x}*{y}) != f({x})f({y})"
                     )

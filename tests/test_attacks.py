@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from nakex.braid import BraidWord, Permutation
 from nakex.platforms import (
     BraidPlatform,
     InnerEndo,
+    PlatformMismatch,
     SymmetricPlatform,
     centralizer,
     g_commutator,
@@ -59,8 +61,7 @@ def test_bf_sscsp_stays_in_subgroup():
     inst = A.SSCSPInstance(tuple((g, g_conj(S4, x, g)) for g in gens), sub)
     witness = A.bf_solve(inst, S4)
     assert A.verify_witness(S4, inst, witness)
-    keys = {S4.canon(c) for c in closure}
-    assert S4.canon(witness) in keys
+    assert witness in closure
 
 
 def test_bf_msp():
@@ -70,6 +71,12 @@ def test_bf_msp():
     assert word == (0,)
     outside = Permutation((2, 3, 1))
     assert A.bf_solve(A.MSPInstance(outside, gens), S3) is None
+
+
+def test_msp_refuses_a_target_from_another_platform():
+    gens = (Permutation((2, 1, 3)),)
+    with pytest.raises(PlatformMismatch):
+        A.bf_solve(A.MSPInstance(Permutation((2, 1, 3, 4)), gens), S3)
 
 
 def test_bf_budget_exceeded():
@@ -168,14 +175,6 @@ def _golden_instances():
     return out
 
 
-def _canonical(platform, result):
-    if isinstance(result, tuple):
-        return tuple(_canonical(platform, r) for r in result)
-    if result is None or isinstance(result, int):
-        return result
-    return platform.canon(result)
-
-
 GOLDEN_FIRST_WITNESS_DIGEST = "f749c4e3b219612a7d9d7f518bf87c2f24a3e867afc30102fca054e8d671c7cd"
 
 
@@ -184,7 +183,7 @@ def test_bf_solve_first_witness_golden_digest():
     # the search order, not just the existence of a witness, is pinned
     digest = hashlib.sha256()
     for platform, inst in _golden_instances():
-        result = _canonical(platform, A.bf_solve(inst, platform))
+        result = A.bf_solve(inst, platform)
         digest.update(repr((type(inst).__name__, result)).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_FIRST_WITNESS_DIGEST
 
@@ -237,7 +236,7 @@ def test_bf_nsimdp_budget_counts_pairs():
     t, al, ar = (S4.random_element(rng) for _ in range(3))
     inst = A.NSimDPInstance(((t, S4.mul(S4.mul(al, t), ar)),))
     right = S4.mul(S4.inv(t), inst.pairs[0][1])
-    index = [S4.canon(g) for g in S4.elements()].index(S4.canon(right))
+    index = list(S4.elements()).index(right)
     assert 0 < index < 24
     with pytest.raises(BudgetExceeded):
         A.bf_solve(inst, S4, budget=index)
@@ -425,8 +424,8 @@ def test_reduce_simfcsp_planted_and_identity_degeneration():
     inst = A.FCSPInstance(f, tuple((s, L.apply_op(op, b, s)) for s in ss))
     derived = A.reduce_simfcsp_to_simcsp(inst, S4)
     s1, s2 = ss
-    bases = {S4.canon(p[0]) for p in derived.pairs}
-    assert S4.canon(S4.mul(S4.inv(s1), s2)) in bases
+    bases = {p[0] for p in derived.pairs}
+    assert S4.mul(S4.inv(s1), s2) in bases
     # m = 1: empty derived instance
     assert A.reduce_simfcsp_to_simcsp(A.FCSPInstance(f, inst.pairs[:1]), S4).pairs == ()
 
@@ -630,3 +629,24 @@ def test_csv_report(tmp_path):
     assert lines[0] == "instance,platform,parameters,outcome,witness_verified,wall_time"
     assert lines[1].startswith("csp,S4,trial=0,found,True,")
     assert len(lines) == 3
+
+
+def test_run_recorded_times_the_solver_alone():
+    seen = []
+
+    def verify(result):
+        seen.append(result)
+        time.sleep(0.05)
+        return result == "key"
+
+    def over_budget():
+        raise BudgetExceeded("too many candidates")
+
+    found = A.run_recorded("csp", "S4", "trial=0", lambda: "key", verify)
+    assert (found.outcome, found.witness_verified) == ("found", True)
+    assert found.wall_time < 0.05  # the check's sleep is not in it
+    missed = A.run_recorded("csp", "S4", "trial=1", lambda: None, verify)
+    assert (missed.outcome, missed.witness_verified) == ("not_found", False)
+    over = A.run_recorded("csp", "S4", "trial=2", over_budget, verify)
+    assert (over.outcome, over.witness_verified) == ("budget_exceeded", False)
+    assert seen == ["key", None]  # solve's results; never called for budget_exceeded

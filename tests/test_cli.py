@@ -132,6 +132,27 @@ def test_verify_laws_catalog(op_args):
     assert main(["verify-laws", *op_args]) == 0
 
 
+# `nakex verify-laws --op OP` stdout at default arguments, recorded before the
+# law table moved from the CLI to ldops.LAWS
+GOLDEN_LAW_LINES = {
+    "conj": "conj LD: pass (200 checks)",
+    "sym_conj": "sym_conj LD: pass (200 checks)",
+    "f_conj": "f_conj(inner) LD: pass (200 checks)",
+    "f_sym_conj": "f_sym_conj(id) LD: pass (200 checks)",
+    "twisted": "twisted near-LD: pass (200 checks)",
+    "shifted": "shifted(p=1) LD: pass (200 checks)",
+    "shifted_rev": "shifted_rev(p=1) LD: pass (200 checks)",
+    "bi_ld": "bi-LD {*, bar*} (p=1): pass (800 checks)",
+    "laver": "laver A_2 LD: pass (64 checks)",
+}
+
+
+@pytest.mark.parametrize("op", GOLDEN_LAW_LINES)
+def test_verify_laws_default_output_golden(capsys, op):
+    assert main(["verify-laws", "--op", op]) == 0
+    assert capsys.readouterr().out == GOLDEN_LAW_LINES[op] + "\n"
+
+
 def test_verify_laws_runs_the_largest_laver_table(capsys):
     # A_5 is the largest table laver_table builds; CI runs the same command
     assert main(["verify-laws", "--op", "laver", "--level", "5"]) == 0
@@ -142,11 +163,24 @@ def test_verify_laws_runs_the_largest_laver_table(capsys):
 
 def test_ci_runs_the_console_script_for_every_law_op():
     # the CI step that runs the installed `nakex verify-laws` names each --op
-    from nakex.cli import _LAWS
+    from nakex.ldops import LAWS
 
     workflow = pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
     ops = re.search(r"for op in ([\w ]+); do\s+nakex verify-laws --op ", workflow.read_text())
-    assert ops is not None and ops.group(1).split() == list(_LAWS)
+    assert ops is not None and ops.group(1).split() == list(LAWS)
+
+
+def test_ci_runs_the_console_script_for_every_experiment():
+    # the same CI step runs `nakex attack` on a small config of each experiment
+    from nakex.attacks import EXPERIMENTS
+
+    workflow = pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    names = re.search(
+        r"for experiment in ([\w ]+); do\s+echo .*\$experiment.* > experiment.json\n"
+        r"\s+nakex attack --instance experiment.json ",
+        workflow.read_text(),
+    )
+    assert names is not None and names.group(1).split() == list(EXPERIMENTS)
 
 
 def test_ci_runs_the_console_script_for_every_tag():
@@ -347,6 +381,15 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
         (DH_SPEC.replace('"secret_exponents":false', '"secret_exponents":0'), ["run", *SPEC_ARGV]),
         (DEEP_JSON, ["run", *SPEC_ARGV]),
         (DEEP_JSON, ATTACK_ARGV),
+        ("null", ATTACK_ARGV),
+        ('"bf_csp"', ATTACK_ARGV),
+        ('{"experiment": "nonsense"}', ATTACK_ARGV),
+        ('{"experiment": ["bf_csp"]}', ATTACK_ARGV),
+        ('{"experiment": "bf_csp", "trials": 1, "seed": null}', ATTACK_ARGV),
+        ('{"experiment": "bf_csp", "trials": 1, "seed": [1]}', ATTACK_ARGV),
+        ('{"experiment": "bf_csp", "trials": 1, "seed": true}', ATTACK_ARGV),
+        ('{"experiment": "bf_csp", "trials": 1, "seed": "7"}', ATTACK_ARGV),
+        ('{"experiment": "bf_csp", "trials": 1, "seed": 1.5}', ATTACK_ARGV),
     ],
     ids=[
         "missing_instance", "invalid_json", "json_list", "no_experiment", "trials_str",
@@ -360,6 +403,8 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
         "spec_seed_list", "spec_seed_bool", "spec_k_str", "spec_k_float", "spec_k_bool",
         "spec_shift_p_str", "spec_tag_list", "spec_variant_int", "spec_secret_exponents_int",
         "spec_nested_deep", "attack_nested_deep",
+        "json_null", "json_string", "experiment_unknown", "experiment_list", "seed_null",
+        "seed_list", "seed_bool", "seed_str", "seed_float",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, instance, argv):

@@ -544,6 +544,35 @@ def test_point_map_rejects_non_homomorphism():
         PointMapEndo(BraidPlatform(3), ())
 
 
+@pytest.mark.parametrize("degree", [3, 4])
+def test_point_map_rejects_an_automorphism_changed_at_one_point(degree):
+    # two homomorphisms agree on a subgroup, which cannot hold all but one
+    # of 6 or 24 points; every point is changed, generator or not
+    sym = SymmetricPlatform(degree)
+    pairs = inner_point_map(sym, Permutation((2, 3, 1, *range(4, degree + 1)))).pairs
+    for i, (x, fx) in enumerate(pairs):
+        for value in sym.elements():
+            if value != fx:
+                changed = pairs[:i] + ((x, value),) + pairs[i + 1:]
+                with pytest.raises(ValueError, match="is not a homomorphism"):
+                    PointMapEndo(sym, changed)
+
+
+def test_spec_with_an_s6_point_map_loads_in_under_a_second():
+    import time
+
+    s6 = SymmetricPlatform(6)
+    rng = random.Random(0)
+    identity = PointMapEndo(s6, tuple((x, x) for x in s6.elements()))
+    text = P.spec_to_json(
+        P.make_f_commutator(identity, [s6.random_element(rng)], [s6.random_element(rng)])
+    )
+    start = time.perf_counter()
+    spec = P.spec_from_json(text)
+    assert time.perf_counter() - start < 1.0
+    assert spec.endo == identity
+
+
 def test_point_map_accepts_inner_table():
     sym = SymmetricPlatform(4)
     p = Permutation((2, 3, 1, 4))
