@@ -12,9 +12,9 @@ experiments are the table ``attacks.EXPERIMENTS`` and the ``verify-laws``
 operations the table ``ldops.LAWS``, whose keys are the ``--op`` choices.
 
 Exit codes: 0 success, 1 verified failure (a law counterexample, a key
-mismatch, an attack record whose witness did not verify) or a failed
-session, 2 usage errors, each reported in one line on stderr: an argument
-argparse rejects (among them an ``--address`` or ``NAKEX_LISTEN`` that is
+mismatch in a run or a session, an attack record whose witness did not
+verify) or a failed session, 2 usage errors, each reported in one line on
+stderr: an argument argparse rejects (among them an ``--address`` or ``NAKEX_LISTEN`` that is
 not host:port with a port in 1..65535, a ``--timeout`` that is not a
 positive finite number of seconds, or a ``verify-laws`` size over
 ``protocols.MAX_PLATFORM_SIZE``), a spec or experiment file that does not
@@ -91,45 +91,33 @@ def _load_spec(path: str, seed: int | None) -> protocols.ProtocolSpec | None:
 # -- run / serve / connect ---------------------------------------------------
 
 
-def _cmd_run(args) -> int:
+def _cmd_kex(args, role: str | None = None) -> int:
+    """One key establishment from ``--spec``: in-process for ``run`` (no
+    role), else a session endpoint in ``role``, which ``session_run`` picks
+    the endpoint from."""
     spec = _load_spec(args.spec, args.seed)
     if spec is None:
         return 2
     try:
-        transcript = protocols.run(spec)
-    except protocols.KeyMismatch as exc:
-        print(f"key mismatch: {exc}", file=sys.stderr)
+        if role is None:
+            transcript = protocols.run(spec)
+        else:
+            host, port = args.address
+            transcript = session.session_run(session.SessionConfig(
+                role=role, spec=spec, host=host, port=port, timeout=args.timeout
+            ))
+    except (protocols.KeyMismatch, session.SessionError, OSError) as exc:
+        print(f"{args.command} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except protocols.PolicyViolation as exc:
         print(f"policy violation: {exc}", file=sys.stderr)
         return 2
     text = protocols.transcript_to_json(transcript)
-    if not args.out:
+    if args.out:
+        if _write_out(args.out, text):
+            return 2
+    elif role is None:
         print(text)
-    elif _write_out(args.out, text):
-        return 2
-    print(f"extracted key: {transcript.extracted_key.hex()}", file=sys.stderr)
-    return 0
-
-
-def _cmd_session(args, role: str) -> int:
-    spec = _load_spec(args.spec, args.seed)
-    if spec is None:
-        return 2
-    host, port = args.address
-    cfg = session.SessionConfig(
-        role=role, spec=spec, host=host, port=port, timeout=args.timeout
-    )
-    try:
-        transcript = session.session_run(cfg)
-    except (session.SessionError, OSError) as exc:
-        print(f"session failed: {exc}", file=sys.stderr)
-        return 1
-    except protocols.PolicyViolation as exc:
-        print(f"policy violation: {exc}", file=sys.stderr)
-        return 2
-    if args.out and _write_out(args.out, protocols.transcript_to_json(transcript)):
-        return 2
     print(f"extracted key: {transcript.extracted_key.hex()}", file=sys.stderr)
     return 0
 
@@ -242,11 +230,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--spec", required=True)
     p_run.add_argument("--out", help="write the transcript JSON here")
     p_run.add_argument("--seed", type=int, help="override the spec seed")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_kex)
 
     for name, role in (("serve", "responder"), ("connect", "initiator")):
         p = sub.add_parser(name, help=f"{name} a two-party session")
-        p.set_defaults(func=functools.partial(_cmd_session, role=role))
+        p.set_defaults(func=functools.partial(_cmd_kex, role=role))
         p.add_argument("--spec", required=True)
         p.add_argument(
             "--address", type=_parse_listen,

@@ -208,8 +208,14 @@ def random_tree(k: int, m: int, q: int, comb_bias: float, rng) -> TreeWord:
 
 
 def encode_tree(t: TreeWord) -> bytes:
+    """The tree's bytes; ValueError for a leaf index or an op label that its
+    field cannot hold."""
     if isinstance(t, Leaf):
+        if t.index > 0xFFFF:
+            raise ValueError(f"leaf index {t.index} does not fit in a u16")
         return b"\x00" + struct.pack(">H", t.index)
+    if t.op > 0xFF:
+        raise ValueError(f"op label {t.op} does not fit in a u8")
     return b"\x01" + struct.pack(">B", t.op) + encode_tree(t.left) + encode_tree(t.right)
 
 

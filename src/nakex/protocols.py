@@ -52,9 +52,10 @@ shifted_commutator  shifted conjugacy on braids; K = [a,b]_sh (or the
 
 Every :class:`ProtocolSpec` is validated when it is built, whether by a
 ``make_*`` constructor, from JSON or by ``dataclasses.replace``: a spec whose
-keys could disagree (non-commuting subgroups, a shifted-conjugacy parameter
-that fails its conditions, ...) or whose platform has more than
-:data:`MAX_PLATFORM_SIZE` strands or points raises a typed ``ValueError``.
+keys could disagree (an element that is not on its platform, non-commuting
+subgroups, a shifted-conjugacy parameter that fails its conditions, ...) or
+whose platform has more than :data:`MAX_PLATFORM_SIZE` strands or points
+raises a typed ``ValueError``.
 A :class:`Transcript` is a deterministic function of (spec, seed) and
 round-trips through JSON byte-identically.
 """
@@ -341,13 +342,23 @@ def _check_size(platform: Platform, what: str) -> None:
         raise ValueError(f"{what} S_{platform.degree} has degree over {MAX_PLATFORM_SIZE}")
 
 
+# The spec's generator lists: _validate checks their elements, and spec JSON
+# writes each as a list of hex.
+_GENERATOR_LISTS = ("alice_gens", "bob_gens", "a1_gens", "a2_gens", "b1_gens", "b2_gens")
+
+
 def _validate(spec: ProtocolSpec) -> None:
     """Check the conditions K_A = K_B rests on; a typed ValueError if one fails.
 
-    The plain fields' types are checked first, so that no later check
-    compares a string or a list.  The spec's own platform is sized before the
-    row's checks, which may normalize braids on it; the work platform after
-    them, since it is computed from the parameters they check.
+    This is the one place where the base and the generators are checked
+    against the spec's platform; nothing checks them again while the spec
+    runs.  The plain fields' types come first, so that no later check
+    compares a string or a list; then the platform's size, and the base.
+    The row's checks come before the generators, so that a platform of the
+    wrong kind or an endomorphism of another platform is refused as such;
+    they read generators only through the platform's own arithmetic, which
+    refuses a foreign one, or as braids (purity).  The work platform, which
+    is computed from the generators, is sized last.
     """
     for key, (attr, dump, _, types) in _SPEC_FIELDS.items():
         if dump is None and type(getattr(spec, attr)) not in types:
@@ -359,14 +370,18 @@ def _validate(spec: ProtocolSpec) -> None:
     for name in scheme.drawn:
         if not getattr(spec, name):
             raise ValueError(f"{spec.tag} needs a nonempty {name}")
+    if spec.base is not None:
+        spec.platform.check(spec.base)
     scheme.check(spec)
+    for name in _GENERATOR_LISTS:
+        for g in getattr(spec, name):
+            spec.platform.check(g)
     _check_size(scheme.work_platform(spec), "work platform")
 
 
 def _check_base(spec: ProtocolSpec) -> None:
     if spec.base is None:
         raise ValueError(f"{spec.tag} needs a base element")
-    spec.platform.check(spec.base)
 
 
 def _check_commuting(platform: Platform, left: tuple, right: tuple, what: str) -> None:
@@ -403,7 +418,8 @@ def _check_f_commutator(spec: ProtocolSpec) -> None:
         raise ValueError("f_commutator needs an endomorphism of its platform")
     if isinstance(spec.endo, PowerShiftEndo):
         for g in spec.alice_gens + spec.bob_gens:
-            if not braid.is_pure(spec.platform.check(g)):
+            # a generator that is no braid is refused with the other generators
+            if isinstance(g, BraidWord) and not braid.is_pure(g):
                 raise ValueError("pure-braid f-commutator needs pure generators")
 
 
@@ -440,7 +456,6 @@ def _tree_secret(
     rng: random.Random,
 ) -> tuple[TreeWord, Element]:
     """Random policy tree over gens and ops, and its value."""
-    gens = [platform.check(g) for g in gens]
     tree = magma.random_tree(
         rng.randint(1, policy.max_leaves), len(gens), len(ops), policy.comb_bias, rng
     )
@@ -492,7 +507,7 @@ def _based(draw):
             return g_pow(platform, x, sk.exponents[0]) if sk.exponents else x
 
         def publish() -> tuple:
-            return (mul(mul(left, power(platform.check(spec.base))), right),)
+            return (mul(mul(left, power(spec.base)), right),)
 
         def finish(peer: tuple) -> tuple[Element, Element]:
             step3 = power(peer[0])
@@ -701,19 +716,20 @@ def generate_secrets(spec: ProtocolSpec) -> tuple[SecretKey, SecretKey]:
 
 
 def run(spec: ProtocolSpec) -> Transcript:
-    """Execute steps 1-4 and assert K_A = K_B under platform equality."""
+    """Execute steps 1-4; KeyMismatch unless K_A = K_B.
+
+    The keys are compared by the bytes extracted from them: a platform's
+    ``key_payload`` is canonical, so equal elements extract equal bytes and
+    unequal ones different bytes.
+    """
     platform, alice, bob = _parties(spec)
     msg_a = alice.publish()
     msg_b = bob.publish()
     step3_a, key_a = alice.finish(msg_b)
     step3_b, key_b = bob.finish(msg_a)
-
-    if not platform.eq(key_a, key_b):
-        raise KeyMismatch(f"derived keys differ for tag {spec.tag!r}, seed {spec.seed}")
     extracted = key_extract(platform, key_a)
     if key_extract(platform, key_b) != extracted:
-        raise KeyMismatch("extracted keys differ despite equal elements")
-
+        raise KeyMismatch(f"derived keys differ for tag {spec.tag!r}, seed {spec.seed}")
     return Transcript(spec, msg_a, msg_b, step3_a, step3_b, key_a, key_b, extracted)
 
 
@@ -1033,8 +1049,7 @@ _SPEC_FIELDS = {
                        obj, "endo", "endomorphism", _ENDO_KINDS, platform=done.platform)),
     "shift_a": _Field("shift_a", lambda a, _: None if a is None else braid.encode_braid(a).hex(),
                       lambda s, _: None if s is None else _from_hex(braid.decode_braid, s)),
-    **{name: _elements(name, _platform_of)
-       for name in ("alice_gens", "bob_gens", "a1_gens", "a2_gens", "b1_gens", "b2_gens")},
+    **{name: _elements(name, _platform_of) for name in _GENERATOR_LISTS},
 }
 
 
@@ -1099,14 +1114,13 @@ def transcript_from_json(text: str) -> Transcript:
 
     Raises ValueError unless the fields that :func:`transcript_to_json`
     derives agree with the rest: ``digest`` and ``seed`` with the spec,
-    ``extracted_key`` with the key extracted from ``kA``, and ``kB`` with
-    ``kA`` under the work platform's equality.
+    ``extracted_key`` with the keys extracted from ``kA`` and from ``kB``.
     """
     t = _read(_parse_json(text), "transcript", _TRANSCRIPT_FIELDS, Transcript)
     platform = work_platform(t.spec)
     if t.extracted_key != key_extract(platform, t.key_a):
         raise ValueError("transcript extracted_key is not the key extracted from kA")
-    if not platform.eq(t.key_a, t.key_b):
+    if t.extracted_key != key_extract(platform, t.key_b):
         raise ValueError("transcript keys kA and kB differ")
     return t
 

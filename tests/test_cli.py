@@ -190,6 +190,19 @@ def test_ci_runs_the_console_script_for_every_tag():
     assert tags is not None and tags.group(1).split() == list(P.PROTOCOL_TAGS)
 
 
+def test_ci_runs_one_session_through_the_console_script():
+    # the same CI step serves in the background, connects, waits for the server
+    # and compares the two transcripts
+    workflow = pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    pair = re.search(
+        r"\n\s+nakex serve --spec (\S+) --address (\S+) --out (\S+) &\n\s+server=\$!\n"
+        r"(?:.*\n)*?\s+nakex connect --spec \1 --address \2 --out (\S+) && break\n"
+        r"(?:.*\n)*?\s+wait \"\$server\"\n\s+cmp \3 \4\n",
+        workflow.read_text(),
+    )
+    assert pair is not None and pair.group(3) != pair.group(4)
+
+
 def test_ci_traces_every_benchmark_workload():
     # a short traced run of each workload checks that the tracer still finds the
     # platform methods it patches
@@ -390,6 +403,9 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
         ('{"experiment": "bf_csp", "trials": 1, "seed": true}', ATTACK_ARGV),
         ('{"experiment": "bf_csp", "trials": 1, "seed": "7"}', ATTACK_ARGV),
         ('{"experiment": "bf_csp", "trials": 1, "seed": 1.5}', ATTACK_ARGV),
+        ('{"experiment": "laver_membership", "level": 1, "max_leaves": 0}', ATTACK_ARGV),
+        *((f'{{"experiment": "{name}", "trials": 1, "degree": 9}}', ATTACK_ARGV)
+          for name in ("cdp_to_klp", "sscsp_to_aagp", "inn_centralizer", "bf_csp")),
     ],
     ids=[
         "missing_instance", "invalid_json", "json_list", "no_experiment", "trials_str",
@@ -404,7 +420,9 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
         "spec_shift_p_str", "spec_tag_list", "spec_variant_int", "spec_secret_exponents_int",
         "spec_nested_deep", "attack_nested_deep",
         "json_null", "json_string", "experiment_unknown", "experiment_list", "seed_null",
-        "seed_list", "seed_bool", "seed_str", "seed_float",
+        "seed_list", "seed_bool", "seed_str", "seed_float", "max_leaves_0",
+        "cdp_to_klp_degree_9", "sscsp_to_aagp_degree_9", "inn_centralizer_degree_9",
+        "bf_csp_degree_9",
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, instance, argv):
@@ -471,6 +489,60 @@ def test_serve_connect_loopback(tmp_path):
     spec_path.write_text(P.spec_to_json(spec))
     assert _serve_and_connect(spec_path, tmp_path) == (0, 0)
     assert (tmp_path / "responder.json").read_text() == (tmp_path / "initiator.json").read_text()
+
+
+@pytest.mark.parametrize("command", ["serve", "connect"])
+def test_session_key_mismatch_exits_1(tmp_path, capsys, monkeypatch, command):
+    # Bob keys on 1, not on K = 2, so both endpoints' runs raise KeyMismatch
+    import socket
+    import time
+
+    from nakex import session
+
+    dh = P._SCHEMES["classic_dh"]
+
+    def party(spec, platform, role, rng):
+        own = dh.party(spec, platform, role, rng)
+        return own if role == P.ALICE else own._replace(finish=lambda peer: (peer[0], 1))
+
+    monkeypatch.setitem(P._SCHEMES, "classic_dh", dh._replace(party=party))
+    spec = P.make_classic_dh(23, 5, k=6, l=15, seed=1)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(P.spec_to_json(spec))
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    argv = [command, "--spec", str(spec_path), "--address", f"127.0.0.1:{port}", "--timeout", "20"]
+    peer_role = "initiator" if command == "serve" else "responder"
+    peer_cfg = session.SessionConfig(role=peer_role, spec=spec, port=port, timeout=20)
+    results = {}
+
+    def peer(endpoint, *args):
+        # the library endpoint meets the same mismatch; the test reads the CLI's
+        try:
+            endpoint(peer_cfg, *args)
+        except P.KeyMismatch:
+            results["peer"] = "KeyMismatch"
+
+    if command == "connect":
+        listener = session._bind("127.0.0.1", port, 20)
+        thread = threading.Thread(target=peer, args=(session.serve_once, listener))
+        thread.start()
+        results["cli"] = main(argv)
+    else:
+        thread = threading.Thread(target=lambda: results.update(cli=main(argv)))
+        thread.start()
+        deadline = time.time() + 10
+        while "peer" not in results and time.time() < deadline:
+            try:
+                peer(session.connect_and_run)
+            except ConnectionRefusedError:  # the CLI is not listening yet
+                time.sleep(0.1)
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert results == {"cli": 1, "peer": "KeyMismatch"}
+    message = "derived keys differ for tag 'classic_dh', seed 1"
+    assert capsys.readouterr().err == f"{command} failed: KeyMismatch: {message}\n"
 
 
 def _policy_violating_spec(tmp_path):

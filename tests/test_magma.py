@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -197,6 +198,20 @@ def test_tree_codec_layout():
     assert depth == 5000
 
 
+# sha256 over the encodings of enumerate_trees(3, 2, 2), in order; recorded
+# before encode_tree refused values its fields cannot hold.
+GOLDEN_TREE_CODEC_DIGEST = "3df0d2aaa9ffc8cb7f5993cf2eaddeaac835330ded7c89923c3aaeeb22a4e318"
+
+
+def test_tree_codec_keeps_its_bytes_up_to_its_field_limits():
+    trees = list(M.enumerate_trees(3, 2, 2))
+    assert len(trees) == 64
+    digest = hashlib.sha256(b"".join(map(M.encode_tree, trees))).hexdigest()
+    assert digest == GOLDEN_TREE_CODEC_DIGEST
+    # the largest op label and leaf index the u8 and u16 fields hold
+    assert M.encode_tree(Node(0xFF, Leaf(0), Leaf(0xFFFF))) == b"\x01\xff\x00\x00\x00\x00\xff\xff"
+
+
 # refusal case -> (call, exception class, message)
 MAGMA_REFUSALS = {
     "leaf_negative": (lambda: Leaf(-1), ValueError, "leaf index must be nonnegative"),
@@ -212,6 +227,17 @@ MAGMA_REFUSALS = {
     "random_tree_comb_bias_1_5": (
         lambda: M.random_tree(3, 1, 1, 1.5, random.Random(0)),
         ValueError, "comb_bias must lie in [0, 1]",
+    ),
+    "encode_leaf_over_u16": (
+        lambda: M.encode_tree(Leaf(70000)), ValueError, "leaf index 70000 does not fit in a u16",
+    ),
+    "encode_op_over_u8": (
+        lambda: M.encode_tree(Node(300, Leaf(0), Leaf(1))),
+        ValueError, "op label 300 does not fit in a u8",
+    ),
+    "encode_inner_leaf_over_u16": (
+        lambda: M.encode_tree(Node(0, Leaf(0), Leaf(0x10000))),
+        ValueError, "leaf index 65536 does not fit in a u16",
     ),
 }
 

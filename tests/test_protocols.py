@@ -808,7 +808,7 @@ def test_protocol_tags_keep_their_order():
 
 # Every field-level fault a spec can carry, applied to random_spec(tag, 3) of
 # every tag: case id -> "module.ExceptionName: message".  The other cases
-# (91 of 142) build a spec.
+# (85 of 142) build a spec.
 SPEC_FAULT_ERRORS = {
     "classic_dh/no_base": "builtins.ValueError: classic_dh needs a base element",
     "classic_dh/misspelled": "builtins.ValueError: unknown protocol tag 'classic_dhx'",
@@ -839,16 +839,22 @@ SPEC_FAULT_ERRORS = {
         "builtins.ValueError: aag_commutator needs a nonempty alice_gens",
     "aag_commutator/no_bob_gens": "builtins.ValueError: aag_commutator needs a nonempty bob_gens",
     "aag_commutator/misspelled": "builtins.ValueError: unknown protocol tag 'aag_commutatorx'",
+    "aag_commutator/s4": "nakex.platforms.PlatformMismatch: expected Permutation of degree 4",
+    "aag_commutator/mod23": "nakex.platforms.PlatformMismatch: expected residue, got Permutation",
     "simdcp/no_alice_gens": "builtins.ValueError: simdcp needs a nonempty alice_gens",
     "simdcp/no_bob_gens": "builtins.ValueError: simdcp needs a nonempty bob_gens",
     "simdcp/misspelled": "builtins.ValueError: unknown protocol tag 'simdcpx'",
+    "simdcp/s4": "nakex.platforms.PlatformMismatch: expected Permutation of degree 4",
+    "simdcp/mod23": "nakex.platforms.PlatformMismatch: expected residue, got Permutation",
     "simdcp_alt/no_alice_gens": "builtins.ValueError: simdcp_alt needs a nonempty alice_gens",
     "simdcp_alt/no_bob_gens": "builtins.ValueError: simdcp_alt needs a nonempty bob_gens",
     "simdcp_alt/misspelled": "builtins.ValueError: unknown protocol tag 'simdcp_altx'",
+    "simdcp_alt/mod23": "nakex.platforms.PlatformMismatch: expected residue, got Permutation",
     "symdp/no_alice_gens": "builtins.ValueError: symdp needs a nonempty alice_gens",
     "symdp/no_bob_gens": "builtins.ValueError: symdp needs a nonempty bob_gens",
     "symdp/misspelled": "builtins.ValueError: unknown protocol tag 'symdpx'",
     "symdp/k2_l3": "builtins.ValueError: symdp needs k = 1 or l = 1",
+    "symdp/mod23": "nakex.platforms.PlatformMismatch: expected residue, got Permutation",
     "f_commutator/no_alice_gens": "builtins.ValueError: f_commutator needs a nonempty alice_gens",
     "f_commutator/no_bob_gens": "builtins.ValueError: f_commutator needs a nonempty bob_gens",
     "f_commutator/misspelled": "builtins.ValueError: unknown protocol tag 'f_commutatorx'",
@@ -902,6 +908,82 @@ def test_spec_faults_raise_pinned_typed_errors():
             outcomes[case] = f"{type(exc).__module__}.{type(exc).__name__}: {exc}"
     assert len(outcomes) == 142
     assert {c: o for c, o in outcomes.items() if o != "ok"} == SPEC_FAULT_ERRORS
+
+
+def _foreign_elements(platform) -> dict:
+    """Elements that are not on ``platform``, by name."""
+    if isinstance(platform, SymmetricPlatform):
+        return {"perm_of_degree_n+1": SymmetricPlatform(platform.degree + 1).identity(), "int": 1}
+    if isinstance(platform, MultModPlatform):
+        return {"residue_out_of_range": platform.modulus, "permutation": S4.identity()}
+    n = platform.strands  # a pure braid, so that a power_shift endo cannot refuse it first
+    return {"braid_on_more_strands": BraidWord(n + 1, (n, n)), "permutation": S4.identity()}
+
+
+def _foreign_element_specs():
+    """(case id, build) for a spec with one element off its platform: in every
+    element field each tag reads, by replacing a field of a valid spec, and
+    by the constructors."""
+    # f_commutator draws B_4 at seed 0 and S_5 at seed 1
+    specs = [P.random_spec(tag, 0) for tag in P.PROTOCOL_TAGS] + [P.random_spec("f_commutator", 1)]
+    for spec in specs:
+        for field in ("base", "alice_gens", "bob_gens", "a1_gens", "a2_gens", "b1_gens", "b2_gens"):
+            value = getattr(spec, field)
+            if not value:
+                continue
+            for name, x in _foreign_elements(spec.platform).items():
+                new = x if field == "base" else (x, *value[1:])
+                kind = type(spec.platform).__name__
+                yield f"{spec.tag}/{kind}/{field}/{name}", partial(replace, spec, **{field: new})
+    t = (BraidWord(3, (1,)),)
+    yield "make_shifted_commutator/permutation", partial(
+        P.make_shifted_commutator, (S4.identity(),), t
+    )
+    yield "make_symdp/int", partial(P.make_symdp, S4, [3], [S4.identity()])
+    yield "make_simdcp_alt/braid_on_6_strands", partial(
+        P.make_simdcp_alt, BraidPlatform(3), [BraidWord(6, (5,))], t
+    )
+    yield "make_classic_dh/residue_out_of_range", partial(P.make_classic_dh, 23, 23)
+
+
+FOREIGN_ELEMENT_SPECS = dict(_foreign_element_specs())
+
+
+@pytest.mark.parametrize("case", list(FOREIGN_ELEMENT_SPECS))
+def test_a_constructed_spec_refuses_an_element_off_its_platform(case):
+    # refused when the spec is built, not when it runs
+    with pytest.raises(PlatformMismatch):
+        FOREIGN_ELEMENT_SPECS[case]()
+
+
+def _perturbed(scheme):
+    """``scheme`` with Bob's key multiplied by an element that is not the identity."""
+
+    def party(spec, platform, role, rng):
+        own = scheme.party(spec, platform, role, rng)
+        if role == P.ALICE:
+            return own
+        if isinstance(platform, BraidPlatform):
+            other = BraidWord(platform.strands, (1,))
+        else:
+            other = next(x for x in platform.elements() if not platform.eq(x, platform.identity()))
+
+        def finish(peer):
+            step3, key = own.finish(peer)
+            return step3, platform.mul(key, other)
+
+        return own._replace(finish=finish)
+
+    return scheme._replace(party=party)
+
+
+@pytest.mark.parametrize("tag", P.PROTOCOL_TAGS)
+def test_run_refuses_keys_that_differ(tag, monkeypatch):
+    spec = P.random_spec(tag, 0)
+    monkeypatch.setitem(P._SCHEMES, tag, _perturbed(P._SCHEMES[tag]))
+    with pytest.raises(P.KeyMismatch) as exc:
+        run_quiet(spec)
+    assert str(exc.value) == f"derived keys differ for tag {tag!r}, seed {spec.seed}"
 
 
 # -- engine-level properties ------------------------------------------------------------
