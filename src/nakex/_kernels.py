@@ -37,14 +37,13 @@ pulled straight into the infimum instead of being carried to the head.  The
 number of pairs per letter is bounded: 1.8, 2.5 and 2.7 on random B_8 words
 of 120, 400 and 1200 letters.
 
-On B_n with n <= 7 the factors are small-int ids in a per-n table of simple
-braids (n! <= 5040 of them), filled as words reach new factors, under a lock
-because session endpoints normalize from two threads.  A letter's fit test
-is one bit of a mask, and a left-weighted pair costs one table step per
-transposition moved, or one read of a packed int in all when its right
-factor is within three letters of Delta, as the near-Delta factor
-Delta sigma_j^-1 that an inverse letter appends is, and stays while two
-more inverse letters cancel into it.  On more
+On B_n with n <= 7 the factors are small-int ids in a per-n table of all n!
+simple braids (at most 5040), complete when made: every step between them
+is built with the table.  A letter's fit test is one bit of a mask, and a
+left-weighted pair costs one table step per transposition moved, or one
+read of a packed int in all when its right factor is within three letters
+of Delta, as the near-Delta factor Delta sigma_j^-1 that an inverse letter
+appends is, and stays while two more inverse letters cancel into it.  On more
 strands the factors are lists of images, and a pair costs O(n) plus O(1) per
 transposition moved; a table there would grow towards n! entries, most of
 them reached once.
@@ -52,8 +51,8 @@ them reached once.
 
 import threading
 from array import array
-from itertools import combinations, starmap
-from operator import lt
+from itertools import compress, permutations, repeat
+from operator import gt, itemgetter
 
 __all__ = [
     "free_reduce",
@@ -308,7 +307,7 @@ def _sweep_lists(facs, identity, w0):
 
 TABLE_MAX_STRANDS = 7
 _TABLES = {}  # n -> _FactorTable, made on first use
-_TABLE_LOCK = threading.Lock()  # held while a table, an entry or a step (not a memo slot) is filled
+_TABLE_LOCK = threading.Lock()  # held while a table is made
 _LOWEST_BIT = tuple((m & -m).bit_length() - 1 for m in range(1 << (TABLE_MAX_STRANDS - 1)))
 _IDENTITY = 0  # the ids every table gives these factors
 _DELTA = 1
@@ -321,46 +320,45 @@ _ID_BITS = 13  # a memo slot packs a pair of ids as (x << 13) | y; ids < 7! < 2^
 
 
 class _FactorTable:
-    """The simple braids of B_n reached so far, as ids 0, 1, 2, ...
+    """All n! simple braids of B_n, as ids 0 .. n! - 1, and every step between them.
 
     Id 0 is the identity, id 1 is Delta and ids 2..n are the near-Delta
     factors Delta sigma_1^-1, ..., Delta sigma_(n-1)^-1 that inverse letters
-    append; a new table holds these n + 1, and gains the others as words
-    reach them.  For each id the table holds its permutation's 1-based
-    images (``images``, the output of :func:`word_to_nf`, and the key of
-    ``ids``), its starting set S and finishing set F as bit masks (bit i
-    stands for sigma_(i+1)), and three kinds of step, each filled the first
-    time it is taken (-1 until then):
+    append; the others follow in ``itertools.permutations`` order.  For each
+    id the table holds its permutation's 1-based images (``images``, the
+    output of :func:`word_to_nf`), its starting set S and finishing set F
+    as bit masks (bit i stands for sigma_(i+1)), and three kinds of step:
 
-    - ``vswap[x][j]`` swaps the values j + 1, j + 2: x sigma_(j+1), or x
+    - ``vswap[j][x]`` swaps the values j + 1, j + 2: x sigma_(j+1), or x
       sigma_(j+1)^-1 when sigma_(j+1) right-divides x;
-    - ``pswap[y][i]`` swaps the positions i, i+1: sigma_(i+1) taken off the
+    - ``pswap[i][y]`` swaps the positions i, i+1: sigma_(i+1) taken off the
       head of y, or put on it;
     - ``tau[x]`` is tau(x).
 
     A simple braid y of co-length 1..3 (one to three letters short of
-    Delta) also has a memo column ``col[y]``, given when it is interned, in
-    the order the table meets them (``columns`` lists these ids in column
-    order); every other id has -1.  There are ``cols`` of them on B_n: 5,
-    14, 28, 48 and 75 for n = 3..7.  The flat ``array('i')`` ``memo``
+    Delta, so one to three position swaps from it) also has a memo column
+    ``col[y]``; ``columns`` lists these ids in column order, which is id
+    order, and every other id has -1.  There are ``cols`` of them on B_n:
+    5, 14, 28, 48 and 75 for n = 3..7.  The flat ``array('i')`` ``memo``
     holds, at ``x * cols + col[y]``, the left-weighted pair that (x, y)
     becomes, packed as ``(x' << 13) | y'``, or -1 until a pair that is not
-    left-weighted yet is first moved.  Its
-    right factors are the near-Delta factors of inverse letters and what up
-    to two more inverse letters cancel out of them.  On the normal-form
-    inputs of ``kex_braid`` these are 61% of the pairs that sweeps
-    left-weight, and 83% of the transpositions they move (the near-Delta
-    factors alone: 31% and 46%).  Four bytes a slot: 1,512,000 bytes for
-    all of B_7.
+    left-weighted yet is first moved.  Its right factors are the near-Delta
+    factors of inverse letters and what up to two more inverse letters
+    cancel out of them.  On the normal-form inputs of ``kex_braid`` these
+    are 61% of the pairs that sweeps left-weight, and 83% of the
+    transpositions they move (the near-Delta factors alone: 31% and 46%).
+    Four bytes a slot: 1,512,000 bytes for all of B_7.
 
-    A table fills as words reach new factors, never eagerly: all 5040 of B_7
-    would take 40 ms to build.  Session endpoints normalize from two
-    threads, so every new id and every ``vswap``, ``pswap`` or ``tau`` fill
-    holds ``_TABLE_LOCK``, and a new id's fields, its ``cols`` memo slots
-    among them, are all appended before the id is stored where a reader can
-    find it.  A memo slot is filled without the lock, with one item
-    assignment: it only ever holds -1 or the final pair, and threads that
-    fill it at once store equal pairs.
+    The table is complete when made: every entry and every step is built
+    under ``_TABLE_LOCK``, each kind with maps over all n! images rather
+    than a loop per entry.  B_7 takes 11 ms and B_6 1.5 ms (best of ten, on
+    a 2-core x86_64 host, Python 3.11).  Filling entries as words reach them
+    would save nothing: at seed 1, through warm-up and 12 s of timed loop,
+    ``kex_braid`` reaches all 720 simple braids of B_6 and all 5040 of B_7,
+    ``laws_attacks`` all of B_6 and ``session_loopback`` 4970 of B_7.  After
+    that only memo slots are written, without the lock, with one item
+    assignment each: a slot only ever holds -1 or the final pair, and
+    threads that fill it at once store equal pairs.
 
     The table holds no object for callers: :mod:`nakex.braid` keeps the one
     shared Permutation and shortlex word of each simple braid in a map keyed
@@ -368,85 +366,51 @@ class _FactorTable:
     """
 
     __slots__ = (
-        "ids", "images", "start", "finish", "vswap", "pswap", "tau", "col", "columns", "cols",
-        "memo",
+        "images", "start", "finish", "vswap", "pswap", "tau", "col", "columns", "cols", "memo",
     )
 
     def __init__(self, n):
-        self.ids = {}
-        self.images = []
-        self.start = []
-        self.finish = []
-        self.vswap = []
-        self.pswap = []
-        self.tau = []
-        self.col = []
-        self.columns = []
+        identity = tuple(range(1, n + 1))
+        delta = identity[::-1]
+        # Delta sigma_j^-1 swaps the values j, j + 1 of Delta
+        near = [
+            tuple([j + 1 if v == j else j if v == j + 1 else v for v in delta]) for j in range(1, n)
+        ]
+        images = [identity, delta, *near, *permutations(identity)]
+        images = self.images = list(dict.fromkeys(images))
+        # As bytes, a permutation has its values relabelled by one bytes.translate,
+        # and relabelling 1..n by the positions of the values of x gives x^-1.
+        keys = list(map(bytes, images))
+        find = dict(zip(keys, range(len(keys)))).__getitem__
+
+        def relabelled(perms, tables):
+            return list(map(find, map(bytes.translate, perms, tables)))
+
+        one = keys[_IDENTITY]
+        inv = relabelled(repeat(one), map(bytes.maketrans, keys, repeat(one)))
+        self.vswap = [
+            relabelled(keys, repeat(bytes.maketrans(bytes([j + 1, j + 2]), bytes([j + 2, j + 1]))))
+            for j in range(n - 1)
+        ]
+        # swapping two positions of x swaps two values of x^-1
+        self.pswap = [list(map(inv.__getitem__, map(step.__getitem__, inv))) for step in self.vswap]
+        # tau reverses the positions and maps each value v to n + 1 - v
+        reverse = itemgetter(slice(None, None, -1))
+        self.tau = relabelled(map(reverse, keys), repeat(bytes.maketrans(one, keys[_DELTA])))
+        bits = [1 << i for i in range(n - 1)]
+        self.start = [sum(compress(bits, map(gt, p, p[1:]))) for p in images]
+        self.finish = list(map(self.start.__getitem__, inv))  # F(x) = S(x^-1)
+        ring = {_DELTA}
+        reached = {_DELTA}
+        for _ in range(_MEMO_CO_LENGTH):  # the next ring: one position swap further from Delta
+            ring = {step[y] for y in ring for step in self.pswap} - reached
+            reached |= ring
+        self.columns = sorted(reached - {_DELTA})
         self.cols = _MEMO_COLUMNS[n]
-        self.memo = array("i")
-        self._intern(tuple(range(1, n + 1)))
-        delta = tuple(range(n, 0, -1))
-        self._intern(delta)
-        for j in range(1, n):  # Delta sigma_j^-1 swaps the values j, j + 1 of Delta
-            self._intern(tuple([j + 1 if v == j else j if v == j + 1 else v for v in delta]))
-
-    def _intern(self, p):
-        """The id of the permutation ``p`` (1-based), added if new (lock held)."""
-        k = self.ids.get(p)
-        if k is not None:
-            return k
-        last = len(p) - 1
-        inv = [0] * (last + 1)
-        for pos, v in enumerate(p):
-            inv[v - 1] = pos
-        k = len(self.images)
-        self.images.append(p)
-        self.start.append(sum(1 << i for i in range(last) if p[i] > p[i + 1]))
-        self.finish.append(sum(1 << i for i in range(last) if inv[i] > inv[i + 1]))
-        self.vswap.append([-1] * last)
-        self.pswap.append([-1] * last)
-        self.tau.append(-1)
-        co_length = sum(starmap(lt, combinations(p, 2)))  # Delta's inversions that p lacks
-        if 1 <= co_length <= _MEMO_CO_LENGTH:
-            self.col.append(len(self.columns))
-            self.columns.append(k)
-        else:
-            self.col.append(-1)
-        self.memo.extend(array("i", [-1]) * self.cols)
-        self.ids[p] = k
-        return k
-
-    def value_step(self, x, j):
-        """Fill ``vswap[x][j]`` (and its converse) and return it."""
-        with _TABLE_LOCK:
-            p = list(self.images[x])
-            a = p.index(j + 1)
-            b = p.index(j + 2)
-            p[a] = j + 2
-            p[b] = j + 1
-            y = self._intern(tuple(p))
-            self.vswap[x][j] = y
-            self.vswap[y][j] = x
-        return y
-
-    def position_step(self, y, i):
-        """Fill ``pswap[y][i]`` (and its converse) and return it."""
-        with _TABLE_LOCK:
-            p = list(self.images[y])
-            p[i], p[i + 1] = p[i + 1], p[i]
-            z = self._intern(tuple(p))
-            self.pswap[y][i] = z
-            self.pswap[z][i] = y
-        return z
-
-    def tau_step(self, x):
-        """Fill ``tau[x]`` (and ``tau`` of the result) and return it."""
-        with _TABLE_LOCK:
-            p = self.images[x]
-            y = self._intern(tuple([len(p) + 1 - v for v in reversed(p)]))
-            self.tau[x] = y
-            self.tau[y] = x
-        return y
+        self.col = [-1] * len(images)
+        for c, y in enumerate(self.columns):
+            self.col[y] = c
+        self.memo = array("i", [-1]) * (len(images) * self.cols)
 
 
 def _factor_table(n):
@@ -478,9 +442,7 @@ def _nf_table(letters, n):
                 x = facs[-1]
                 if (finish[x] >> j & 1) != (e > 0):
                     # x sigma_j (j not in F) or x sigma_j^-1 (j in F) is simple
-                    y = vswap[x][j]
-                    if y < 0:
-                        y = table.value_step(x, j)
+                    y = vswap[j][x]
                     if y != _IDENTITY:
                         facs[-1] = y
                         if e > 0:
@@ -497,9 +459,7 @@ def _nf_table(letters, n):
                     dirty = False
                     continue
             if e > 0:
-                f = vswap[_IDENTITY][j]
-                if f < 0:
-                    f = table.value_step(_IDENTITY, j)
+                f = vswap[j][_IDENTITY]
             else:
                 d -= 1
                 flip ^= 1
@@ -512,17 +472,9 @@ def _nf_table(letters, n):
         d += 1
         flip ^= 1
     if flip:
-        _tau_ids(facs, 0, table)
+        facs = map(table.tau.__getitem__, facs)
     images = table.images
     return d, [images[f] for f in facs]
-
-
-def _tau_ids(facs, k, table):
-    """Apply tau to ``facs[k:]`` in place."""
-    tau = table.tau
-    for i in range(k, len(facs)):
-        y = tau[facs[i]]
-        facs[i] = y if y >= 0 else table.tau_step(facs[i])
 
 
 def _sweep_table(facs, table):
@@ -532,7 +484,7 @@ def _sweep_table(facs, table):
     while True:
         if facs[k] == _DELTA:
             del facs[k]
-            _tau_ids(facs, k, table)
+            facs[k:] = map(table.tau.__getitem__, facs[k:])
             pulled = True
             break
         if not k or not _left_weight_ids(table, facs, k):
@@ -571,14 +523,8 @@ def _left_weight_ids(table, facs, k):
     pswap = table.pswap
     while m:
         i = _LOWEST_BIT[m]
-        x1 = vswap[x][i]
-        if x1 < 0:
-            x1 = table.value_step(x, i)
-        y1 = pswap[y][i]
-        if y1 < 0:
-            y1 = table.position_step(y, i)
-        x = x1
-        y = y1
+        x = vswap[i][x]
+        y = pswap[i][y]
         m = start[y] & ~finish[x]
     facs[k - 1] = x
     facs[k] = y

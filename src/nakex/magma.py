@@ -29,7 +29,6 @@ __all__ = [
     "left_comb",
     "right_comb",
     "comb_distance",
-    "tree_depth",
     "leaf_count",
     "enumerate_trees",
     "count_trees",
@@ -125,12 +124,6 @@ def leaf_count(t: TreeWord) -> int:
     if isinstance(t, Leaf):
         return 1
     return leaf_count(t.left) + leaf_count(t.right)
-
-
-def tree_depth(t: TreeWord) -> int:
-    if isinstance(t, Leaf):
-        return 0
-    return 1 + max(tree_depth(t.left), tree_depth(t.right))
 
 
 def _catalan(n: int) -> int:

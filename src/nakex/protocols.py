@@ -185,6 +185,11 @@ class KeyPolicy:
             raise PolicyViolation("comb_bias must lie in [0, 1]")
         if self.gen_length < 0:
             raise PolicyViolation("gen_length must be >= 0")
+        if self.max_word_letters < 1:
+            raise PolicyViolation("max_word_letters must be >= 1")
+        if self.exponent_min < 2:
+            # a secret exponent of 0 or 1 keys on the identity or on a public message
+            raise PolicyViolation("exponent_min must be >= 2")
         if self.exponent_min > self.exponent_max:
             raise PolicyViolation("need exponent_min <= exponent_max")
 
@@ -352,10 +357,11 @@ def _validate(spec: ProtocolSpec) -> None:
 
     This is the one place where the base and the generators are checked
     against the spec's platform; nothing checks them again while the spec
-    runs.  The plain fields' types come first, so that no later check
-    compares a string or a list; then the platform's size, and the base.
-    The row's checks come before the generators, so that a platform of the
-    wrong kind or an endomorphism of another platform is refused as such;
+    runs.  The plain fields' types come first, and the generator lists must
+    be tuples, so that no later check compares a string or a list, and the
+    spec hashes; then the platform's size, and the base.  The row's checks
+    come before the generators, so that a platform of the wrong kind or an
+    endomorphism of another platform is refused as such;
     they read generators only through the platform's own arithmetic, which
     refuses a foreign one, or as braids (purity).  The work platform, which
     is computed from the generators, is sized last.
@@ -363,6 +369,9 @@ def _validate(spec: ProtocolSpec) -> None:
     for key, (attr, dump, _, types) in _SPEC_FIELDS.items():
         if dump is None and type(getattr(spec, attr)) not in types:
             raise _type_error(key, getattr(spec, attr), types)
+    for name in _GENERATOR_LISTS:
+        if type(getattr(spec, name)) is not tuple:
+            raise _type_error(name, getattr(spec, name), (tuple,))
     scheme = _SCHEMES.get(spec.tag)
     if scheme is None:
         raise ValueError(f"unknown protocol tag {spec.tag!r}")
@@ -395,6 +404,14 @@ def _check_dh(spec: ProtocolSpec) -> None:
     _check_base(spec)
     if not isinstance(spec.platform, MultModPlatform):
         raise PlatformMismatch("classic_dh needs a mult_mod platform")
+    # below 2 or above p - 2 an exponent keys on 1, the base or a public message
+    p = spec.platform.modulus
+    if p < 5:
+        raise ValueError(f"classic_dh needs a modulus of at least 5, got {p}")
+    for name in ("k", "l"):
+        e = getattr(spec, name)
+        if e is not None and not 2 <= e <= p - 2:
+            raise ValueError(f"classic_dh {name} must lie in 2..{p - 2}, got {e}")
 
 
 def _check_group_dh(spec: ProtocolSpec) -> None:
@@ -459,8 +476,6 @@ def _tree_secret(
     tree = magma.random_tree(
         rng.randint(1, policy.max_leaves), len(gens), len(ops), policy.comb_bias, rng
     )
-    # guaranteed by max_leaves <= max_depth + 1
-    assert magma.tree_depth(tree) <= policy.max_depth
     value = magma.eval_tree(tree, gens, ops)
     if isinstance(value, BraidWord) and len(value.letters) > policy.max_word_letters:
         raise PolicyViolation(

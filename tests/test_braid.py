@@ -545,17 +545,42 @@ def _move_loop_pair(table, x, y):
     return moved, (tuple([v + 1 for v in xs]), tuple([v + 1 for v in ys]))
 
 
-def _full_table(n):
-    """A new factor table of B_n holding all n! simple braids, its memo empty."""
+def test_factor_tables_are_complete_when_made():
+    # a new table of B_3..B_7 holds every simple braid and every step, each
+    # equal to its definition on the images, and an empty memo
     import itertools
+    from array import array
 
     from nakex import _kernels
 
-    table = _kernels._FactorTable(n)
-    with _kernels._TABLE_LOCK:
-        for p in itertools.permutations(range(1, n + 1)):
-            table._intern(p)
-    return table
+    for n in range(3, 8):
+        table = _kernels._FactorTable(n)
+        images = table.images
+        delta = tuple(range(n, 0, -1))
+        near = [tuple([j + 1 if v == j else j if v == j + 1 else v for v in delta]) for j in range(1, n)]
+        assert images[:n + 1] == [tuple(range(1, n + 1)), delta, *near]
+        rest = [p for p in itertools.permutations(range(1, n + 1)) if p not in images[:n + 1]]
+        assert images[n + 1:] == rest and len(images) == math.factorial(n)
+        ids = {p: k for k, p in enumerate(images)}
+
+        def descents(p):
+            return sum(1 << i for i in range(n - 1) if p[i] > p[i + 1])
+
+        for x, p in enumerate(images):
+            inverse = tuple(sorted(range(1, n + 1), key=lambda v: p[v - 1]))
+            assert table.start[x] == descents(p) and table.finish[x] == descents(inverse)
+            for i in range(n - 1):
+                swapped = list(p)
+                swapped[i], swapped[i + 1] = p[i + 1], p[i]
+                assert table.pswap[i][x] == ids[tuple(swapped)]
+                values = {i + 1: i + 2, i + 2: i + 1}
+                assert table.vswap[i][x] == ids[tuple([values.get(v, v) for v in p])]
+            assert table.tau[x] == ids[tuple([n + 1 - v for v in reversed(p)])]
+        co_length = [sum(a < b for a, b in itertools.combinations(p, 2)) for p in images]
+        columns = [y for y in range(len(images)) if 1 <= co_length[y] <= 3]
+        assert table.columns == columns and len(columns) == (5, 14, 28, 48, 75)[n - 3] == table.cols
+        assert table.col == [columns.index(y) if y in columns else -1 for y in range(len(images))]
+        assert table.memo == array("i", [-1]) * (len(images) * table.cols)
 
 
 def test_memo_step_matches_the_move_loop():
@@ -571,10 +596,9 @@ def test_memo_step_matches_the_move_loop():
 
     rng = random.Random(24)
     for n in range(3, 8):
-        fresh = _kernels._FactorTable(n)
-        assert len(fresh.images) == n + 1
-        assert fresh.memo == array("i", [-1]) * ((n + 1) * fresh.cols)
-        table = _full_table(n)
+        table = _kernels._FactorTable(n)
+        assert len(table.images) == math.factorial(n)
+        assert table.memo == array("i", [-1]) * (math.factorial(n) * table.cols)
         images = table.images
         cols = table.cols
         delta = tuple(range(n, 0, -1))
@@ -624,7 +648,7 @@ def test_filled_memo_gives_the_list_forms(monkeypatch):
     words = _mixed_sign_words(25, 6, 120)
     tables = {}
     for n in range(3, 8):
-        table = tables[n] = _full_table(n)
+        table = tables[n] = _kernels._FactorTable(n)
         for y in table.columns:
             for x in range(len(table.images)):
                 _kernels._left_weight_ids(table, [x, y], 1)

@@ -681,7 +681,59 @@ PROTOCOL_REFUSALS = {
         )),
         ValueError, "element hex is not its canonical encoding",
     ),
+    # a spec whose key would be public: exponent 0 or 1 keys on 1 or on a
+    # message, a fixed classic_dh exponent outside 2..p - 2 on 1, the base or
+    # a message, and a modulus below 5 leaves no exponent but those
+    "policy_exponents_zero": (
+        lambda: P.KeyPolicy(exponent_min=0, exponent_max=0),
+        P.PolicyViolation, "exponent_min must be >= 2",
+    ),
+    "spec_policy_exponent_min_one": (
+        lambda: P.spec_from_json(_spec_json_with_section(
+            P.random_spec("str_kep", 0), "policy", lambda policy: {**policy, "exponent_min": 1}
+        )),
+        P.PolicyViolation, "exponent_min must be >= 2",
+    ),
+    "policy_max_word_letters_negative": (
+        lambda: P.KeyPolicy(max_word_letters=-1),
+        P.PolicyViolation, "max_word_letters must be >= 1",
+    ),
+    "classic_dh_k_one": (
+        lambda: P.make_classic_dh(23, 5, k=1, l=15),
+        ValueError, "classic_dh k must lie in 2..21, got 1",
+    ),
+    "classic_dh_k_p_minus_one": (
+        lambda: P.make_classic_dh(23, 5, k=22), ValueError, "classic_dh k must lie in 2..21, got 22",
+    ),
+    "classic_dh_l_zero": (
+        lambda: P.make_classic_dh(23, 5, l=0), ValueError, "classic_dh l must lie in 2..21, got 0",
+    ),
+    "classic_dh_mod3": (
+        lambda: P.make_classic_dh(3, 2), ValueError, "classic_dh needs a modulus of at least 5, got 3",
+    ),
+    "classic_dh_mod2": (
+        lambda: P.make_classic_dh(2, 1), ValueError, "classic_dh needs a modulus of at least 5, got 2",
+    ),
 }
+
+
+def test_classic_dh_takes_the_outermost_fixed_exponents():
+    # with k = 2 and l = p - 2 the key is g^(kl), which is none of 1, g, g^k, g^l
+    t = P.run(P.make_classic_dh(23, 5, k=2, l=21))
+    assert t.alice_messages == (2,) and t.bob_messages == (14,)
+    assert t.key_a == pow(5, 42, 23) == 12
+
+
+@pytest.mark.parametrize("name", ["alice_gens", "bob_gens", "a1_gens", "a2_gens", "b1_gens", "b2_gens"])
+@pytest.mark.parametrize("kind", ["none", "int", "list"])
+def test_generator_lists_must_be_tuples(name, kind):
+    # a list would build a spec that cannot be hashed; None or an int would
+    # fail later with an untyped TypeError
+    spec = P.random_spec("aag_commutator" if name in ("alice_gens", "bob_gens") else "group_dh", 0)
+    value = {"none": None, "int": 5, "list": list(getattr(spec, name))}[kind]
+    with pytest.raises(ValueError) as exc:
+        replace(spec, **{name: value})
+    assert type(exc.value) is ValueError and str(exc.value) == f"{name} must be tuple, got {value!r}"
 
 
 @pytest.mark.parametrize("case", list(PROTOCOL_REFUSALS))

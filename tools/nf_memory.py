@@ -1,4 +1,4 @@
-"""Measure what the normal-form cache and a full B_7 factor table hold.
+"""Measure what the normal-form cache and the B_3 .. B_7 factor tables hold.
 
 Fills ``nakex.braid.normal_form``'s cache from a fixed seeded stream of
 random braid words on B_3 .. B_8, then prints, from tracemalloc:
@@ -7,10 +7,11 @@ random braid words on B_3 .. B_8, then prints, from tracemalloc:
 - the bytes of the shared simple braids of B_3 .. B_7 (``braid._SIMPLE``,
   one Permutation and one shortlex word each), which outlive the cache;
 - the number of Permutation objects alive with the cache full;
-- the bytes of a B_7 factor table with every entry, every step and every
-  memo slot filled, the bytes and filled slots of its memo of left-weighted
-  pairs (four bytes a slot, 5040 x 75 slots), and the bytes of the shared
-  objects and words of its 5040 simple braids.
+- for each factor table of B_3 .. B_7, which is complete when made, the
+  best of three build times (untraced) and its bytes;
+- the bytes and filled slots of the B_7 table's memo of left-weighted pairs
+  once every slot is filled (four bytes a slot, 5040 x 75 slots), and the
+  bytes of the shared objects and words of its 5040 simple braids.
 
 While it fills the memo it checks every slot against the list kernel's
 move loop, and exits 1 if any slot differs.
@@ -25,7 +26,9 @@ from __future__ import annotations
 import gc
 import random
 import sys
+import timeit
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -34,6 +37,7 @@ from nakex import _kernels, braid  # noqa: E402
 
 SEED = 1
 STRANDS = (3, 4, 5, 6, 7, 8)  # the stream cycles through these strand counts
+TABLE_STRANDS = range(3, _kernels.TABLE_MAX_STRANDS + 1)
 LENGTHS = (4, 60)  # letters drawn per word: rng.randrange(*LENGTHS)
 
 
@@ -59,19 +63,6 @@ def permutation_count() -> int:
     return sum(type(obj) is braid.Permutation for obj in gc.get_objects())
 
 
-def fill_table(n: int) -> _kernels._FactorTable:
-    """A new factor table of B_n with every simple braid and its one-id steps in it."""
-    table = _kernels._FactorTable(n)
-    k = 0
-    while k < len(table.images):  # value steps from the identity reach all n! braids
-        for j in range(n - 1):
-            table.value_step(k, j)
-            table.position_step(k, j)
-        table.tau_step(k)
-        k += 1
-    return table
-
-
 def fill_memo(table: _kernels._FactorTable) -> tuple[int, int]:
     """Left-weight every pair (x, y) whose y has a memo column once, filling
     its slot, and check the slot against :func:`_kernels._left_weight_pair`
@@ -94,6 +85,10 @@ def fill_memo(table: _kernels._FactorTable) -> tuple[int, int]:
 
 
 def main() -> int:
+    build_s = {
+        n: min(timeit.repeat(partial(_kernels._FactorTable, n), number=1, repeat=3))
+        for n in TABLE_STRANDS
+    }
     braid.normal_form.cache_clear()
     braid._SIMPLE.clear()
     tracemalloc.start()
@@ -110,17 +105,21 @@ def main() -> int:
     print(f"  shared simple braids {cleared - _traced():9,d} bytes ({entries} entries)")
     print(f"  Permutation objects {alive:10,d}")
 
-    before = _traced()
-    table = fill_table(7)
-    filled = _traced()
+    print("factor tables, complete when made: build time, bytes")
+    tables = {}
+    for n in TABLE_STRANDS:
+        before = _traced()
+        tables[n] = _kernels._FactorTable(n)
+        print(f"  B_{n}  {build_s[n] * 1e3:6.1f} ms  {_traced() - before:10,d} bytes")
+    table = tables[7]
+    made = _traced()
     for images in table.images:
         braid._simple(images)
-    shared = _traced() - filled
+    shared = _traced() - made
     tracemalloc.stop()  # filling slots allocates nothing that stays, and tracing slows it 8x
     slots, wrong = fill_memo(table)
     memo = len(table.memo) * table.memo.itemsize
-    print(f"B_7 factor table: {len(table.images)} entries, every step and memo slot filled")
-    print(f"  table               {filled - before:10,d} bytes")
+    print(f"B_7 factor table: {len(table.images)} entries, every memo slot filled")
     print(f"  memo pairs          {memo:10,d} bytes ({slots:,d} of {len(table.memo):,d} slots filled)")
     print(f"  shared objects      {shared:10,d} bytes")
     if wrong:
