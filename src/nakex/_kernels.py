@@ -22,37 +22,16 @@ Conventions shared by all kernels:
   y[i+1]} (descents of y) and F(x) = {i : x^-1[i+1] < x^-1[i]} (descents of
   x^-1).
 
-The normal form (:func:`word_to_nf`) is the incremental left-greedy form of
-Elrifai-Morton.  It holds the normal form of the prefix read so far as
-Delta^d tau^p(F_1 ... F_r), with p one bit for a pending tau, and reads each
-letter, mapped through tau^p, along one of three paths: a positive letter
-that extends the tail factor in place, an inverse letter that cancels into
-it in place, or any other letter appended as a factor (an inverse letter as
-Delta^-1 times its near-Delta factor, which moves d and p).  The tail factor
-may be left dirty, not yet left-weighted with its left neighbour: letters
-keep extending or cancelling into it while it stays simple, and pairs are
-left-weighted back from the tail, only as far as they change, when the next
-letter does not fit or the word ends.  A factor that grows into Delta is
-pulled straight into the infimum instead of being carried to the head.  The
-number of pairs per letter is bounded: 1.8, 2.5 and 2.7 on random B_8 words
-of 120, 400 and 1200 letters.
-
-On B_n with n <= 7 the factors are small-int ids in a per-n table of all n!
-simple braids (at most 5040), complete when made: every step between them
-is built with the table.  A letter's fit test is one bit of a mask, and a
-left-weighted pair costs one table step per transposition moved, or one
-read of a packed int in all when its right factor is within three letters
-of Delta, as the near-Delta factor Delta sigma_j^-1 that an inverse letter
-appends is, and stays while two more inverse letters cancel into it.  On more
-strands the factors are lists of images, and a pair costs O(n) plus O(1) per
-transposition moved; a table there would grow towards n! entries, most of
-them reached once.
+The normal form and its two kernels, on factor-table ids for B_3 .. B_7 and
+on lists of images above, are described in :func:`word_to_nf`; the layout of
+a factor table in :class:`_FactorTable`.
 """
 
 import threading
 from array import array
 from itertools import compress, permutations, repeat
 from operator import gt, itemgetter
+from types import MethodType
 
 __all__ = [
     "free_reduce",
@@ -125,6 +104,11 @@ def _left_weight_pair(x, y):
     return changed
 
 
+def _weigh_lists(facs, k):
+    """:func:`_left_weight_pair` on the lists facs[k-1], facs[k]."""
+    return _left_weight_pair(facs[k - 1], facs[k])
+
+
 def _tau(f):
     """tau(f) = Delta^-1 f Delta on a factor: i -> n-1-f(n-1-i)."""
     top = len(f) - 1
@@ -170,7 +154,7 @@ def word_to_nf(letters, n):
     adjacent inverse pair always fits the tail the first one left, and
     cancels or extends it in place.
 
-    The sweep (also run at the end) is the right-multiplication step of the
+    The sweep (:func:`_sweep`) is the right-multiplication step of the
     reference: F_1 ... F_(r-1) times the simple F_r.  It left-weights pairs
     from the tail leftward and stops at the first pair that does not change;
     pairs to its right stay left-weighted although their left factors gave up
@@ -179,14 +163,16 @@ def word_to_nf(letters, n):
     passes them on its way to the head), d += 1, p ^= 1, and the sweep stops:
     carried to the head, the Delta would only apply tau to each factor on its
     left, and the pair that closes over the gap is left-weighted already.  At
-    the end tau^p is applied to every factor.
+    the end (:func:`_close`) a dirty tail is swept once more and tau^p is
+    applied to every factor.
 
     The number of pairs per letter is bounded rather than growing with the
-    word: 1.8, 2.5 and 2.7 on random B_8 words of 120, 400 and 1200 letters
-    (2.7, 3.6 and 4.0 with one sweep per letter), and 1.5 on the words
-    ``kex_braid`` normalizes (2.0 with one sweep per letter).
+    word: 1.8, 2.5 and 2.7 on random B_8 words of 120, 400 and 1200 letters,
+    against 2.7, 3.6 and 4.0 with one sweep per letter.
 
-    Two paths run these steps on different factors and give the same output:
+    Two kernels read the letters, each on its own kind of factor, and share
+    the sweep and the close; only their fit test, their in-place step, the
+    pair step they hand the sweep and their output conversion differ:
 
     - For n <= ``TABLE_MAX_STRANDS`` (7) a factor is an id in the table of
       simple braids of B_n (:class:`_FactorTable`).  A letter's fit test is
@@ -195,18 +181,14 @@ def word_to_nf(letters, n):
       for each of x and y per transposition moved (:func:`_left_weight_ids`).
       A pair whose y is within three letters of Delta takes one step in
       all: its result is stored, packed into one int, in the table's memo
-      slot for (x, y) the first time it moves.  On the 7085 inputs of 4000
-      ``kex_braid`` operations a form took 28 us with this memo, against 38
-      with slots for the near-Delta factors alone; all 378,000 slots of B_7
-      take 1,512,000 bytes.
+      slot for (x, y) the first time it moves.
     - For n >= 8 a factor is a list of 0-based images, a letter's fit test
       looks up two positions, and a pair costs O(n) to rebuild x^-1 and scan
       every position, plus O(1) per transposition moved
-      (:func:`_left_weight_pair`).  The table would hold up to n! factors,
-      and words on many strands keep reaching new ones: from cold tables,
-      ten random B_8 words of 400 letters took 0.29 s against 0.06 s here
-      and added 23,884 factors, and ten B_11 words 2.6 s against 0.09 s,
-      adding 197,047.
+      (:func:`_left_weight_pair`).  A table there would grow towards n!
+      factors, and words on many strands keep reaching new ones: from cold
+      tables, ten random B_11 words of 400 letters took 2.6 s against 0.09 s
+      on lists, and added 197,047 factors.
     """
     if not letters or n < 2:
         return 0, []
@@ -248,7 +230,7 @@ def _nf_lists(letters, n):
                     break
                 if dirty:
                     # the letter does not fit: sweep, then read it again
-                    if _sweep_lists(facs, identity, w0):
+                    if _sweep(facs, w0, identity, _tau, _weigh_lists):
                         d += 1
                         flip ^= 1
                     dirty = False
@@ -270,17 +252,16 @@ def _nf_lists(letters, n):
             facs.append(f)
             break
 
-    if dirty and _sweep_lists(facs, identity, w0):
-        d += 1
-        flip ^= 1
-    if flip:
-        facs = [_tau(f) for f in facs]
+    d, facs = _close(facs, d, flip, dirty, w0, identity, _tau, _weigh_lists)
     return d, [tuple([v + 1 for v in f]) for f in facs]
 
 
-def _sweep_lists(facs, identity, w0):
+def _sweep(facs, delta, identity, tau, weigh):
     """Left-weight ``facs`` from the tail leftward; True if a Delta left.
 
+    Runs on either kind of factor: ``delta`` and ``identity`` are its Delta
+    and identity, ``tau(f)`` is tau(f), and ``weigh(facs, k)`` left-weights
+    the pair (facs[k-1], facs[k]) in place and says whether anything moved.
     Stops at the first pair that does not change.  A factor that has grown
     into Delta is deleted and tau is applied to the factors on its right;
     the caller then raises the infimum and flips the tau parity.  A tail
@@ -289,18 +270,29 @@ def _sweep_lists(facs, identity, w0):
     k = len(facs) - 1
     pulled = False
     while True:
-        if facs[k] == w0:
+        if facs[k] == delta:
             del facs[k]
-            for i in range(k, len(facs)):
-                facs[i] = _tau(facs[i])
+            facs[k:] = map(tau, facs[k:])
             pulled = True
             break
-        if not k or not _left_weight_pair(facs[k - 1], facs[k]):
+        if not k or not weigh(facs, k):
             break
         k -= 1
     if facs and facs[-1] == identity:
         facs.pop()
     return pulled
+
+
+def _close(facs, d, flip, dirty, delta, identity, tau, weigh):
+    """The end of a normal form: sweep a dirty tail, then apply a pending tau.
+
+    The last four arguments are :func:`_sweep`'s.  Returns the infimum and an
+    iterable of the factors, still of the kernel's kind.
+    """
+    if dirty and _sweep(facs, delta, identity, tau, weigh):
+        d += 1
+        flip ^= 1
+    return d, map(tau, facs) if flip else facs
 
 
 # -- factor tables: the simple braids of B_n as small ints, for n <= 7 --------
@@ -313,9 +305,6 @@ _IDENTITY = 0  # the ids every table gives these factors
 _DELTA = 1
 _NEAR = 2  # Delta sigma_(j+1)^-1 has id _NEAR + j
 _MEMO_CO_LENGTH = 3  # a pair is memoized when its right factor is this close to Delta
-# memo columns of B_n: the simple braids of co-length 1..3, counted by the
-# Mahonian numbers M(n, 1) + M(n, 2) + M(n, 3) (on B_3 the identity is one)
-_MEMO_COLUMNS = (0, 0, 0, 5, 14, 28, 48, 75)
 _ID_BITS = 13  # a memo slot packs a pair of ids as (x << 13) | y; ids < 7! < 2^13
 
 
@@ -338,27 +327,24 @@ class _FactorTable:
     A simple braid y of co-length 1..3 (one to three letters short of
     Delta, so one to three position swaps from it) also has a memo column
     ``col[y]``; ``columns`` lists these ids in column order, which is id
-    order, and every other id has -1.  There are ``cols`` of them on B_n:
-    5, 14, 28, 48 and 75 for n = 3..7.  The flat ``array('i')`` ``memo``
-    holds, at ``x * cols + col[y]``, the left-weighted pair that (x, y)
-    becomes, packed as ``(x' << 13) | y'``, or -1 until a pair that is not
-    left-weighted yet is first moved.  Its right factors are the near-Delta
-    factors of inverse letters and what up to two more inverse letters
-    cancel out of them.  On the normal-form inputs of ``kex_braid`` these
-    are 61% of the pairs that sweeps left-weight, and 83% of the
-    transpositions they move (the near-Delta factors alone: 31% and 46%).
-    Four bytes a slot: 1,512,000 bytes for all of B_7.
+    order, and every other id has -1.  ``cols`` counts them: 5, 14, 28, 48
+    and 75 for n = 3..7.  The flat ``array('i')`` ``memo`` holds, at
+    ``x * cols + col[y]``, the left-weighted pair that (x, y) becomes, packed
+    as ``(x' << 13) | y'``, or -1 until a pair that is not left-weighted yet
+    is first moved.  Its right factors are the near-Delta factors of inverse
+    letters and what up to two more inverse letters cancel out of them: on
+    the normal-form inputs of ``kex_braid``, most of the pairs that sweeps
+    left-weight and most of the transpositions they move.  A slot takes four
+    bytes; ``tools/nf_memory.py`` prints each table's build time and bytes.
 
     The table is complete when made: every entry and every step is built
     under ``_TABLE_LOCK``, each kind with maps over all n! images rather
-    than a loop per entry.  B_7 takes 11 ms and B_6 1.5 ms (best of ten, on
-    a 2-core x86_64 host, Python 3.11).  Filling entries as words reach them
-    would save nothing: at seed 1, through warm-up and 12 s of timed loop,
-    ``kex_braid`` reaches all 720 simple braids of B_6 and all 5040 of B_7,
-    ``laws_attacks`` all of B_6 and ``session_loopback`` 4970 of B_7.  After
-    that only memo slots are written, without the lock, with one item
-    assignment each: a slot only ever holds -1 or the final pair, and
-    threads that fill it at once store equal pairs.
+    than a loop per entry.  Filling entries as words reach them would save
+    nothing, because every braid workload of the benchmark reaches all or
+    nearly all of B_6 and B_7.  After that only memo slots are written,
+    without the lock, with one item assignment each: a slot only ever holds
+    -1 or the final pair, and threads that fill it at once store equal
+    pairs.
 
     The table holds no object for callers: :mod:`nakex.braid` keeps the one
     shared Permutation and shortlex word of each simple braid in a map keyed
@@ -406,7 +392,7 @@ class _FactorTable:
             ring = {step[y] for y in ring for step in self.pswap} - reached
             reached |= ring
         self.columns = sorted(reached - {_DELTA})
-        self.cols = _MEMO_COLUMNS[n]
+        self.cols = len(self.columns)
         self.col = [-1] * len(images)
         for c, y in enumerate(self.columns):
             self.col[y] = c
@@ -426,6 +412,8 @@ def _factor_table(n):
 def _nf_table(letters, n):
     """:func:`word_to_nf` of a nonempty word, 3 <= n <= 7, on ids."""
     table = _factor_table(n)
+    tau = table.tau.__getitem__
+    weigh = MethodType(_left_weight_ids, table)  # looked up per call; calls faster than a partial
     finish = table.finish
     vswap = table.vswap
     top = n - 2  # tau(sigma_j) = sigma_(top - j), 0-based
@@ -453,7 +441,7 @@ def _nf_table(letters, n):
                     break
                 if dirty:
                     # the letter does not fit: sweep, then read it again
-                    if _sweep_table(facs, table):
+                    if _sweep(facs, _DELTA, _IDENTITY, tau, weigh):
                         d += 1
                         flip ^= 1
                     dirty = False
@@ -468,31 +456,9 @@ def _nf_table(letters, n):
             facs.append(f)
             break
 
-    if dirty and _sweep_table(facs, table):
-        d += 1
-        flip ^= 1
-    if flip:
-        facs = map(table.tau.__getitem__, facs)
+    d, facs = _close(facs, d, flip, dirty, _DELTA, _IDENTITY, tau, weigh)
     images = table.images
     return d, [images[f] for f in facs]
-
-
-def _sweep_table(facs, table):
-    """:func:`_sweep_lists` on factor ids."""
-    k = len(facs) - 1
-    pulled = False
-    while True:
-        if facs[k] == _DELTA:
-            del facs[k]
-            facs[k:] = map(table.tau.__getitem__, facs[k:])
-            pulled = True
-            break
-        if not k or not _left_weight_ids(table, facs, k):
-            break
-        k -= 1
-    if facs and facs[-1] == _IDENTITY:
-        facs.pop()
-    return pulled
 
 
 def _left_weight_ids(table, facs, k):

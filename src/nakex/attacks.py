@@ -56,6 +56,7 @@ from .platforms import (
     g_conj,
     g_pow,
 )
+from .protocols import MAX_PLATFORM_SIZE
 
 __all__ = [
     "CSPInstance",
@@ -794,14 +795,18 @@ def write_report(records: Sequence[ExperimentRecord], path: str) -> None:
 Trial = tuple[str, str, str, Callable[[], object], Callable[[object], bool]]
 
 
-def _count(config: dict, key: str, default: int | None, minimum: int = 0) -> int | None:
-    """``config[key]``: an int of at least ``minimum`` (``true`` is not one),
-    or null where the default is None."""
+def _count(
+    config: dict, key: str, default: int | None, minimum: int = 0, maximum: int | None = None,
+) -> int | None:
+    """``config[key]``: an int of at least ``minimum`` and at most ``maximum``
+    (``true`` is not one), or null where the default is None."""
     value = config.get(key, default)
     if value is None and default is None:
         return None
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{key} must be at most {maximum}, got {value}")
     return value
 
 
@@ -809,14 +814,17 @@ def _count(config: dict, key: str, default: int | None, minimum: int = 0) -> int
 # enumerations by n: one trial took 0.03-0.3 s at degree 8 and 0.5-2.9 s at 9
 # on a 2-core x86 host, and would take about an hour at 12.
 _MAX_DEGREE = 8
+# The largest braid sizes of a length attack, the ones verify-laws takes for
+# --a and --p: no spec may use more strands, and the shifted op acts on B_2p.
+# One trial took 0.17 s at 40 strands, 2.0 s at 80, 23.5 s at 160 and 21.3 s
+# at p = 400, and 11.0 s at both caps, on a 2-core x86 host.
+_MAX_STRANDS = MAX_PLATFORM_SIZE
+_MAX_SHIFT_P = MAX_PLATFORM_SIZE // 2
 
 
 def _symmetric(config: dict) -> SymmetricPlatform:
     """S_n for the config's ``degree``, 1 .. _MAX_DEGREE."""
-    degree = _count(config, "degree", 4, 1)
-    if degree > _MAX_DEGREE:
-        raise ValueError(f"degree must be at most {_MAX_DEGREE}, got {degree}")
-    return SymmetricPlatform(degree)
+    return SymmetricPlatform(_count(config, "degree", 4, 1, _MAX_DEGREE))
 
 
 def _commuting_subgroups(platform: SymmetricPlatform, rng):
@@ -913,8 +921,8 @@ def _bf_csp(config: dict, rng) -> list[Trial]:
 
 
 def _length_attack(config: dict, rng) -> list[Trial]:
-    p = _count(config, "p", 1, 1)
-    strands = _count(config, "strands", 5, 2)
+    p = _count(config, "p", 1, 1, _MAX_SHIFT_P)
+    strands = _count(config, "strands", 5, 2, _MAX_STRANDS)
     secret_length = _count(config, "secret_length", 1)
     m = _count(config, "m", 2, 1)
     budget = _count(config, "budget", 8)

@@ -408,6 +408,9 @@ def _check_dh(spec: ProtocolSpec) -> None:
     p = spec.platform.modulus
     if p < 5:
         raise ValueError(f"classic_dh needs a modulus of at least 5, got {p}")
+    # a base of order 1 or 2 leaves every message and key in {1, g}
+    if pow(spec.base, 2, p) == 1:
+        raise ValueError(f"classic_dh needs a base of order over 2, got {spec.base} mod {p}")
     for name in ("k", "l"):
         e = getattr(spec, name)
         if e is not None and not 2 <= e <= p - 2:

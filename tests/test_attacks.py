@@ -567,6 +567,21 @@ def test_inn_centralizer_rejects_invalid_c():
 # -- length attack skeleton ----------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("strands", 65, "strands must be at most 64, got 65"), ("p", 33, "p must be at most 32, got 33")],
+)
+def test_length_attack_refuses_sizes_over_the_caps(key, value, message):
+    # the caps are the ones verify-laws puts on --a and --p; one trial past
+    # them can run for minutes
+    config = {"experiment": "length_attack", "trials": 1, key: value}
+    with pytest.raises(ValueError) as exc:
+        A.build_experiment(config)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+    config[key] -= 1  # at the cap the trial is drawn
+    assert len(A.build_experiment(config)) == 1
+
+
 def test_length_attack_finds_length_one_secret():
     rng = random.Random(75)
     op = L.shifted_op(1, BraidWord(2, (1,)))

@@ -367,6 +367,8 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
         ('{"experiment": "length_attack", "trials": 1, "p": true}', ATTACK_ARGV),
         ('{"experiment": "length_attack", "trials": 1, "p": 0}', ATTACK_ARGV),
         ('{"experiment": "length_attack", "trials": 1, "strands": 1}', ATTACK_ARGV),
+        ('{"experiment": "length_attack", "trials": 1, "strands": 65}', ATTACK_ARGV),
+        ('{"experiment": "length_attack", "trials": 1, "p": 33}', ATTACK_ARGV),
         ('{"experiment": "length_attack", "trials": 1, "secret_length": true}', ATTACK_ARGV),
         ('{"experiment": "length_attack", "trials": 1, "m": true}', ATTACK_ARGV),
         ('{"experiment": "bf_csp", "trials": 1, "degree": true}', ATTACK_ARGV),
@@ -411,7 +413,8 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
         "missing_instance", "invalid_json", "json_list", "no_experiment", "trials_str",
         "degree_0", "level_9", "out_dir_missing", "laws_level_9", "laws_p_0",
         "budget_str", "budget_bool", "max_leaves_str", "laws_samples_0", "laws_samples_neg",
-        "m_0", "trials_bool", "p_bool", "p_0", "strands_1", "secret_length_bool", "m_bool",
+        "m_0", "trials_bool", "p_bool", "p_0", "strands_1", "strands_65", "p_33",
+        "secret_length_bool", "m_bool",
         "degree_bool", "level_bool", "run_out_dir_missing", "keygen_out_dir_missing",
         "keygen_secrets_dir_missing", "address_no_port", "listen_env_bad", "serve_port_99999",
         "connect_port_99999", "timeout_neg", "timeout_0", "timeout_nan", "timeout_inf",

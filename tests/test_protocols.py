@@ -71,6 +71,13 @@ def test_classic_dh_random_matches_pow():
         assert t.key_a == pow(spec.base, ska.exponents[0] * skb.exponents[0], p)
 
 
+def test_classic_dh_random_specs_build():
+    # random_spec draws g in 2..p-2, none of order 1 or 2, so no draw is refused
+    for seed in range(200):
+        spec = P.random_spec("classic_dh", seed)
+        assert pow(spec.base, 2, spec.platform.modulus) != 1
+
+
 # -- commutator schemes ------------------------------------------------------------
 
 
@@ -713,6 +720,15 @@ PROTOCOL_REFUSALS = {
     ),
     "classic_dh_mod2": (
         lambda: P.make_classic_dh(2, 1), ValueError, "classic_dh needs a modulus of at least 5, got 2",
+    ),
+    # a base of order 1 or 2 publishes 1 or g on both sides and keys on one of them
+    "classic_dh_base_one": (
+        lambda: P.make_classic_dh(23, 1), ValueError,
+        "classic_dh needs a base of order over 2, got 1 mod 23",
+    ),
+    "classic_dh_base_p_minus_one": (
+        lambda: P.make_classic_dh(23, 22), ValueError,
+        "classic_dh needs a base of order over 2, got 22 mod 23",
     ),
 }
 
